@@ -7,9 +7,11 @@ the message names it), 2 on a usage error.
 
 The field is given as --q for a prime, or --p/--m for a prime power
 q = p^m; the environment variable RESIDUEMAT_MAX_Q overrides the default
-field-size bound.  Matrices travel as text files in the matrix_class
-format; structured results are printed as JSON with sorted keys so output
-is stable for golden-file comparison.
+field-size bound.  Polynomial arguments above MAX_POLY_DEGREE are refused,
+since symbol and irreducibility costs grow like the cube of the degree.
+Matrices travel as text files in the matrix_class format; structured
+results are printed as JSON with sorted keys so output is stable for
+golden-file comparison.
 """
 
 import argparse
@@ -28,6 +30,9 @@ from .residue_symbol import (
     verify_reciprocity,
     verify_symbol_structure,
 )
+
+
+MAX_POLY_DEGREE = 256
 
 
 class UsageError(Exception):
@@ -88,8 +93,8 @@ def _print_json(obj) -> None:
 
 def cmd_symbol(args) -> int:
     ctx = _context(args, _require_d(args))
-    a = parse_poly(args.a, ctx.field)
-    P = parse_poly(args.P, ctx.field)
+    a = parse_poly(args.a, ctx.field, max_degree=MAX_POLY_DEGREE)
+    P = parse_poly(args.P, ctx.field, max_degree=MAX_POLY_DEGREE)
     ri = symbol(ctx, a, P)
     print(f"index={ri.k} zeta_power={ri.k}/{ri.d}")
     return 0
@@ -97,7 +102,7 @@ def cmd_symbol(args) -> int:
 
 def cmd_matrix(args) -> int:
     ctx = _context(args, _require_d(args))
-    polys = [parse_poly(text, ctx.field) for text in args.polys]
+    polys = [parse_poly(s, ctx.field, max_degree=MAX_POLY_DEGREE) for s in args.polys]
     sys.stdout.write(format_matrix(residue_matrix(ctx, polys)))
     return 0
 

@@ -138,13 +138,12 @@ def epsilon(M: CycMatrix, j: int, k: int) -> Optional[int]:
 
 
 def mmbar_diagonal(M: CycMatrix) -> list:
-    """Diagonal of M Mbar^t with zeta^k entries, as exact integers.
+    """Diagonal of M Mbar (zeta^k entries, undefined diagonal read as 0).
 
-    Entry j is sum_k zeta^(m_jk) * conj(zeta^(m_kj)) over k != j, plus the
-    n - 1 is implicit... concretely each summand is zeta^(m_jk - m_kj),
-    which is +1 or -1 exactly when the matrix is epsilon-compatible; any
-    other summand would be a proper complex number, which cannot happen for
-    a realizable matrix, so that case raises.
+    Entry j is the sum over k != j of zeta^(m_jk) * conj(zeta^(m_kj)), which
+    is epsilon(M, j, k): +1 for an equal pair, -1 for a negated one.  Any
+    other pair gives a non-real summand, which no realizable matrix has, so
+    that case raises ValueError.
     """
     n, d = M.n, M.d
     out = []

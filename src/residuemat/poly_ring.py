@@ -6,8 +6,8 @@ is the empty tuple; its degree is the sentinel -inf, which makes the
 degree inequalities deg(a + b) <= max(deg a, deg b) and
 deg(a * b) = deg a + deg b hold without special-casing.
 
-Irreducibility uses Rabin's deterministic test (t^(q^n) = t mod P and
-gcd(t^(q^(n/l)) - t, P) = 1 for every prime l | n) and is cached on the
+Irreducibility uses Ben-Or's test (gcd(t^(q^i) - t, P) = 1 for every
+i <= n/2, stopping at the first nontrivial gcd) and is cached on the
 instance, since symbol evaluation revalidates its modulus on every call.
 
 The text format is exact and round-trips: terms joined by '+' or '-',
@@ -366,14 +366,19 @@ def mod_pow(a: Poly, e: int, modulus: Poly) -> Poly:
     if len(mod) == 1:
         return zero(f)
     _, base = _divmod_raw(f, list(a.coeffs), mod)
-    out = [1]
+    return Poly._make(f, _pow_raw(f, base, e, mod))
+
+
+def _pow_raw(f: Field, a, e: int, mod) -> list:
+    """a^e mod a monic modulus by square-and-multiply."""
+    out, base = [1], a
     while e:
         if e & 1:
             out = _mulmod_raw(f, out, base, mod)
         e >>= 1
         if e:
             base = _mulmod_raw(f, base, base, mod)
-    return Poly._make(f, out)
+    return out
 
 
 def norm(P: Poly) -> int:
@@ -384,53 +389,32 @@ def norm(P: Poly) -> int:
 
 
 def is_irreducible(P: Poly) -> bool:
-    """Rabin's deterministic irreducibility test, cached on the instance."""
+    """Ben-Or's irreducibility test, cached on the instance.
+
+    A reducible P of degree n has an irreducible factor of some degree
+    i <= n/2, which divides t^(q^i) - t; so P is irreducible iff
+    gcd(t^(q^i) - t, P) = 1 for i = 1 .. n/2.  One Frobenius chain gives the
+    t^(q^i) mod P, and the scan stops at the first nontrivial gcd (i = 1 is
+    the root test).
+    """
     if P._irred is None:
-        P._irred = _rabin(P)
+        P._irred = _ben_or(P)
     return P._irred
 
 
-def _rabin(P: Poly) -> bool:
+def _ben_or(P: Poly) -> bool:
     f = P.field
     n = len(P.coeffs) - 1
     if n < 1:
         return False
-    if n == 1:
-        return True
-    # cheap pre-filter: a root in F_q means a linear factor (worth a scan
-    # only while the field is small)
-    if f.q <= 64:
-        for c in range(f.q):
-            if P(c) == 0:
-                return False
     mod = P.monic().coeffs
     t = [0, 1]
-    # t^(q^n) must come back to t ...
     img = t
-    for _ in range(n):
-        img = _pow_q_raw(f, img, mod)
-    if _sub_raw(f, img, t):
-        return False
-    # ... and must not come back early at any maximal proper divisor n/l.
-    for ell in _prime_factors(n):
-        img = t
-        for _ in range(n // ell):
-            img = _pow_q_raw(f, img, mod)
+    for _ in range(n // 2):
+        img = _pow_raw(f, img, f.q, mod)
         if len(_gcd_raw(f, _sub_raw(f, img, t), mod)) > 1:
             return False
     return True
-
-
-def _pow_q_raw(f: Field, a, mod) -> list:
-    e = f.q
-    out, base = [1], list(a)
-    while e:
-        if e & 1:
-            out = _mulmod_raw(f, out, base, mod)
-        e >>= 1
-        if e:
-            base = _mulmod_raw(f, base, base, mod)
-    return out
 
 
 def monic_from_code(field: Field, degree: int, code: int) -> Poly:
@@ -519,8 +503,9 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_poly(text: str, field: Field) -> Poly:
-    """Parse the exact text format; inverse of format_poly up to term order."""
+def parse_poly(text: str, field: Field, max_degree=None) -> Poly:
+    """Parse the exact text format; inverse of format_poly up to term order.
+    A term above max_degree (if given) is refused before any allocation."""
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
@@ -565,7 +550,10 @@ def parse_poly(text: str, field: Field) -> Poly:
         if sign < 0:
             c = field.neg(c)
         coeffs[power] = field.add(coeffs.get(power, 0), c)
-    out = [0] * (max(coeffs) + 1 if coeffs else 0)
+    top = max(coeffs, default=-1)
+    if max_degree is not None and top > max_degree:
+        raise ValueError(f"term t^{top} exceeds the degree bound {max_degree}")
+    out = [0] * (top + 1)
     for power, c in coeffs.items():
         out[power] = c
     return Poly._make(field, out)

@@ -27,7 +27,7 @@ from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
     _mulmod_raw,
-    _pow_q_raw,
+    _pow_raw,
     _trim,
     format_poly,
     from_code,
@@ -83,7 +83,7 @@ def _frobenius_basis(P: Poly):
     if P._frob is None:
         f = P.field
         mod = P.coeffs
-        xq = _pow_q_raw(f, [0, 1], mod)
+        xq = _pow_raw(f, [0, 1], f.q, mod)
         basis = [[1], xq]
         for _ in range(2, len(mod) - 1):
             basis.append(_mulmod_raw(f, basis[-1], xq, mod))

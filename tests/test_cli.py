@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from residuemat.cli import main
+from residuemat.cli import MAX_POLY_DEGREE, main
 
 
 def run(capsys, *argv):
@@ -47,6 +47,23 @@ def test_symbol_requires_d(capsys):
     code, _, err = run(capsys, "symbol", "--q", "3", "--a", "t", "--P", "t+1")
     assert code == 2
     assert err.startswith("usage error:")
+
+
+def test_polynomial_degree_bound(capsys):
+    bound = f"exceeds the degree bound {MAX_POLY_DEGREE}\n"
+    code, out, err = run(
+        capsys, "symbol", "--q", "5", "--d", "2", "--a", "t", "--P", "t^3000000"
+    )
+    assert code == 1 and out == ""
+    assert err == "error: term t^3000000 " + bound
+    code, out, err = run(capsys, "matrix", "--q", "5", "--d", "2", "t", "t^999 + 1")
+    assert code == 1 and out == ""
+    assert err == "error: term t^999 " + bound
+    # the bound itself is allowed
+    code, _, err = run(
+        capsys, "symbol", "--q", "5", "--d", "2", "--a", f"t^{MAX_POLY_DEGREE}", "--P", "t+1"
+    )
+    assert code == 0 and err == ""
 
 
 # -- field flag handling -----------------------------------------------------

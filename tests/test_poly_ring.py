@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +70,12 @@ def test_parse_extension_field(f4):
 def test_parse_rejects_garbage(bad, f3):
     with pytest.raises(ValueError):
         parse_poly(bad, f3)
+
+
+def test_parse_degree_bound(f3):
+    assert parse_poly("t^4 + 1", f3, max_degree=4).degree == 4
+    with pytest.raises(ValueError, match="t\\^5 exceeds the degree bound 4"):
+        parse_poly("t^5 - t^5 + 1", f3, max_degree=4)
 
 
 def test_parse_coefficient_range_errors(f3, f4):
@@ -294,6 +301,83 @@ def test_irreducibility_matches_trial_division(q, max_deg):
             assert flag == trial_division_irreducible(P)
             found += flag
         assert found == count_monic_irreducibles(f, deg)
+
+
+def _sympy_oracle():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p, gf_mul
+
+    # sympy's galoistools take descending coefficient lists over Z/p
+    def irreducible(c, p):
+        return gf_irreducible_p(c[::-1], p, ZZ)
+
+    def mul(a, b, p):
+        return gf_mul(a[::-1], b[::-1], p, ZZ)[::-1]
+
+    def random_irreducible(rng, p, deg):
+        while True:
+            c = [rng.randrange(p) for _ in range(deg)] + [1]
+            if irreducible(c, p):
+                return c
+
+    return irreducible, mul, random_irreducible
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13])
+def test_irreducibility_matches_sympy_over_prime_fields(q):
+    irreducible, mul, random_irreducible = _sympy_oracle()
+    f = get_field(q)
+    rng = random.Random(q)
+    # random monics: mostly reducible, with their smallest factor at
+    # every depth of the Frobenius chain
+    for n in range(6, 41):
+        for _ in range(3):
+            c = [rng.randrange(q) for _ in range(n)] + [1]
+            assert is_irreducible(Poly(f, c)) == irreducible(c, q), (n, c)
+    # structured cases: the verdict hinges on the last gcd step or on a
+    # repeated factor
+    for n in (6, 9, 14, 21, 30, 40):
+        P = random_irreducible(rng, q, n)
+        assert is_irreducible(Poly(f, P))
+        cases = [mul(random_irreducible(rng, q, n - 1), [rng.randrange(q), 1], q)]
+        if n % 2 == 0:
+            A = random_irreducible(rng, q, n // 2)
+            B = random_irreducible(rng, q, n // 2)
+            cases += [mul(A, B, q), mul(A, A, q)]
+        for c in cases:
+            assert len(c) == n + 1 and not irreducible(c, q)
+            assert not is_irreducible(Poly(f, c)), (n, c)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_structured_reducibles_rejected_over_extension_fields(q):
+    _, _, random_irreducible = _sympy_oracle()
+    f = get_field(q)
+    p = f.p
+    rng = random.Random(q)
+    # t -> t + c with c outside the prime subfield keeps irreducibility and
+    # gives the factors coefficients beyond F_p
+    shift = Poly(f, (p, 1))
+
+    def lift(c):
+        out = zero(f)
+        for x in reversed(c):
+            out = out * shift + constant(f, x)
+        return out
+
+    linear = Poly(f, (p + 1, 1))
+    for k in (3, 5, 7, 9, 11):
+        # an irreducible of odd degree over F_p stays irreducible over
+        # F_(p^2), since gcd(k, 2) = 1
+        a = random_irreducible(rng, p, k)
+        b = a
+        while b == a:
+            b = random_irreducible(rng, p, k)
+        A, B = lift(a), lift(b)
+        assert is_irreducible(A) and is_irreducible(B)
+        for P in (A * B, A * A, A * linear):
+            assert not is_irreducible(P), (k, format_poly(P))
 
 
 def test_irreducibility_is_cached(f3):
