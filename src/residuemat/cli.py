@@ -7,8 +7,11 @@ the message names it), 2 on a usage error.
 
 The field is given as --q for a prime, or --p/--m for a prime power
 q = p^m; the environment variable RESIDUEMAT_MAX_Q overrides the default
-field-size bound.  Polynomial arguments above MAX_POLY_DEGREE are refused,
-since symbol and irreducibility costs grow like the cube of the degree.
+field-size bound.  Polynomial arguments and realize's --max-degree above
+MAX_POLY_DEGREE are refused, since an irreducibility test costs about the
+cube of the degree (a symbol only its square).  verify refuses a scan of
+more than VERIFY_MAX_PAIRS ordered pairs of irreducibles, the same cap
+equiv applies to its matrix count by default.
 Matrices travel as text files in the matrix_class format; structured
 results are printed as JSON with sorted keys so output is stable for
 golden-file comparison.
@@ -21,7 +24,7 @@ import sys
 
 from .field_core import DEFAULT_MAX_Q, field_build, is_prime
 from .matrix_class import criteria_equiv_bruteforce, classify, parse_matrix, format_matrix
-from .poly_ring import parse_poly
+from .poly_ring import count_monic_irreducibles, parse_poly
 from .realize import RealizeError, RealizeOptions, realize
 from .residue_symbol import (
     SymbolContext,
@@ -33,6 +36,7 @@ from .residue_symbol import (
 
 
 MAX_POLY_DEGREE = 256
+VERIFY_MAX_PAIRS = 1_000_000
 
 
 class UsageError(Exception):
@@ -116,6 +120,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_realize(args) -> int:
+    if args.max_degree > MAX_POLY_DEGREE:
+        raise ValueError(
+            f"--max-degree {args.max_degree} exceeds the degree bound {MAX_POLY_DEGREE}"
+        )
     M = _matrix_from_file(args.matrix)
     d = _resolve_d(args, M)
     ctx = _context(args, d)
@@ -129,8 +137,25 @@ def cmd_realize(args) -> int:
     return 0
 
 
+def _reciprocity_pairs(field, max_deg: int) -> int:
+    """N(N - 1) for the N monic irreducibles of degree <= max_deg, counted
+    only until it passes VERIFY_MAX_PAIRS (so a lower bound past it)."""
+    n = 0
+    for k in range(1, max_deg + 1):
+        n += count_monic_irreducibles(field, k)
+        if n * (n - 1) > VERIFY_MAX_PAIRS:
+            break
+    return n * (n - 1)
+
+
 def cmd_verify(args) -> int:
     ctx = _context(args, _require_d(args))
+    pairs = _reciprocity_pairs(ctx.field, args.max_deg)
+    if pairs > VERIFY_MAX_PAIRS:
+        raise ValueError(
+            f"verify --max-deg {args.max_deg} needs at least {pairs} ordered pairs, "
+            f"above the bound {VERIFY_MAX_PAIRS}"
+        )
     rec = verify_reciprocity(ctx, args.max_deg)
     struct = verify_symbol_structure(ctx, min(args.max_deg, 2))
     print(f"reciprocity: pairs={rec.pairs}, failures={len(rec.failures)}")
@@ -196,7 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(sp, d_required=False)
     sp.add_argument("--matrix", required=True, help="matrix text file")
     sp.add_argument("--seed", type=int, help="sample residues/candidates randomly")
-    sp.add_argument("--max-degree", type=int, default=40, help="degree cutoff")
+    sp.add_argument(
+        "--max-degree",
+        type=int,
+        default=40,
+        help=f"degree cutoff (at most {MAX_POLY_DEGREE})",
+    )
     sp.add_argument(
         "--deterministic",
         action="store_true",

@@ -174,10 +174,11 @@ def constant(field: Field, c: int) -> Poly:
 
 # -- raw coefficient-list kernels ------------------------------------------
 #
-# The symbol computation spends nearly all of its time in modular
-# exponentiation, so the multiply-and-reduce kernel below carries three
-# specialised inner loops (prime field, tabulated extension field, generic)
-# with every field operation inlined or bound to a local.
+# Irreducibility testing (the Ben-Or Frobenius chain) and the reciprocity
+# oracle's norm spend nearly all of their time in multiplication modulo P,
+# so the multiply-and-reduce kernel below carries three specialised inner
+# loops (prime field, tabulated extension field, generic) with every field
+# operation inlined or bound to a local.
 
 
 def _mul_raw(f: Field, a, b) -> list:

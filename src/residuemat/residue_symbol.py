@@ -6,12 +6,26 @@ a^((|P| - 1)/d) mod P, where |P| = q^deg(P).  It is returned as a
 RootIndex exponent of the fixed primitive root zeta = g^((q-1)/d), so all
 downstream arithmetic is integer arithmetic mod d.
 
-Rather than exponentiating by (|P| - 1)/d directly, symbol() first takes
-the residue-field norm N(a) = a^(1 + q + ... + q^(deg P - 1)) mod P down
-to F_q — cheap because the q-power Frobenius is F_q-linear, so its matrix
-is precomputed once per modulus — and then raises the norm to (q - 1)/d
-inside F_q, where exponentiation is a table lookup.  The two routes agree
-because ((q^n - 1)/(q - 1)) * ((q - 1)/d) = (q^n - 1)/d exactly.
+symbol() never exponentiates.  It runs the Euclid-reciprocity route of
+the d-th power Jacobi symbol (Rosen, Number Theory in Function Fields,
+ch. 3), which is multiplicative in both arguments and defined for every
+monic modulus b coprime to a:
+
+* (a/b) depends only on a mod b;
+* a constant c = g^l has (c/b) = zeta^(l deg b);
+* for monic coprime a and b, (a/b) - (b/a) = reciprocity_index(deg a, deg b).
+
+Reducing, stripping the leading coefficient and swapping is Euclid's
+algorithm on (a, P), so a symbol costs O(deg(P)^2) field operations.
+
+The route assumes the reciprocity law, so it cannot be what checks that
+law.  verify_reciprocity() therefore computes every symbol by the
+defining exponentiation instead, through the residue-field norm
+N(a) = a^(1 + q + ... + q^(deg P - 1)) mod P down to F_q raised to
+(q - 1)/d.  That is exactly a^((|P| - 1)/d), since
+((q^n - 1)/(q - 1)) * ((q - 1)/d) = (q^n - 1)/d, and the norm is cheap
+because the q-power Frobenius is F_q-linear, so its matrix is precomputed
+once per modulus.  It costs O(deg(P)^3) and uses no reciprocity.
 
 The reciprocity law: for distinct monic irreducibles P and Q,
 symbol(P, Q) - symbol(Q, P) = reciprocity_index(deg P, deg Q) mod d,
@@ -26,6 +40,7 @@ from .field_core import Field, RootIndex, index_to_element, root_index_of
 from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
+    _divmod_raw,
     _mulmod_raw,
     _pow_raw,
     _trim,
@@ -64,8 +79,9 @@ def _check_modulus(ctx: SymbolContext, P: Poly) -> None:
 def symbol(ctx: SymbolContext, a: Poly, P: Poly) -> RootIndex:
     """The d-th power residue symbol of a mod P as a RootIndex.
 
-    Equals root_index_of(a^((|P| - 1)/d) mod P).  Errors if a is divisible
-    by P (the symbol is undefined, not zero) or P is not monic irreducible.
+    Equals root_index_of(a^((|P| - 1)/d) mod P), computed by the
+    Euclid-reciprocity route.  Errors if a is divisible by P (the symbol is
+    undefined, not zero) or P is not monic irreducible.
     """
     _check_modulus(ctx, P)
     if a.field != ctx.field:
@@ -73,9 +89,45 @@ def symbol(ctx: SymbolContext, a: Poly, P: Poly) -> RootIndex:
     r = a % P
     if r.is_zero():
         raise ValueError("symbol undefined: a divisible by P")
+    return RootIndex(_jacobi(ctx, r, P), ctx.d)
+
+
+def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
+    """Index of the Jacobi symbol (a/b)_d for monic b coprime to a, by
+    Euclid's algorithm and the reciprocity law."""
+    f, d = ctx.field, ctx.d
+    log, inv, mul = f.log, f.inv, f.mul
+    # the reciprocity sign is d/2 exactly when p is odd, (q-1)/d is odd
+    # and both degrees are odd (reciprocity_index)
+    signed = f.p != 2 and (f.q - 1) // d % 2 == 1
+    k = 0
+    ra, rb = list(a.coeffs), b.coeffs
+    while len(rb) > 1:
+        _, ra = _divmod_raw(f, ra, rb)
+        deg_b = len(rb) - 1
+        lead = ra[-1]
+        k += log[lead] * deg_b
+        if len(ra) == 1:
+            break
+        if lead != 1:
+            c = inv(lead)
+            ra = [mul(c, x) for x in ra]
+        if signed and deg_b % 2 and (len(ra) - 1) % 2:
+            k += d // 2
+        ra, rb = list(rb), ra
+    return k % d
+
+
+# -- the defining exponentiation, kept as the reciprocity oracle --------------
+
+
+def _norm_index(ctx: SymbolContext, a, P: Poly) -> int:
+    """Index of (a/P)_d from the raw coefficients of a by the defining
+    exponentiation a^((|P| - 1)/d) = N(a)^((q - 1)/d), with no reciprocity."""
     f = ctx.field
+    _, r = _divmod_raw(f, list(a), P.coeffs)
     c = _residue_norm(r, P)
-    return root_index_of(f, ctx.d, f.pow(c, (f.q - 1) // ctx.d))
+    return root_index_of(f, ctx.d, f.pow(c, (f.q - 1) // ctx.d)).k
 
 
 def _frobenius_basis(P: Poly):
@@ -108,15 +160,16 @@ def _apply_frobenius(f: Field, a, basis, n):
     return _trim(out)
 
 
-def _residue_norm(r: Poly, P: Poly) -> int:
-    """Norm of the nonzero residue r into F_q: r^((|P| - 1)/(q - 1)) mod P."""
+def _residue_norm(r, P: Poly) -> int:
+    """Norm of the nonzero residue r (raw coefficients) into F_q:
+    r^((|P| - 1)/(q - 1)) mod P."""
     n = len(P.coeffs) - 1
     if n == 1:
-        return r.coeffs[0]
+        return r[0]
     f = P.field
     mod = P.coeffs
     basis = _frobenius_basis(P)
-    out = list(r.coeffs)
+    out = list(r)
     fr = out
     for _ in range(n - 1):
         fr = _apply_frobenius(f, fr, basis, n)
@@ -192,8 +245,8 @@ def verify_reciprocity(ctx: SymbolContext, max_deg: int) -> ReciprocityReport:
         dp = P.degree
         for Q in polys[i + 1 :]:
             expected = reciprocity_index(ctx, dp, Q.degree).k
-            s_pq = symbol(ctx, P, Q).k
-            s_qp = symbol(ctx, Q, P).k
+            s_pq = _norm_index(ctx, P.coeffs, Q)
+            s_qp = _norm_index(ctx, Q.coeffs, P)
             pairs += 2
             if (s_pq - s_qp) % d != expected:
                 failures.append((P, Q, (s_pq - s_qp) % d, expected))

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from residuemat.cli import MAX_POLY_DEGREE, main
+from residuemat import cli
+from residuemat.cli import MAX_POLY_DEGREE, VERIFY_MAX_PAIRS, main
 
 
 def run(capsys, *argv):
@@ -204,6 +205,31 @@ def test_realize_max_degree_exhaustion(capsys, tmp_path):
     assert "max_degree" in err
 
 
+def test_realize_max_degree_bound(capsys, tmp_path, monkeypatch):
+    path = write_matrix(tmp_path, "2 4\n. 1\n3 .\n")
+
+    def no_search(*args):
+        raise AssertionError("realize must not start above the degree bound")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "realize", no_search)
+        code, out, err = run(
+            capsys, "realize", "--q", "5", "--matrix", path,
+            "--max-degree", str(MAX_POLY_DEGREE + 1),
+        )
+    assert code == 1 and out == ""
+    assert err == (
+        f"error: --max-degree {MAX_POLY_DEGREE + 1} exceeds the degree bound "
+        f"{MAX_POLY_DEGREE}\n"
+    )
+    # the bound itself is allowed
+    code, out, _ = run(
+        capsys, "realize", "--q", "5", "--matrix", path, "--max-degree", str(MAX_POLY_DEGREE)
+    )
+    assert code == 0
+    assert json.loads(out)["polys"] == ["t", "t^3 + 2*t^2 + 3"]
+
+
 # -- verify -----------------------------------------------------------------
 
 
@@ -220,6 +246,38 @@ def test_verify_default_depth(capsys):
     code, out, _ = run(capsys, "verify", "--q", "3", "--d", "2")
     assert code == 0
     assert "pairs=182" in out
+
+
+def test_verify_pair_bound(capsys):
+    # 13 + 78 + 728 + 7098 irreducibles of degree <= 4 over GF(13)
+    assert VERIFY_MAX_PAIRS == 1_000_000
+    code, out, err = run(capsys, "verify", "--q", "13", "--d", "4", "--max-deg", "4")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: verify --max-deg 4 needs at least 62670972 ordered pairs, "
+        "above the bound 1000000\n"
+    )
+    # the count stops at degree 8 (1318 irreducibles over GF(3)), so a huge
+    # depth is refused at once
+    code, out, err = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "1000000000")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: verify --max-deg 1000000000 needs at least 1735806 ordered pairs, "
+        "above the bound 1000000\n"
+    )
+
+
+def test_verify_pair_bound_is_inclusive(capsys, monkeypatch):
+    # 3 + 3 irreducibles of degree <= 2 over GF(3): 30 ordered pairs
+    monkeypatch.setattr(cli, "VERIFY_MAX_PAIRS", 30)
+    code, out, _ = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "2")
+    assert code == 0 and out.startswith("reciprocity: pairs=30,")
+    monkeypatch.setattr(cli, "VERIFY_MAX_PAIRS", 29)
+    code, out, err = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "2")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: verify --max-deg 2 needs at least 30 ordered pairs, above the bound 29\n"
+    )
 
 
 # -- equiv --------------------------------------------------------------------

@@ -279,6 +279,24 @@ def test_mod_pow_edge_cases(f3):
         mod_pow(t, 2, zero(f3))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 13])
+def test_mod_pow_matches_sympy_over_prime_fields(q):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    f = get_field(q)
+    rng = random.Random(q)
+    for n in (6, 7, 11, 16, 23, 31, 40):
+        # non-monic modulus and an argument up to twice its degree
+        mod = [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
+        a = [rng.randrange(q) for _ in range(rng.randrange(2 * n))] + [1]
+        for e in (q**n - 1, (q**n - 1) // 2 + n, rng.getrandbits(200)):
+            # sympy's galoistools take descending coefficient lists over Z/p
+            want = gf_pow_mod(a[::-1], e, mod[::-1], q, ZZ)[::-1]
+            assert mod_pow(Poly(f, a), e, Poly(f, mod)) == Poly(f, want), (n, e)
+
+
 def test_norm(f3, f9):
     assert norm(variable(f3)) == 3
     assert norm(parse_poly("t^2+1", f3)) == 9

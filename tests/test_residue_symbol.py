@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from residuemat import (
     CycMatrix,
+    Poly,
     RootIndex,
     SymbolContext,
+    constant,
     from_code,
     index_to_element,
     is_irreducible,
@@ -20,6 +24,7 @@ from residuemat import (
     verify_symbol_structure,
     zero,
 )
+from residuemat import residue_symbol
 
 from conftest import get_context, get_field
 from naive import naive_symbol_index
@@ -100,6 +105,48 @@ def test_symbol_matches_defining_computation(q, d):
                 assert symbol(ctx, a, P).k == naive_symbol_index(ctx, a, P)
 
 
+@pytest.mark.parametrize(
+    "q,d",
+    [(3, 2), (5, 2), (5, 4), (7, 3), (7, 6), (9, 4), (9, 8), (4, 3), (8, 7), (13, 4)],
+)
+def test_symbol_matches_defining_exponentiation_at_high_degree(q, d):
+    # the Euclid-reciprocity route against a^((|P|-1)/d) mod P, at degrees
+    # where Euclid's algorithm takes many reduce-strip-swap steps
+    ctx = get_context(q, d)
+    f = ctx.field
+    rng = random.Random(q * 100 + d)
+    for n in (3, 8, 17, 32):
+        P = Poly(f, [rng.randrange(q) for _ in range(n)] + [1])
+        while not is_irreducible(P):
+            P = Poly(f, [rng.randrange(q) for _ in range(n)] + [1])
+        # constants, then monic and (for q > 2) non-monic arguments below,
+        # at and above deg P
+        args = [constant(f, 1), constant(f, q - 1)]
+        for deg_a in (1, n - 1, n, n + 1, 2 * n):
+            for lead in (1, q - 1):
+                args.append(Poly(f, [rng.randrange(q) for _ in range(deg_a)] + [lead]))
+        e = (norm(P) - 1) // d
+        for a in args:
+            if (a % P).is_zero():
+                continue
+            r = mod_pow(a, e, P)
+            assert r.degree == 0
+            assert ctx.zeta_powers[symbol(ctx, a, P).k] == r.coeffs[0], (n, a)
+
+
+@pytest.mark.parametrize("q,d", [(5, 4), (9, 8), (4, 3)])
+def test_verify_reciprocity_does_not_use_the_symbol_route(q, d, monkeypatch):
+    # the fast route assumes reciprocity, so the check of that law must
+    # compute its symbols some other way
+    def refuse(*args):
+        raise AssertionError("verify_reciprocity reached the reciprocity route")
+
+    monkeypatch.setattr(residue_symbol, "symbol", refuse)
+    monkeypatch.setattr(residue_symbol, "_jacobi", refuse)
+    rep = verify_reciprocity(get_context(q, d), 2)
+    assert rep.ok and rep.pairs > 0
+
+
 def test_symbol_depends_only_on_residue_class():
     ctx = get_context(9, 8)
     f = ctx.field
@@ -138,7 +185,7 @@ def test_symbol_power_residue_criterion():
 
 
 def test_symbol_agrees_with_direct_mod_pow():
-    # the norm shortcut must equal the textbook exponentiation route
+    # the symbol route must equal the textbook exponentiation route
     for q, d in ((9, 2), (13, 6), (8, 7)):
         ctx = get_context(q, d)
         f = ctx.field
