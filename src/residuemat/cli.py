@@ -11,7 +11,8 @@ field-size bound.  Polynomial arguments and realize's --max-degree above
 MAX_POLY_DEGREE are refused, since an irreducibility test costs about the
 cube of the degree (a symbol only its square).  verify refuses a scan of
 more than VERIFY_MAX_PAIRS ordered pairs of irreducibles, the same cap
-equiv applies to its matrix count by default.
+equiv applies to its matrix count by default, and a structure check of more
+than VERIFY_MAX_PRODUCTS residue products.
 Matrices travel as text files in the matrix_class format; structured
 results are printed as JSON with sorted keys so output is stable for
 golden-file comparison.
@@ -37,6 +38,7 @@ from .residue_symbol import (
 
 MAX_POLY_DEGREE = 256
 VERIFY_MAX_PAIRS = 1_000_000
+VERIFY_MAX_PRODUCTS = 10_000_000
 
 
 class UsageError(Exception):
@@ -148,6 +150,16 @@ def _reciprocity_pairs(field, max_deg: int) -> int:
     return n * (n - 1)
 
 
+def _structure_products(field, max_deg: int) -> int:
+    """Residue products the structure check multiplies: |P|(|P| - 1)/2 for
+    each monic irreducible P of degree <= max_deg."""
+    total = 0
+    for k in range(1, max_deg + 1):
+        size = field.q**k
+        total += count_monic_irreducibles(field, k) * size * (size - 1) // 2
+    return total
+
+
 def cmd_verify(args) -> int:
     ctx = _context(args, _require_d(args))
     pairs = _reciprocity_pairs(ctx.field, args.max_deg)
@@ -156,8 +168,15 @@ def cmd_verify(args) -> int:
             f"verify --max-deg {args.max_deg} needs at least {pairs} ordered pairs, "
             f"above the bound {VERIFY_MAX_PAIRS}"
         )
+    struct_deg = min(args.max_deg, 2)
+    products = _structure_products(ctx.field, struct_deg)
+    if products > VERIFY_MAX_PRODUCTS:
+        raise ValueError(
+            f"verify needs {products} residue products for the structure check "
+            f"to degree {struct_deg}, above the bound {VERIFY_MAX_PRODUCTS}"
+        )
     rec = verify_reciprocity(ctx, args.max_deg)
-    struct = verify_symbol_structure(ctx, min(args.max_deg, 2))
+    struct = verify_symbol_structure(ctx, struct_deg)
     print(f"reciprocity: pairs={rec.pairs}, failures={len(rec.failures)}")
     print(
         f"structure: moduli={struct.moduli}, residues={struct.residues}, "

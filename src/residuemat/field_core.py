@@ -9,7 +9,13 @@ plain prime field.
 
 Field elements are encoded as integers in [0, q): the base-p digits of the
 code are the coefficients of the residue, least significant digit = constant
-term.  Prime-field elements are therefore just integers mod p.
+term.  Prime-field elements are therefore just integers mod p, and in
+characteristic 2 addition is the XOR of codes.
+
+Construction costs O(q) table steps: multiplication by g is F_p-linear, so
+the exp/log walk splits each code into its low and high digits and adds two
+precomputed products (about 2*sqrt(q) of them).  The negation table is read
+off the exp table, since -1 = g^((q-1)/2) for odd p.
 
 A d-th root of unity is handled as an exponent index: index k stands for
 zeta^k with zeta = g^((q-1)/d).  Everything downstream works with these
@@ -22,8 +28,9 @@ from typing import NamedTuple
 
 DEFAULT_MAX_Q = 1 << 20
 
-# Full q*q addition tables are only built for small extension fields;
-# larger ones fall back to digit-wise addition.
+# Full q*q addition tables are only built for small extension fields.
+# Larger ones add digit-wise in odd characteristic; characteristic 2 never
+# does, since XOR of codes is digit-wise addition mod 2.
 _ADD_TABLE_MAX_Q = 512
 
 
@@ -131,14 +138,12 @@ class Field:
         self.modulus = self._find_modulus()
         self._addt = None
         self._negt = None
-        if m > 1:
-            self._negt = [self._neg_digitwise(a) for a in range(q)]
-            if q <= _ADD_TABLE_MAX_Q:
-                self._addt = [
-                    self._add_digitwise(a, b) for a in range(q) for b in range(q)
-                ]
         self.g = self._find_generator()
         self.exp, self.log = self._build_tables()
+        if m > 1:
+            self._negt = self._build_negation()
+            if q <= _ADD_TABLE_MAX_Q:
+                self._addt = self._build_add_table()
 
     # -- construction helpers ------------------------------------------
 
@@ -146,7 +151,8 @@ class Field:
         if self.m == 1:
             return (0, 1)
         p, m = self.p, self.m
-        for code in range(p**m):
+        # codes below p^(m-1) have constant term 0, so t divides them
+        for code in range(p ** (m - 1), p**m):
             tail, x = [], code
             for _ in range(m):
                 x, digit = divmod(x, p)
@@ -164,15 +170,6 @@ class Field:
             a, da = divmod(a, p)
             b, db = divmod(b, p)
             out += ((da + db) % p) * mult
-            mult *= p
-        return out
-
-    def _neg_digitwise(self, a: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.m):
-            a, da = divmod(a, p)
-            out += (-da % p) * mult
             mult *= p
         return out
 
@@ -221,23 +218,59 @@ class Field:
         raise AssertionError("no generator found")  # unreachable
 
     def _build_tables(self):
-        n = self.q - 1
-        exp = [0] * max(n, 1)
+        p, m, g = self.p, self.m, self.g
+        n = max(self.q - 1, 1)
+        exp = [0] * n
         log = [-1] * self.q
         y = 1
-        for i in range(max(n, 1)):
-            exp[i] = y
-            log[y] = i
-            y = self._mul_raw(y, self.g)
+        if m == 1:
+            for i in range(n):
+                exp[i] = y
+                log[y] = i
+                y = y * g % p
+        else:
+            # y*g = (l + h*split)*g = lo[l] + hi[h] by F_p-linearity
+            split = p ** (m // 2)
+            lo = [self._mul_raw(c, g) for c in range(split)]
+            hi = [self._mul_raw(c * split, g) for c in range(self.q // split)]
+            add = self.add
+            for i in range(n):
+                exp[i] = y
+                log[y] = i
+                h, l = divmod(y, split)
+                y = add(lo[l], hi[h])
         if y != 1:
             raise AssertionError("generator order mismatch")  # unreachable
         return exp, log
+
+    def _build_add_table(self):
+        # a + b = (ah + bh)*split + (al + bl) digit-wise: two small tables
+        q, split, add = self.q, self.p ** (self.m // 2), self.add
+        low = [[add(a, b) for b in range(split)] for a in range(split)]
+        high = [
+            [add(a, b) * split for b in range(q // split)] for a in range(q // split)
+        ]
+        return [
+            h + l for a in range(q) for h in high[a // split] for l in low[a % split]
+        ]
+
+    def _build_negation(self):
+        # -g^i = g^(i + (q-1)/2) for odd p; in characteristic 2, -a = a
+        if self.p == 2:
+            return list(range(self.q))
+        exp, half = self.exp, (self.q - 1) // 2
+        negt = [0] * self.q
+        for y, z in zip(exp, exp[half:] + exp[:half]):
+            negt[y] = z
+        return negt
 
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
         if self._addt is not None:
             return self._addt[a * self.q + b]
         return self._add_digitwise(a, b)

@@ -251,11 +251,16 @@ def _odd_law_decision(M: CycMatrix) -> Classification:
     )
 
 
+def _permutation(sigma, n: int) -> tuple:
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"not a permutation of range({n}): {sigma}")
+    return sigma
+
+
 def conjugate_by_permutation(M: CycMatrix, sigma) -> CycMatrix:
     """Matrix M' with M'[i][j] = M[sigma(i)][sigma(j)] (sigma 0-based)."""
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(M.n)):
-        raise ValueError(f"not a permutation of range({M.n}): {sigma}")
+    sigma = _permutation(sigma, M.n)
     entries = [
         [None if i == j else M.entries[sigma[i]][sigma[j]] for j in range(M.n)]
         for i in range(M.n)
@@ -284,12 +289,15 @@ def check_block_form(M: CycMatrix, s: int, sigma) -> bool:
     n, d = M.n, M.d
     if not 1 <= s <= n:
         raise ValueError(f"s = {s} out of range [1, {n}]")
+    sigma = _permutation(sigma, n)
     if s >= 2 and d % 2 != 0:
         return False
-    Mp = conjugate_by_permutation(M, sigma)
+    # read M[sigma(i)][sigma(j)] in place: no conjugated matrix is built
+    e = M.entries
     for i in range(n):
+        row = e[sigma[i]]
         for j in range(i + 1, n):
-            a, b = Mp.entries[i][j], Mp.entries[j][i]
+            a, b = row[sigma[j]], e[sigma[j]][sigma[i]]
             if j < s:
                 if (a - b) % d != d // 2:
                     return False

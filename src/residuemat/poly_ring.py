@@ -178,7 +178,9 @@ def constant(field: Field, c: int) -> Poly:
 # oracle's norm spend nearly all of their time in multiplication modulo P,
 # so the multiply-and-reduce kernel below carries three specialised inner
 # loops (prime field, tabulated extension field, generic) with every field
-# operation inlined or bound to a local.
+# operation inlined or bound to a local.  The generic loop serves extension
+# fields too large for an addition table; there f.add is one XOR in
+# characteristic 2 and digit-wise addition only in odd characteristic.
 
 
 def _mul_raw(f: Field, a, b) -> list:

@@ -25,6 +25,18 @@ def field_mul_digits(f, a: int, b: int) -> int:
     return sum(prod[i] * p**i for i in range(m))
 
 
+def field_add_digits(f, a: int, b: int) -> int:
+    """Sum in GF(p^m), coefficient by coefficient mod p."""
+    p = f.p
+    return sum((a // p**i + b // p**i) % p * p**i for i in range(f.m))
+
+
+def field_neg_digits(f, a: int) -> int:
+    """Negation in GF(p^m), coefficient by coefficient mod p."""
+    p = f.p
+    return sum(-(a // p**i) % p * p**i for i in range(f.m))
+
+
 def field_pow_digits(f, a: int, e: int) -> int:
     out = 1
     for _ in range(e):

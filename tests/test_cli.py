@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from residuemat import cli
-from residuemat.cli import MAX_POLY_DEGREE, VERIFY_MAX_PAIRS, main
+from residuemat.cli import MAX_POLY_DEGREE, VERIFY_MAX_PAIRS, VERIFY_MAX_PRODUCTS, main
 
 
 def run(capsys, *argv):
@@ -279,6 +279,47 @@ def test_verify_pair_bound_is_inclusive(capsys, monkeypatch):
         "error: verify --max-deg 2 needs at least 30 ordered pairs, above the bound 29\n"
     )
 
+
+
+def test_verify_product_bound(capsys, monkeypatch):
+    # 997 * 996 = 993012 pairs pass the pair bound, but each of the 997
+    # degree-1 moduli has 997 * 996 / 2 residue products
+    assert VERIFY_MAX_PRODUCTS == 10_000_000
+
+    def no_work(*args):
+        raise AssertionError("verify started work above the bound")
+
+    monkeypatch.setattr(cli, "verify_reciprocity", no_work)
+    monkeypatch.setattr(cli, "verify_symbol_structure", no_work)
+    code, out, err = run(capsys, "verify", "--q", "997", "--d", "2", "--max-deg", "1")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: verify needs 495016482 residue products for the structure check "
+        "to degree 1, above the bound 10000000\n"
+    )
+
+
+def test_verify_below_product_bound_runs(capsys):
+    # 13 + 78 irreducibles of degree <= 2 over GF(13): 1108302 products
+    code, out, _ = run(capsys, "verify", "--q", "13", "--d", "4", "--max-deg", "2")
+    assert code == 0
+    assert out == (
+        "reciprocity: pairs=8190, failures=0\n"
+        "structure: moduli=91, residues=13260, products=1108302, failures=0\n"
+    )
+
+
+def test_verify_product_bound_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "VERIFY_MAX_PRODUCTS", 117)
+    code, out, _ = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "3")
+    assert code == 0 and "products=117," in out
+    monkeypatch.setattr(cli, "VERIFY_MAX_PRODUCTS", 116)
+    code, out, err = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "3")
+    assert code == 1 and out == ""
+    assert err == (
+        "error: verify needs 117 residue products for the structure check "
+        "to degree 2, above the bound 116\n"
+    )
 
 # -- equiv --------------------------------------------------------------------
 

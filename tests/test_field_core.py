@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,13 +13,21 @@ from residuemat import (
 )
 
 from conftest import get_field
-from naive import element_order, field_mul_digits, field_pow_digits
+from naive import (
+    element_order,
+    field_add_digits,
+    field_mul_digits,
+    field_neg_digits,
+    field_pow_digits,
+)
 
 
 # Moduli and generators are pinned: they were computed with the standalone
 # digit-arithmetic routines in naive.py (modulus = first monic irreducible in
 # lex order with the constant coefficient most significant; generator = the
-# smallest element of full order).
+# smallest element of full order).  The last three pin what the library
+# computes at sizes too large for those routines; the table tests below check
+# their arithmetic against naive.py.
 PINNED = {
     (2, 1): ((0, 1), 1),
     (3, 1): ((0, 1), 2),
@@ -27,7 +37,14 @@ PINNED = {
     (2, 2): ((1, 1, 1), 2),
     (3, 2): ((1, 0, 1), 4),
     (2, 3): ((1, 0, 1, 1), 2),
+    (2, 9): ((1, 0, 0, 0, 0, 0, 0, 0, 1, 1), 7),
+    (3, 5): ((1, 0, 0, 0, 2, 1), 3),
+    (2, 16): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1), 6),
 }
+
+# Fields with (q <= 512) and without an addition table, in characteristic 2
+# and odd characteristic, and with both odd and even m for the table split.
+TABLE_FIELDS = [(2, 9), (2, 10), (3, 5), (5, 3), (17, 2), (2, 16)]
 
 
 @pytest.mark.parametrize("p,m", sorted(PINNED))
@@ -65,6 +82,33 @@ def test_add_and_neg_are_componentwise(f9):
             assert f9.add(a, b) == expect
         assert f9.add(a, f9.neg(a)) == 0
         assert f9.sub(a, a) == 0
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_exp_log_tables_match_digit_arithmetic(p, m):
+    f = field_build(p, m)
+    n = f.q - 1
+    assert sorted(f.exp) == list(range(1, f.q))
+    assert f.log[0] == -1
+    assert all(f.log[x] == i for i, x in enumerate(f.exp))
+    rng = random.Random(1000 * p + m)
+    for i in rng.sample(range(n), min(2000, n)):
+        assert f.exp[(i + 1) % n] == field_mul_digits(f, f.exp[i], f.g)
+
+
+@pytest.mark.parametrize("p,m", TABLE_FIELDS)
+def test_add_and_neg_tables_match_digit_arithmetic(p, m):
+    f = field_build(p, m)
+    assert (f._addt is not None) == (f.q <= 512)
+    rng = random.Random(1000 * p + m)
+    for _ in range(2000):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        expect = field_add_digits(f, a, b)
+        assert f.add(a, b) == expect
+        if f._addt is not None:
+            assert f._addt[a * f.q + b] == expect
+        assert f._negt[a] == field_neg_digits(f, a)
+        assert f.sub(a, b) == field_add_digits(f, a, field_neg_digits(f, b))
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))

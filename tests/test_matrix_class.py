@@ -228,6 +228,9 @@ def test_check_block_form():
         check_block_form(SKEW22, 0, (0, 1))
     with pytest.raises(ValueError):
         check_block_form(SKEW22, 3, (0, 1))
+    for sigma in ((0, 0), (0,), (0, 1, 2)):
+        with pytest.raises(ValueError):
+            check_block_form(SKEW22, 1, sigma)
 
 
 def test_check_block_form_odd_d():
