@@ -14,8 +14,14 @@ characteristic 2 addition is the XOR of codes.
 
 Construction costs O(q) table steps: multiplication by g is F_p-linear, so
 the exp/log walk splits each code into its low and high digits and adds two
-precomputed products (about 2*sqrt(q) of them).  The negation table is read
-off the exp table, since -1 = g^((q-1)/2) for odd p.
+precomputed products (about 2*sqrt(q) of them).
+
+Addition in an extension field never goes through a q*q table.  In
+characteristic 2 it is the XOR of codes.  In odd characteristic it uses
+Zech logarithms: g^i + g^j = g^(i + zech[j - i]) with zech[k] = log(1 + g^k),
+an O(q) table read off exp/log, since adding 1 changes only the constant
+digit.  Negation is -g^i = g^(i + half), where half = (q - 1)/2 for odd p
+(-1 = g^half) and 0 in characteristic 2.
 
 A d-th root of unity is handled as an exponent index: index k stands for
 zeta^k with zeta = g^((q-1)/d).  Everything downstream works with these
@@ -24,14 +30,10 @@ anywhere.
 """
 
 import math
+import operator
 from typing import NamedTuple
 
 DEFAULT_MAX_Q = 1 << 20
-
-# Full q*q addition tables are only built for small extension fields.
-# Larger ones add digit-wise in odd characteristic; characteristic 2 never
-# does, since XOR of codes is digit-wise addition mod 2.
-_ADD_TABLE_MAX_Q = 512
 
 
 class RootIndex(NamedTuple):
@@ -136,14 +138,10 @@ class Field:
         self.m = m
         self.q = q
         self.modulus = self._find_modulus()
-        self._addt = None
-        self._negt = None
         self.g = self._find_generator()
         self.exp, self.log = self._build_tables()
-        if m > 1:
-            self._negt = self._build_negation()
-            if q <= _ADD_TABLE_MAX_Q:
-                self._addt = self._build_add_table()
+        self.half = 0 if p == 2 else (q - 1) // 2
+        self.zech = self._build_zech() if p != 2 and m > 1 else None
 
     # -- construction helpers ------------------------------------------
 
@@ -233,7 +231,7 @@ class Field:
             split = p ** (m // 2)
             lo = [self._mul_raw(c, g) for c in range(split)]
             hi = [self._mul_raw(c * split, g) for c in range(self.q // split)]
-            add = self.add
+            add = operator.xor if p == 2 else self._add_digitwise
             for i in range(n):
                 exp[i] = y
                 log[y] = i
@@ -243,26 +241,11 @@ class Field:
             raise AssertionError("generator order mismatch")  # unreachable
         return exp, log
 
-    def _build_add_table(self):
-        # a + b = (ah + bh)*split + (al + bl) digit-wise: two small tables
-        q, split, add = self.q, self.p ** (self.m // 2), self.add
-        low = [[add(a, b) for b in range(split)] for a in range(split)]
-        high = [
-            [add(a, b) * split for b in range(q // split)] for a in range(q // split)
-        ]
-        return [
-            h + l for a in range(q) for h in high[a // split] for l in low[a % split]
-        ]
-
-    def _build_negation(self):
-        # -g^i = g^(i + (q-1)/2) for odd p; in characteristic 2, -a = a
-        if self.p == 2:
-            return list(range(self.q))
-        exp, half = self.exp, (self.q - 1) // 2
-        negt = [0] * self.q
-        for y, z in zip(exp, exp[half:] + exp[:half]):
-            negt[y] = z
-        return negt
+    def _build_zech(self):
+        # 1 + g^i differs from g^i only in the constant digit; at i = half it
+        # is 0, whose log is the sentinel -1
+        p, log = self.p, self.log
+        return [log[y + 1] if y % p != p - 1 else log[y + 1 - p] for y in self.exp]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -271,14 +254,18 @@ class Field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._addt is not None:
-            return self._addt[a * self.q + b]
-        return self._add_digitwise(a, b)
+        if not a or not b:
+            return a or b
+        log, qm1 = self.log, self.q - 1
+        z = self.zech[(log[b] - log[a]) % qm1]
+        return self.exp[(log[a] + z) % qm1] if z >= 0 else 0
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return -a % self.p
-        return self._negt[a]
+        if not a:
+            return 0
+        return self.exp[(self.log[a] + self.half) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

@@ -121,20 +121,12 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def __call__(self, x: int) -> int:
-        """Evaluate at a field element by Horner's rule."""
-        f = self.field
-        out = 0
-        for c in reversed(self.coeffs):
-            out = f.add(f.mul(out, x), c)
-        return out
+        f = _same_field(self, other)
+        return Poly._make(f, _rem_raw(f, list(self.coeffs), other.coeffs))
 
     def scale(self, c: int) -> "Poly":
         """Multiply by the scalar c."""
-        mul = self.field.mul
-        return Poly._make(self.field, [mul(c, x) for x in self.coeffs])
+        return Poly._make(self.field, _mul_raw(self.field, [c], self.coeffs))
 
     def monic(self) -> "Poly":
         """The associate with leading coefficient 1."""
@@ -174,146 +166,134 @@ def constant(field: Field, c: int) -> Poly:
 
 # -- raw coefficient-list kernels ------------------------------------------
 #
-# Irreducibility testing (the Ben-Or Frobenius chain) and the reciprocity
-# oracle's norm spend nearly all of their time in multiplication modulo P,
-# so the multiply-and-reduce kernel below carries three specialised inner
-# loops (prime field, tabulated extension field, generic) with every field
-# operation inlined or bound to a local.  The generic loop serves extension
-# fields too large for an addition table; there f.add is one XOR in
-# characteristic 2 and digit-wise addition only in odd characteristic.
+# All coefficient arithmetic of F_q[t] runs in two kernels: the product
+# _mul_raw (which also reduces mod a modulus in the same call, and applies
+# the Frobenius matrix in its rows form) and the reduction _rem_raw.
+# Irreducibility testing, symbols and the reciprocity oracle spend nearly
+# all of their time in them, so each carries one inner loop per field
+# arithmetic, chosen by (p, m) alone, with every field operation inlined:
+# prime fields add mod p, characteristic 2 XORs codes, and odd extension
+# fields add through the Zech table (see field_core).
 
 
-def _mul_raw(f: Field, a, b) -> list:
+def _mul_raw(f: Field, a, b, mod=None, rows=False) -> list:
+    """a * b, reduced mod a monic modulus when one is given.
+
+    With rows=True, b is the list of rows of an n x n matrix (each row at
+    most n long) and the result is the vector a times it: the sum of
+    a[i] * b[i], with no shift."""
     if not a or not b:
         return []
-    res = [0] * (len(a) + len(b) - 1)
+    res = [0] * (len(b) if rows else len(a) + len(b) - 1)
     if f.m == 1:
         p = f.p
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
+                for k, y in enumerate(b[i]) if rows else enumerate(b, i):
                     if y:
-                        res[i + j] = (res[i + j] + x * y) % p
-    else:
+                        res[k] = (res[k] + x * y) % p
+    elif f.p == 2:
         exp, log, qm1 = f.exp, f.log, f.q - 1
-        addt = f._addt
-        if addt is not None:
-            q = f.q
-            for i, x in enumerate(a):
-                if x:
-                    lx = log[x]
-                    for j, y in enumerate(b):
-                        if y:
-                            res[i + j] = addt[res[i + j] * q + exp[(lx + log[y]) % qm1]]
-        else:
-            add = f.add
-            for i, x in enumerate(a):
-                if x:
-                    lx = log[x]
-                    for j, y in enumerate(b):
-                        if y:
-                            res[i + j] = add(res[i + j], exp[(lx + log[y]) % qm1])
-    return _trim(res)
+        for i, x in enumerate(a):
+            if x:
+                lx = log[x]
+                for k, y in enumerate(b[i]) if rows else enumerate(b, i):
+                    if y:
+                        res[k] ^= exp[(lx + log[y]) % qm1]
+    else:
+        exp, log, zech, qm1 = f.exp, f.log, f.zech, f.q - 1
+        for i, x in enumerate(a):
+            if x:
+                lx = log[x]
+                for k, y in enumerate(b[i]) if rows else enumerate(b, i):
+                    if y:
+                        t = lx + log[y]
+                        r = res[k]
+                        if r:
+                            z = zech[(log[r] - t) % qm1]
+                            res[k] = exp[(t + z) % qm1] if z >= 0 else 0
+                        else:
+                            res[k] = exp[t % qm1]
+    if mod is None or len(res) < len(mod):
+        return _trim(res)
+    return _rem_raw(f, res, mod)
 
 
-def _divmod_raw(f: Field, a: list, b) -> tuple:
-    """Quotient and remainder of a by b; a is consumed."""
+def _rem_raw(f: Field, a: list, b, qt=None) -> list:
+    """Remainder of a by a nonzero b; a is consumed.  When qt is given, a
+    list of len(a) - deg b zeros, the quotient digits are written into it."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
     if len(a) <= db:
-        return [], _trim(a)
-    inv_lead = f.inv(b[-1])
-    mul, sub = f.mul, f.sub
-    qt = [0] * (len(a) - db)
-    for pos in range(len(a) - 1, db - 1, -1):
-        c = a[pos]
-        if c:
-            fac = mul(c, inv_lead)
-            off = pos - db
-            qt[off] = fac
-            for i in range(db):
-                bi = b[i]
-                if bi:
-                    a[off + i] = sub(a[off + i], mul(fac, bi))
-            a[pos] = 0
-    del a[db:]
-    return qt, _trim(a)
-
-
-def _mulmod_raw(f: Field, a, b, mod) -> list:
-    """(a * b) mod a monic modulus, with the reduction fused in."""
-    if not a or not b:
-        return []
-    la, lb, dm = len(a), len(b), len(mod) - 1
-    res = [0] * (la + lb - 1)
+        return _trim(a)
+    lead = b[-1]
     if f.m == 1:
         p = f.p
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        res[i + j] = (res[i + j] + x * y) % p
-        for pos in range(la + lb - 2, dm - 1, -1):
-            c = res[pos]
+        inv_lead = 1 if lead == 1 else f.inv(lead)
+        for pos in range(len(a) - 1, db - 1, -1):
+            c = a[pos]
             if c:
-                off = pos - dm
-                for i in range(dm):
-                    mi = mod[i]
-                    if mi:
-                        res[off + i] = (res[off + i] - c * mi) % p
-        del res[dm:]
-        return _trim(res)
-    exp, log, qm1 = f.exp, f.log, f.q - 1
-    addt = f._addt
-    if addt is not None:
-        q, negt = f.q, f._negt
-        for i, x in enumerate(a):
-            if x:
-                lx = log[x]
-                for j, y in enumerate(b):
-                    if y:
-                        res[i + j] = addt[res[i + j] * q + exp[(lx + log[y]) % qm1]]
-        for pos in range(la + lb - 2, dm - 1, -1):
-            c = res[pos]
+                c = c * inv_lead % p
+                off = pos - db
+                if qt is not None:
+                    qt[off] = c
+                for i in range(db):
+                    bi = b[i]
+                    if bi:
+                        a[off + i] = (a[off + i] - c * bi) % p
+    elif f.p == 2:
+        exp, log, qm1 = f.exp, f.log, f.q - 1
+        llead = log[lead]
+        for pos in range(len(a) - 1, db - 1, -1):
+            c = a[pos]
             if c:
-                lc = log[c]
-                off = pos - dm
-                for i in range(dm):
-                    mi = mod[i]
-                    if mi:
-                        res[off + i] = addt[
-                            res[off + i] * q + negt[exp[(lc + log[mi]) % qm1]]
-                        ]
-        del res[dm:]
-        return _trim(res)
-    add, sub, mul = f.add, f.sub, f.mul
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    res[i + j] = add(res[i + j], mul(x, y))
-    for pos in range(la + lb - 2, dm - 1, -1):
-        c = res[pos]
-        if c:
-            off = pos - dm
-            for i in range(dm):
-                mi = mod[i]
-                if mi:
-                    res[off + i] = sub(res[off + i], mul(c, mi))
-    del res[dm:]
-    return _trim(res)
+                lc = log[c] - llead
+                off = pos - db
+                if qt is not None:
+                    qt[off] = exp[lc % qm1]
+                for i in range(db):
+                    bi = b[i]
+                    if bi:
+                        a[off + i] ^= exp[(lc + log[bi]) % qm1]
+    else:
+        exp, log, zech, qm1, half = f.exp, f.log, f.zech, f.q - 1, f.half
+        llead = log[lead]
+        for pos in range(len(a) - 1, db - 1, -1):
+            c = a[pos]
+            if c:
+                lc = log[c] - llead
+                off = pos - db
+                if qt is not None:
+                    qt[off] = exp[lc % qm1]
+                # subtract c*b: add g^half * c*b, since -1 = g^half
+                lc += half
+                for i in range(db):
+                    bi = b[i]
+                    if bi:
+                        t = lc + log[bi]
+                        r = a[off + i]
+                        if r:
+                            z = zech[(log[r] - t) % qm1]
+                            a[off + i] = exp[(t + z) % qm1] if z >= 0 else 0
+                        else:
+                            a[off + i] = exp[t % qm1]
+    del a[db:]
+    return _trim(a)
+
+
+def _divmod_raw(f: Field, a: list, b) -> tuple:
+    """Quotient and remainder of a by b; a is consumed."""
+    qt = [0] * max(len(a) - len(b) + 1, 0)
+    return qt, _rem_raw(f, a, b, qt)
 
 
 def _gcd_raw(f: Field, a, b) -> list:
     a, b = list(a), list(b)
     while b:
-        _, a = _divmod_raw(f, a, b)
-        a, b = b, a
+        a, b = b, _rem_raw(f, a, b)
     if a and a[-1] != 1:
-        inv_lead = f.inv(a[-1])
-        mul = f.mul
-        a = [mul(inv_lead, c) for c in a]
+        a = _mul_raw(f, [f.inv(a[-1])], a)
     return a
 
 
@@ -328,11 +308,10 @@ def _xgcd_raw(f: Field, a, b) -> tuple:
         s0, s1 = s1, _sub_raw(f, s0, _mul_raw(f, qt, s1))
         t0, t1 = t1, _sub_raw(f, t0, _mul_raw(f, qt, t1))
     if r0 and r0[-1] != 1:
-        inv_lead = f.inv(r0[-1])
-        mul = f.mul
-        r0 = [mul(inv_lead, c) for c in r0]
-        s0 = [mul(inv_lead, c) for c in s0]
-        t0 = [mul(inv_lead, c) for c in t0]
+        inv_lead = [f.inv(r0[-1])]
+        r0 = _mul_raw(f, inv_lead, r0)
+        s0 = _mul_raw(f, inv_lead, s0)
+        t0 = _mul_raw(f, inv_lead, t0)
     return r0, s0, t0
 
 
@@ -345,11 +324,6 @@ def _sub_raw(f: Field, a, b) -> list:
 
 
 # -- public ring operations --------------------------------------------------
-
-
-def divrem(a: Poly, b: Poly) -> tuple:
-    """(quotient, remainder) with deg r < deg b."""
-    return divmod(a, b)
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
@@ -368,7 +342,7 @@ def mod_pow(a: Poly, e: int, modulus: Poly) -> Poly:
     mod = modulus.monic().coeffs
     if len(mod) == 1:
         return zero(f)
-    _, base = _divmod_raw(f, list(a.coeffs), mod)
+    base = _rem_raw(f, list(a.coeffs), mod)
     return Poly._make(f, _pow_raw(f, base, e, mod))
 
 
@@ -377,10 +351,10 @@ def _pow_raw(f: Field, a, e: int, mod) -> list:
     out, base = [1], a
     while e:
         if e & 1:
-            out = _mulmod_raw(f, out, base, mod)
+            out = _mul_raw(f, out, base, mod)
         e >>= 1
         if e:
-            base = _mulmod_raw(f, base, base, mod)
+            base = _mul_raw(f, base, base, mod)
     return out
 
 

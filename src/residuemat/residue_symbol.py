@@ -40,10 +40,9 @@ from .field_core import Field, RootIndex, index_to_element, root_index_of
 from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
-    _divmod_raw,
-    _mulmod_raw,
+    _mul_raw,
     _pow_raw,
-    _trim,
+    _rem_raw,
     format_poly,
     from_code,
     is_irreducible,
@@ -96,22 +95,21 @@ def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
     """Index of the Jacobi symbol (a/b)_d for monic b coprime to a, by
     Euclid's algorithm and the reciprocity law."""
     f, d = ctx.field, ctx.d
-    log, inv, mul = f.log, f.inv, f.mul
+    log = f.log
     # the reciprocity sign is d/2 exactly when p is odd, (q-1)/d is odd
     # and both degrees are odd (reciprocity_index)
     signed = f.p != 2 and (f.q - 1) // d % 2 == 1
     k = 0
     ra, rb = list(a.coeffs), b.coeffs
     while len(rb) > 1:
-        _, ra = _divmod_raw(f, ra, rb)
+        ra = _rem_raw(f, ra, rb)
         deg_b = len(rb) - 1
         lead = ra[-1]
         k += log[lead] * deg_b
         if len(ra) == 1:
             break
         if lead != 1:
-            c = inv(lead)
-            ra = [mul(c, x) for x in ra]
+            ra = _mul_raw(f, [f.inv(lead)], ra)
         if signed and deg_b % 2 and (len(ra) - 1) % 2:
             k += d // 2
         ra, rb = list(rb), ra
@@ -125,7 +123,7 @@ def _norm_index(ctx: SymbolContext, a, P: Poly) -> int:
     """Index of (a/P)_d from the raw coefficients of a by the defining
     exponentiation a^((|P| - 1)/d) = N(a)^((q - 1)/d), with no reciprocity."""
     f = ctx.field
-    _, r = _divmod_raw(f, list(a), P.coeffs)
+    r = _rem_raw(f, list(a), P.coeffs)
     c = _residue_norm(r, P)
     return root_index_of(f, ctx.d, f.pow(c, (f.q - 1) // ctx.d)).k
 
@@ -138,26 +136,9 @@ def _frobenius_basis(P: Poly):
         xq = _pow_raw(f, [0, 1], f.q, mod)
         basis = [[1], xq]
         for _ in range(2, len(mod) - 1):
-            basis.append(_mulmod_raw(f, basis[-1], xq, mod))
+            basis.append(_mul_raw(f, basis[-1], xq, mod))
         P._frob = basis
     return P._frob
-
-
-def _apply_frobenius(f: Field, a, basis, n):
-    out = [0] * n
-    add, mul = f.add, f.mul
-    for i, c in enumerate(a):
-        if c:
-            bi = basis[i]
-            if c == 1:
-                for j, y in enumerate(bi):
-                    if y:
-                        out[j] = add(out[j], y)
-            else:
-                for j, y in enumerate(bi):
-                    if y:
-                        out[j] = add(out[j], mul(c, y))
-    return _trim(out)
 
 
 def _residue_norm(r, P: Poly) -> int:
@@ -172,8 +153,8 @@ def _residue_norm(r, P: Poly) -> int:
     out = list(r)
     fr = out
     for _ in range(n - 1):
-        fr = _apply_frobenius(f, fr, basis, n)
-        out = _mulmod_raw(f, out, fr, mod)
+        fr = _mul_raw(f, fr, basis, rows=True)
+        out = _mul_raw(f, out, fr, mod)
     if len(out) > 1:
         raise ArithmeticError("norm computation left the base field")
     return out[0]
@@ -300,7 +281,7 @@ def verify_symbol_structure(ctx: SymbolContext, max_deg: int = 2) -> SymbolStruc
                 ka = ks[ca]
                 ra = raws[ca]
                 for cb in range(ca, size):
-                    prod = _mulmod_raw(f, ra, raws[cb], mod)
+                    prod = _mul_raw(f, ra, raws[cb], mod)
                     code = 0
                     for c in reversed(prod):
                         code = code * q + c

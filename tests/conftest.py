@@ -2,7 +2,17 @@ import pytest
 
 from residuemat import SymbolContext, field_build
 
-_FIELD_PARAMS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2), 13: (13, 1)}
+_FIELD_PARAMS = {
+    2: (2, 1),
+    3: (3, 1),
+    4: (2, 2),
+    5: (5, 1),
+    7: (7, 1),
+    8: (2, 3),
+    9: (3, 2),
+    13: (13, 1),
+    2187: (3, 7),
+}
 
 _FIELDS = {}
 

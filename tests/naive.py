@@ -38,9 +38,13 @@ def field_neg_digits(f, a: int) -> int:
 
 
 def field_pow_digits(f, a: int, e: int) -> int:
+    """a^e by square-and-multiply on field_mul_digits."""
     out = 1
-    for _ in range(e):
-        out = field_mul_digits(f, out, a)
+    while e:
+        if e & 1:
+            out = field_mul_digits(f, out, a)
+        a = field_mul_digits(f, a, a)
+        e >>= 1
     return out
 
 
@@ -60,7 +64,7 @@ def poly_mul_lists(f, a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = f.add(out[i + j], f.mul(x, y))
+            out[i + j] = field_add_digits(f, out[i + j], field_mul_digits(f, x, y))
     while out and out[-1] == 0:
         out.pop()
     return out
@@ -71,14 +75,15 @@ def poly_divmod_lists(f, a, b):
     assert b, "division by zero"
     rem = list(a)
     quo = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = f.inv(b[-1])
+    inv_lead = field_pow_digits(f, b[-1], f.q - 2)
     while len(rem) >= len(b):
-        c = f.mul(rem[-1], inv_lead)
+        c = field_mul_digits(f, rem[-1], inv_lead)
         off = len(rem) - len(b)
         if c:
             quo[off] = c
             for i in range(len(b)):
-                rem[off + i] = f.sub(rem[off + i], f.mul(c, b[i]))
+                neg = field_neg_digits(f, field_mul_digits(f, c, b[i]))
+                rem[off + i] = field_add_digits(f, rem[off + i], neg)
         rem.pop()
         while rem and rem[-1] == 0:
             rem.pop()

@@ -42,9 +42,9 @@ PINNED = {
     (2, 16): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1), 6),
 }
 
-# Fields with (q <= 512) and without an addition table, in characteristic 2
-# and odd characteristic, and with both odd and even m for the table split.
-TABLE_FIELDS = [(2, 9), (2, 10), (3, 5), (5, 3), (17, 2), (2, 16)]
+# Extension fields in characteristic 2 (XOR) and odd characteristic (Zech
+# table), with both odd and even m for the construction's table split.
+TABLE_FIELDS = [(2, 9), (2, 10), (3, 5), (5, 3), (17, 2), (3, 7), (2, 16)]
 
 
 @pytest.mark.parametrize("p,m", sorted(PINNED))
@@ -99,16 +99,22 @@ def test_exp_log_tables_match_digit_arithmetic(p, m):
 @pytest.mark.parametrize("p,m", TABLE_FIELDS)
 def test_add_and_neg_tables_match_digit_arithmetic(p, m):
     f = field_build(p, m)
-    assert (f._addt is not None) == (f.q <= 512)
     rng = random.Random(1000 * p + m)
     for _ in range(2000):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
-        expect = field_add_digits(f, a, b)
-        assert f.add(a, b) == expect
-        if f._addt is not None:
-            assert f._addt[a * f.q + b] == expect
-        assert f._negt[a] == field_neg_digits(f, a)
+        assert f.add(a, b) == field_add_digits(f, a, b)
+        assert f.neg(a) == field_neg_digits(f, a)
         assert f.sub(a, b) == field_add_digits(f, a, field_neg_digits(f, b))
+    if p == 2:
+        assert f.zech is None
+        return
+    # zech[i] = log(1 + g^i), with the sentinel -1 only where 1 + g^i = 0
+    n = f.q - 1
+    assert f.zech.index(-1) == n // 2 and f.zech.count(-1) == 1
+    sample = range(n) if f.q <= 1024 else rng.sample(range(n), 2000)
+    for i in sample:
+        if i != n // 2:
+            assert f.exp[f.zech[i]] == field_add_digits(f, 1, f.exp[i])
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))

@@ -9,7 +9,6 @@ from residuemat import (
     Poly,
     constant,
     count_monic_irreducibles,
-    divrem,
     enumerate_monic,
     format_poly,
     from_code,
@@ -27,7 +26,12 @@ from residuemat import (
 )
 
 from conftest import get_field
-from naive import poly_mod_pow_lists, poly_mul_lists, trial_division_irreducible
+from naive import (
+    poly_divmod_lists,
+    poly_mod_pow_lists,
+    poly_mul_lists,
+    trial_division_irreducible,
+)
 
 
 def coeff_lists(q, max_len=8):
@@ -150,13 +154,6 @@ def test_monic_leading_and_scale(f3):
         zero(f3).leading_coeff()
 
 
-def test_evaluation(f5):
-    P = parse_poly("t^2 + 3*t + 1", f5)
-    for x in range(5):
-        assert P(x) == (x * x + 3 * x + 1) % 5
-    assert zero(f5)(3) == 0
-
-
 def test_mixed_field_operations_raise(f3, f5):
     with pytest.raises(ValueError):
         variable(f3) + variable(f5)
@@ -169,7 +166,7 @@ def test_mixed_field_operations_raise(f3, f5):
 
 @given(st.data())
 @settings(max_examples=60)
-@pytest.mark.parametrize("q", [5, 9])
+@pytest.mark.parametrize("q", [4, 5, 8, 9, 2187])
 def test_mul_matches_schoolbook(q, data):
     f = get_field(q)
     a = data.draw(coeff_lists(q))
@@ -205,10 +202,22 @@ def test_divrem_reconstructs(q, data):
     f = get_field(q)
     a = Poly(f, data.draw(coeff_lists(q, 10)))
     b = Poly(f, data.draw(coeff_lists(q, 5).filter(any)))
-    quo, rem = divrem(a, b)
+    quo, rem = divmod(a, b)
     assert quo * b + rem == a
     assert rem.is_zero() or rem.degree < b.degree
     assert a // b == quo and a % b == rem
+
+
+@given(st.data())
+@settings(max_examples=60)
+@pytest.mark.parametrize("q", [5, 8, 9, 2187])
+def test_divmod_matches_naive(q, data):
+    f = get_field(q)
+    a = data.draw(coeff_lists(q, 10))
+    b = data.draw(coeff_lists(q, 5).filter(lambda c: c and c[-1] > 1))  # non-monic
+    quo, rem = divmod(Poly(f, a), Poly(f, b))
+    want_quo, want_rem = poly_divmod_lists(f, a, b)
+    assert quo == Poly(f, want_quo) and rem == Poly(f, want_rem)
 
 
 def test_divmod_by_zero_raises(f3):
@@ -248,7 +257,7 @@ def test_gcd_divides_both(data):
 
 @given(st.data())
 @settings(max_examples=40)
-@pytest.mark.parametrize("q", [3, 9])
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 2187])
 def test_mod_pow_matches_naive(q, data):
     f = get_field(q)
     a = Poly(f, data.draw(coeff_lists(q, 5)))
