@@ -9,10 +9,11 @@ The field is given as --q for a prime, or --p/--m for a prime power
 q = p^m; the environment variable RESIDUEMAT_MAX_Q overrides the default
 field-size bound.  Polynomial arguments and realize's --max-degree above
 MAX_POLY_DEGREE are refused, since an irreducibility test costs about the
-cube of the degree (a symbol only its square).  verify refuses a scan of
-more than VERIFY_MAX_PAIRS ordered pairs of irreducibles, the same cap
-equiv applies to its matrix count by default, and a structure check of more
-than VERIFY_MAX_PRODUCTS residue products.
+cube of the degree (the Frobenius matrix and up to deg/2 gcds; a symbol
+only its square).  verify refuses a scan of more than VERIFY_MAX_PAIRS
+ordered pairs of irreducibles, the same cap equiv applies to its matrix
+count by default, and a structure check of more than VERIFY_MAX_PRODUCTS
+residue products.
 Matrices travel as text files in the matrix_class format; structured
 results are printed as JSON with sorted keys so output is stable for
 golden-file comparison.

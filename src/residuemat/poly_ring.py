@@ -9,6 +9,9 @@ deg(a * b) = deg a + deg b hold without special-casing.
 Irreducibility uses Ben-Or's test (gcd(t^(q^i) - t, P) = 1 for every
 i <= n/2, stopping at the first nontrivial gcd) and is cached on the
 instance, since symbol evaluation revalidates its modulus on every call.
+After the i = 1 root test, each step of the chain applies the matrix of
+the q-power Frobenius on F_q[t]/(P) (_frobenius_rows, shared with the
+norm oracle in residue_symbol) instead of raising to the q-th power.
 
 The text format is exact and round-trips: terms joined by '+' or '-',
 descending powers preferred on output, prime coefficients as decimal
@@ -371,8 +374,15 @@ def is_irreducible(P: Poly) -> bool:
     A reducible P of degree n has an irreducible factor of some degree
     i <= n/2, which divides t^(q^i) - t; so P is irreducible iff
     gcd(t^(q^i) - t, P) = 1 for i = 1 .. n/2.  One Frobenius chain gives the
-    t^(q^i) mod P, and the scan stops at the first nontrivial gcd (i = 1 is
-    the root test).
+    t^(q^i) mod P, and the scan stops at the first nontrivial gcd.
+
+    The first step is the root test: t^q mod P by square-and-multiply and
+    one gcd.  If it passes and n >= 4, the rows t^(jq) mod P (j < n) of the
+    q-power Frobenius matrix are built from t^q mod P, and every later step
+    is one O(n^2) vector-matrix product instead of ceil(log2 q) mulmods.
+    The rows cost n - 2 mulmods by t^q mod P; when q < n that is the
+    monomial t^q, so each is a shift plus at most q reduction rows, and
+    the whole basis costs about one square-and-multiply step.
     """
     if P._irred is None:
         P._irred = _ben_or(P)
@@ -384,14 +394,32 @@ def _ben_or(P: Poly) -> bool:
     n = len(P.coeffs) - 1
     if n < 1:
         return False
+    if n == 1:
+        return True
     mod = P.monic().coeffs
     t = [0, 1]
-    img = t
-    for _ in range(n // 2):
-        img = _pow_raw(f, img, f.q, mod)
+    img = _pow_raw(f, t, f.q, mod)
+    if len(_gcd_raw(f, _sub_raw(f, img, t), mod)) > 1:
+        return False
+    if n < 4:
+        return True
+    rows = _frobenius_rows(f, img, mod)
+    for _ in range(n // 2 - 1):
+        img = _mul_raw(f, img, rows, rows=True)
         if len(_gcd_raw(f, _sub_raw(f, img, t), mod)) > 1:
             return False
     return True
+
+
+def _frobenius_rows(f: Field, xq, mod) -> list:
+    """Rows t^(jq) mod P for j < deg P, from xq = t^q mod P and the monic
+    modulus P (deg P >= 2): the matrix of the q-power Frobenius on
+    F_q[t]/(P), which is F_q-linear because c^q = c in F_q, so
+    _mul_raw(f, a, rows, rows=True) is a^q mod P."""
+    rows = [[1], xq]
+    for _ in range(2, len(mod) - 1):
+        rows.append(_mul_raw(f, rows[-1], xq, mod))
+    return rows
 
 
 def monic_from_code(field: Field, degree: int, code: int) -> Poly:

@@ -24,8 +24,10 @@ defining exponentiation instead, through the residue-field norm
 N(a) = a^(1 + q + ... + q^(deg P - 1)) mod P down to F_q raised to
 (q - 1)/d.  That is exactly a^((|P| - 1)/d), since
 ((q^n - 1)/(q - 1)) * ((q - 1)/d) = (q^n - 1)/d, and the norm is cheap
-because the q-power Frobenius is F_q-linear, so its matrix is precomputed
-once per modulus.  It costs O(deg(P)^3) and uses no reciprocity.
+because the q-power Frobenius is F_q-linear, so its matrix is built once
+per modulus (by poly_ring._frobenius_rows, which Ben-Or's irreducibility
+test shares; it is ring arithmetic only).  It costs O(deg(P)^3) and uses
+no reciprocity.
 
 The reciprocity law: for distinct monic irreducibles P and Q,
 symbol(P, Q) - symbol(Q, P) = reciprocity_index(deg P, deg Q) mod d,
@@ -40,6 +42,7 @@ from .field_core import Field, RootIndex, index_to_element, root_index_of
 from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
+    _frobenius_rows,
     _mul_raw,
     _pow_raw,
     _rem_raw,
@@ -131,13 +134,8 @@ def _norm_index(ctx: SymbolContext, a, P: Poly) -> int:
 def _frobenius_basis(P: Poly):
     """Images t^(iq) mod P for i < deg P, cached on the modulus instance."""
     if P._frob is None:
-        f = P.field
-        mod = P.coeffs
-        xq = _pow_raw(f, [0, 1], f.q, mod)
-        basis = [[1], xq]
-        for _ in range(2, len(mod) - 1):
-            basis.append(_mul_raw(f, basis[-1], xq, mod))
-        P._frob = basis
+        f, mod = P.field, P.coeffs
+        P._frob = _frobenius_rows(f, _pow_raw(f, [0, 1], f.q, mod), mod)
     return P._frob
 
 

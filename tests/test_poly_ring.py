@@ -25,6 +25,8 @@ from residuemat import (
     zero,
 )
 
+from residuemat.poly_ring import _frobenius_rows
+
 from conftest import get_field
 from naive import (
     poly_divmod_lists,
@@ -318,7 +320,7 @@ def test_norm(f3, f9):
 # -- irreducibility -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("q,max_deg", [(2, 4), (3, 4), (9, 2)])
+@pytest.mark.parametrize("q,max_deg", [(2, 4), (3, 4), (9, 2), (2, 7), (4, 5)])
 def test_irreducibility_matches_trial_division(q, max_deg):
     f = get_field(q)
     for deg in range(1, max_deg + 1):
@@ -377,7 +379,7 @@ def test_irreducibility_matches_sympy_over_prime_fields(q):
             assert not is_irreducible(Poly(f, c)), (n, c)
 
 
-@pytest.mark.parametrize("q", [4, 9])
+@pytest.mark.parametrize("q", [4, 9, 256])
 def test_structured_reducibles_rejected_over_extension_fields(q):
     _, _, random_irreducible = _sympy_oracle()
     f = get_field(q)
@@ -396,7 +398,7 @@ def test_structured_reducibles_rejected_over_extension_fields(q):
     linear = Poly(f, (p + 1, 1))
     for k in (3, 5, 7, 9, 11):
         # an irreducible of odd degree over F_p stays irreducible over
-        # F_(p^2), since gcd(k, 2) = 1
+        # F_(p^m), since m is a power of 2 here and so gcd(k, m) = 1
         a = random_irreducible(rng, p, k)
         b = a
         while b == a:
@@ -405,6 +407,20 @@ def test_structured_reducibles_rejected_over_extension_fields(q):
         assert is_irreducible(A) and is_irreducible(B)
         for P in (A * B, A * A, A * linear):
             assert not is_irreducible(P), (k, format_poly(P))
+
+
+@pytest.mark.parametrize("q", [2, 5, 13, 8, 9, 2187])
+def test_frobenius_rows_match_naive_powers(q):
+    f = get_field(q)
+    rng = random.Random(q)
+    # deg P > q makes t^q mod P the monomial t^q (the sparse path), and
+    # deg P <= q a dense residue; GF(2187) has only the dense one in reach
+    for n in [2, 5, 9] + ([q + 3] if q < 20 else []):
+        mod = [rng.randrange(q) for _ in range(n)] + [1]
+        rows = _frobenius_rows(f, poly_mod_pow_lists(f, [0, 1], q, mod), mod)
+        assert len(rows) == n
+        for j, row in enumerate(rows):
+            assert row == poly_mod_pow_lists(f, [0, 1], j * q, mod), (n, j)
 
 
 def test_irreducibility_is_cached(f3):
