@@ -10,8 +10,8 @@ Irreducibility uses Ben-Or's test (gcd(t^(q^i) - t, P) = 1 for every
 i <= n/2, stopping at the first nontrivial gcd) and is cached on the
 instance, since symbol evaluation revalidates its modulus on every call.
 After the i = 1 root test, each step of the chain applies the matrix of
-the q-power Frobenius on F_q[t]/(P) (_frobenius_rows, shared with the
-norm oracle in residue_symbol) instead of raising to the q-th power.
+the q-power Frobenius on F_q[t]/(P) (_frobenius_rows) instead of raising
+to the q-th power.
 
 The text format is exact and round-trips: terms joined by '+' or '-',
 descending powers preferred on output, prime coefficients as decimal
@@ -36,7 +36,7 @@ def _trim(c: list) -> list:
 class Poly:
     """Immutable polynomial over a fixed Field."""
 
-    __slots__ = ("field", "coeffs", "_irred", "_frob")
+    __slots__ = ("field", "coeffs", "_irred")
 
     def __init__(self, field: Field, coeffs=()):
         q = field.q
@@ -47,7 +47,6 @@ class Poly:
         self.field = field
         self.coeffs = tuple(_trim(cl))
         self._irred = None
-        self._frob = None
 
     @classmethod
     def _make(cls, field: Field, coeffs: list) -> "Poly":
@@ -56,7 +55,6 @@ class Poly:
         self.field = field
         self.coeffs = tuple(_trim(coeffs))
         self._irred = None
-        self._frob = None
         return self
 
     @property

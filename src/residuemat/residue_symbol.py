@@ -20,14 +20,17 @@ algorithm on (a, P), so a symbol costs O(deg(P)^2) field operations.
 
 The route assumes the reciprocity law, so it cannot be what checks that
 law.  verify_reciprocity() therefore computes every symbol by the
-defining exponentiation instead, through the residue-field norm
-N(a) = a^(1 + q + ... + q^(deg P - 1)) mod P down to F_q raised to
-(q - 1)/d.  That is exactly a^((|P| - 1)/d), since
-((q^n - 1)/(q - 1)) * ((q - 1)/d) = (q^n - 1)/d, and the norm is cheap
-because the q-power Frobenius is F_q-linear, so its matrix is built once
-per modulus (by poly_ring._frobenius_rows, which Ben-Or's irreducibility
-test shares; it is ring arithmetic only).  It costs O(deg(P)^3) and uses
-no reciprocity.
+defining exponentiation instead, carried into one copy
+K_n = F_q[t]/(Q_n) of GF(q^n) per degree n, where Q_n is the first
+irreducible of degree n.  For a monic irreducible Q of degree n with a
+root beta in K_n, t -> beta is an isomorphism F_q[t]/(Q) -> K_n fixing
+F_q, so it carries a^((|Q| - 1)/d) mod Q to a(beta)^((q^n - 1)/d).  With
+exp/log tables of a generator gamma of K_n^*, that is zeta^(s * log a(beta))
+where zeta^s = gamma^((q^n - 1)/d).  One pass over the Frobenius orbits
+{k q^i} of size n finds log beta for every Q (the orbit's minimal
+polynomial names Q), and a(beta) is one Horner pass in logarithms and
+Zech logarithms, O(deg a) table steps per symbol.  Nothing here uses
+reciprocity.
 
 The reciprocity law: for distinct monic irreducibles P and Q,
 symbol(P, Q) - symbol(Q, P) = reciprocity_index(deg P, deg Q) mod d,
@@ -38,11 +41,10 @@ symmetric no matter the parity of the exponent.
 
 from dataclasses import dataclass
 
-from .field_core import Field, RootIndex, index_to_element, root_index_of
+from .field_core import Field, RootIndex, _prime_factors, index_to_element, root_index_of
 from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
-    _frobenius_rows,
     _mul_raw,
     _pow_raw,
     _rem_raw,
@@ -122,40 +124,131 @@ def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
 # -- the defining exponentiation, kept as the reciprocity oracle --------------
 
 
-def _norm_index(ctx: SymbolContext, a, P: Poly) -> int:
-    """Index of (a/P)_d from the raw coefficients of a by the defining
-    exponentiation a^((|P| - 1)/d) = N(a)^((q - 1)/d), with no reciprocity."""
-    f = ctx.field
-    r = _rem_raw(f, list(a), P.coeffs)
-    c = _residue_norm(r, P)
-    return root_index_of(f, ctx.d, f.pow(c, (f.q - 1) // ctx.d)).k
+def _exponent_oracle(ctx: SymbolContext, polys):
+    """index(a, Q): the index of a^((|Q| - 1)/d) mod Q for Q in polys
+    (distinct monic irreducibles) and a not divisible by Q, by discrete
+    logarithms in one copy K_n of GF(q^n) per degree n; no reciprocity.
+    The tables live as long as the returned function."""
+    f, d = ctx.field, ctx.d
+    by_deg = {}
+    for Q in polys:
+        by_deg.setdefault(Q.degree, []).append(Q)
+    fields = {}
+    roots = {}
+    for n, Qs in by_deg.items():
+        exp, log, zech = _extension_tables(f, Qs[0].coeffs)
+        M = len(exp)
+        # gamma^((q^n - 1)/d) lies in F_q: it is zeta^s
+        s = root_index_of(f, d, exp[M // d % M]).k
+        fields[n] = (log, zech, M, s)
+        roots.update(_root_logs(f, n, Qs, exp, log, zech))
+    if len(roots) != len(polys):
+        raise ArithmeticError("a modulus has no root in its extension field")
+
+    def index(a, Q):
+        log, zech, M, s = fields[len(Q.coeffs) - 1]
+        lb = roots[Q.coeffs]
+        cs = a.coeffs
+        if lb is None:
+            # Q = t, whose root is 0: a(0) is the constant coefficient
+            lv = log[cs[0]] if cs[0] else None
+        else:
+            # Horner's rule for a(beta) in logarithms; None stands for 0
+            lv = log[cs[-1]]
+            for c in cs[-2::-1]:
+                if lv is None:
+                    lv = log[c] if c else None
+                    continue
+                lv += lb
+                if c:
+                    z = zech[(log[c] - lv) % M]
+                    lv = lv + z if z >= 0 else None
+        if lv is None:
+            raise ValueError("symbol undefined: a divisible by Q")
+        # d divides M, so lv needs no reduction mod M first
+        return s * lv % d
+
+    return index
 
 
-def _frobenius_basis(P: Poly):
-    """Images t^(iq) mod P for i < deg P, cached on the modulus instance."""
-    if P._frob is None:
-        f, mod = P.field, P.coeffs
-        P._frob = _frobenius_rows(f, _pow_raw(f, [0, 1], f.q, mod), mod)
-    return P._frob
+def _extension_tables(f: Field, mod):
+    """exp, log and Zech tables of K = F_q[t]/(mod) for a monic irreducible
+    mod, elements coded by their base-q digits (from_code), walked from the
+    smallest generator gamma of K^*; log[0] = -1 and
+    zech[i] = log(1 + gamma^i)."""
+    q = f.q
+    M = q ** (len(mod) - 1) - 1
+    factors = _prime_factors(M)
+    for code in range(1, M + 1):
+        g = from_code(f, code).coeffs
+        if all(_pow_raw(f, g, M // r, mod) != [1] for r in factors):
+            break
+    exp = [0] * M
+    log = [-1] * (M + 1)
+    y = [1]
+    for i in range(M):
+        code = 0
+        for c in reversed(y):
+            code = code * q + c
+        exp[i] = code
+        log[code] = i
+        y = _mul_raw(f, y, g, mod)
+    p = f.p
+    # 1 + y differs from y only in the lowest base-p digit
+    zech = [log[y + 1] if y % p != p - 1 else log[y + 1 - p] for y in exp]
+    return exp, log, zech
 
 
-def _residue_norm(r, P: Poly) -> int:
-    """Norm of the nonzero residue r (raw coefficients) into F_q:
-    r^((|P| - 1)/(q - 1)) mod P."""
-    n = len(P.coeffs) - 1
-    if n == 1:
-        return r[0]
-    f = P.field
-    mod = P.coeffs
-    basis = _frobenius_basis(P)
-    out = list(r)
-    fr = out
-    for _ in range(n - 1):
-        fr = _mul_raw(f, fr, basis, rows=True)
-        out = _mul_raw(f, out, fr, mod)
-    if len(out) > 1:
-        raise ArithmeticError("norm computation left the base field")
-    return out[0]
+def _root_logs(f: Field, n: int, Qs, exp, log, zech):
+    """Map the coefficients of each Q in Qs (monic irreducibles of degree n)
+    to log_gamma of one of its roots in K_n, or None for Q = t (root 0).
+
+    The roots of a degree-n irreducible are one Frobenius orbit
+    gamma^(k q^i), i < n, of exact size n; its minimal polynomial
+    prod (X - gamma^(k q^i)) has coefficients in F_q and names the Q."""
+    q, M = f.q, len(exp)
+    lneg = log[f.neg(1)]
+    want = {Q.coeffs for Q in Qs}
+    out = {}
+    if (0, 1) in want:
+        want.remove((0, 1))
+        out[(0, 1)] = None
+    seen = bytearray(M)
+    for k in range(M):
+        if not want:
+            break
+        if seen[k]:
+            continue
+        orbit = [k]
+        j = k * q % M
+        while j != k:
+            orbit.append(j)
+            j = j * q % M
+        for j in orbit:
+            seen[j] = 1
+        if len(orbit) != n:
+            continue
+        # coefficient logs, constant first, None for 0; times (X - root) each
+        c = [0]
+        for j in orbit:
+            lr = j + lneg
+            nxt = [None] + c
+            for i, lc in enumerate(c):
+                if lc is None:
+                    continue
+                x = lc + lr
+                y = nxt[i]
+                if y is None:
+                    nxt[i] = x
+                else:
+                    z = zech[(x - y) % M]
+                    nxt[i] = y + z if z >= 0 else None
+            c = nxt
+        key = tuple(0 if lc is None else exp[lc % M] for lc in c)
+        if key in want:
+            want.remove(key)
+            out[key] = k
+    return out
 
 
 def reciprocity_index(ctx: SymbolContext, deg_p: int, deg_q: int) -> RootIndex:
@@ -218,14 +311,15 @@ def verify_reciprocity(ctx: SymbolContext, max_deg: int) -> ReciprocityReport:
     polys = [
         P for deg in range(1, max_deg + 1) for P in monic_irreducibles(f, deg)
     ]
+    index = _exponent_oracle(ctx, polys)
     pairs = 0
     failures = []
     for i, P in enumerate(polys):
         dp = P.degree
         for Q in polys[i + 1 :]:
             expected = reciprocity_index(ctx, dp, Q.degree).k
-            s_pq = _norm_index(ctx, P.coeffs, Q)
-            s_qp = _norm_index(ctx, Q.coeffs, P)
+            s_pq = index(P, Q)
+            s_qp = index(Q, P)
             pairs += 2
             if (s_pq - s_qp) % d != expected:
                 failures.append((P, Q, (s_pq - s_qp) % d, expected))

@@ -134,7 +134,7 @@ def test_symbol_matches_defining_exponentiation_at_high_degree(q, d):
             assert ctx.zeta_powers[symbol(ctx, a, P).k] == r.coeffs[0], (n, a)
 
 
-@pytest.mark.parametrize("q,d", [(5, 4), (9, 8), (4, 3)])
+@pytest.mark.parametrize("q,d", [(5, 4), (9, 8), (4, 3), (8, 7), (2, 1)])
 def test_verify_reciprocity_does_not_use_the_symbol_route(q, d, monkeypatch):
     # the fast route assumes reciprocity, so the check of that law must
     # compute its symbols some other way
@@ -260,6 +260,62 @@ def test_verify_reciprocity_counts():
     assert verify_reciprocity(ctx, 2).pairs == 30
     with pytest.raises(ValueError):
         verify_reciprocity(ctx, 0)
+
+
+@pytest.mark.parametrize(
+    "q,d,max_deg,count",
+    [(2, 1, 4, 8), (5, 1, 2, 15), (4, 1, 2, 10), (8, 7, 2, 36)],
+)
+def test_verify_reciprocity_edge_fields(q, d, max_deg, count):
+    # d = 1 (every symbol trivial), GF(2) (trivial unit group of degree 1)
+    # and the modulus t (root 0, no logarithm) all pass through the oracle;
+    # count is the number of irreducibles of degree <= max_deg
+    rep = verify_reciprocity(get_context(q, d), max_deg)
+    assert rep.ok
+    assert rep.pairs == count * (count - 1)
+
+
+@pytest.mark.parametrize(
+    "q,d,max_deg",
+    [(3, 2, 3), (5, 4, 3), (7, 6, 2), (4, 3, 3), (8, 7, 2), (9, 8, 2)],
+)
+def test_reciprocity_oracle_matches_naive_exponentiation(q, d, max_deg, monkeypatch):
+    # every ordered pair of distinct irreducibles, entry by entry against the
+    # digit-arithmetic power map, with every reciprocity-based route refused
+    def refuse(*args):
+        raise AssertionError("the oracle reached a reciprocity-based route")
+
+    for name in ("symbol", "_jacobi", "reciprocity_index"):
+        monkeypatch.setattr(residue_symbol, name, refuse)
+    ctx = get_context(q, d)
+    f = ctx.field
+    polys = [P for k in range(1, max_deg + 1) for P in monic_irreducibles(f, k)]
+    index = residue_symbol._exponent_oracle(ctx, polys)
+    for P in polys:
+        for Q in polys:
+            if P != Q:
+                assert index(P, Q) == naive_symbol_index(ctx, P, Q), (P, Q)
+
+
+def test_verify_reciprocity_reports_a_wrong_law(monkeypatch):
+    # off by one when both degrees are odd: exactly those ordered pairs fail,
+    # each reported as (P, Q, got, expected) with the true value as got
+    true_index = residue_symbol.reciprocity_index
+
+    def skewed(ctx, deg_p, deg_q):
+        k = true_index(ctx, deg_p, deg_q).k + deg_p * deg_q % 2
+        return RootIndex(k % ctx.d, ctx.d)
+
+    monkeypatch.setattr(residue_symbol, "reciprocity_index", skewed)
+    ctx = get_context(5, 4)
+    rep = verify_reciprocity(ctx, 2)
+    assert not rep.ok
+    polys = [P for k in (1, 2) for P in monic_irreducibles(ctx.field, k)]
+    odd = {(P, Q) for P in polys for Q in polys if P != Q and P.degree * Q.degree % 2}
+    assert {(P, Q) for P, Q, _, _ in rep.failures} == odd
+    for P, Q, got, expected in rep.failures:
+        assert got == (naive_symbol_index(ctx, P, Q) - naive_symbol_index(ctx, Q, P)) % 4
+        assert expected == (true_index(ctx, P.degree, Q.degree).k + 1) % 4
 
 
 def test_verify_symbol_structure_counts():
