@@ -1,27 +1,26 @@
 """Finite field construction and the exponent-index encoding of roots of unity.
 
-A field GF(p^m) is built deterministically: the modulus is the first monic
+A field GF(p^m) with m > 1 is the quotient ring F_p[t]/(modulus) over the
+prime field GF(p), built deterministically: the modulus is the first monic
 irreducible polynomial of degree m over GF(p) in the lexicographic order of
-coefficient vectors (constant coefficient most significant), and the
-multiplicative generator g is the smallest element of order q - 1.  For
-m = 1 the modulus is the degree-1 identity polynomial and the field is the
-plain prime field.
+coefficient vectors (constant coefficient most significant), found by
+poly_ring's Ben-Or test, and the multiplicative generator g is the smallest
+element of order q - 1.  The generator and the exp/log tables come from
+poly_ring._quotient_tables, which builds verify's copies of GF(q^n) too.
+For m = 1 the modulus is the degree-1 identity polynomial and the field is
+the plain prime field, with its own generator search and walk.
 
 Field elements are encoded as integers in [0, q): the base-p digits of the
 code are the coefficients of the residue, least significant digit = constant
 term.  Prime-field elements are therefore just integers mod p, and in
 characteristic 2 addition is the XOR of codes.
 
-Construction costs O(q) table steps: multiplication by g is F_p-linear, so
-the exp/log walk splits each code into its low and high digits and adds two
-precomputed products (about 2*sqrt(q) of them).
-
 Addition in an extension field never goes through a q*q table.  In
 characteristic 2 it is the XOR of codes.  In odd characteristic it uses
 Zech logarithms: g^i + g^j = g^(i + zech[j - i]) with zech[k] = log(1 + g^k),
-an O(q) table read off exp/log, since adding 1 changes only the constant
-digit.  Negation is -g^i = g^(i + half), where half = (q - 1)/2 for odd p
-(-1 = g^half) and 0 in characteristic 2.
+an O(q) table read off exp/log by _zech, since adding 1 changes only the
+constant digit.  Negation is -g^i = g^(i + half), where half = (q - 1)/2
+for odd p (-1 = g^half) and 0 in characteristic 2.
 
 A d-th root of unity is handled as an exponent index: index k stands for
 zeta^k with zeta = g^((q-1)/d).  Everything downstream works with these
@@ -30,7 +29,6 @@ anywhere.
 """
 
 import math
-import operator
 from typing import NamedTuple
 
 DEFAULT_MAX_Q = 1 << 20
@@ -87,34 +85,12 @@ def _prime_factors(n: int) -> list:
     return out
 
 
-def _fp_rem(r, b, p):
-    """Remainder of r by monic b, both ascending coefficient lists over F_p."""
-    r = list(r)
-    while len(r) >= len(b):
-        c = r[-1]
-        if c:
-            off = len(r) - len(b)
-            for i in range(len(b) - 1):
-                r[off + i] = (r[off + i] - c * b[i]) % p
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return r
-
-
-def _fp_irreducible(a, p) -> bool:
-    """Trial division over F_p; only used for modulus search at build time."""
-    deg = len(a) - 1
-    for ddeg in range(1, deg // 2 + 1):
-        for code in range(p**ddeg):
-            div, x = [], code
-            for _ in range(ddeg):
-                x, digit = divmod(x, p)
-                div.append(digit)
-            div.append(1)
-            if not _fp_rem(a, div, p):
-                return False
-    return True
+def _zech(p: int, exp, log) -> list:
+    """zech[i] = log(1 + g^i) from the exp/log tables of a field of
+    characteristic p whose codes have the constant base-p digit least
+    significant: 1 + g^i differs from g^i only in that digit.  Where
+    1 + g^i = 0 the entry is log[0] = -1."""
+    return [log[y + 1] if y % p != p - 1 else log[y + 1 - p] for y in exp]
 
 
 class Field:
@@ -137,115 +113,37 @@ class Field:
         self.p = p
         self.m = m
         self.q = q
-        self.modulus = self._find_modulus()
-        self.g = self._find_generator()
-        self.exp, self.log = self._build_tables()
-        self.half = 0 if p == 2 else (q - 1) // 2
-        self.zech = self._build_zech() if p != 2 and m > 1 else None
-
-    # -- construction helpers ------------------------------------------
-
-    def _find_modulus(self):
-        if self.m == 1:
-            return (0, 1)
-        p, m = self.p, self.m
-        # codes below p^(m-1) have constant term 0, so t divides them
-        for code in range(p ** (m - 1), p**m):
-            tail, x = [], code
-            for _ in range(m):
-                x, digit = divmod(x, p)
-                tail.append(digit)
-            # lexicographic with constant coefficient most significant
-            cand = list(reversed(tail)) + [1]
-            if _fp_irreducible(cand, p):
-                return tuple(cand)
-        raise AssertionError("no irreducible modulus found")  # unreachable
-
-    def _add_digitwise(self, a: int, b: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.m):
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += ((da + db) % p) * mult
-            mult *= p
-        return out
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Product via digit convolution and modulus reduction; table-free."""
-        p, m = self.p, self.m
         if m == 1:
-            return a * b % p
-        da = [0] * m
-        db = [0] * m
-        for i in range(m):
-            a, da[i] = divmod(a, p)
-            b, db[i] = divmod(b, p)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        mod = self.modulus
-        for pos in range(2 * m - 2, m - 1, -1):
-            c = prod[pos]
-            if c:
-                off = pos - m
-                for i in range(m):
-                    prod[off + i] = (prod[off + i] - c * mod[i]) % p
-        out = 0
-        for digit in reversed(prod[:m]):
-            out = out * p + digit
-        return out
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul_raw(out, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return out
-
-    def _find_generator(self) -> int:
-        n = self.q - 1
-        factors = _prime_factors(n)
-        for x in range(1, self.q):
-            if all(self._pow_raw(x, n // f) != 1 for f in factors):
-                return x
-        raise AssertionError("no generator found")  # unreachable
-
-    def _build_tables(self):
-        p, m, g = self.p, self.m, self.g
-        n = max(self.q - 1, 1)
-        exp = [0] * n
-        log = [-1] * self.q
-        y = 1
-        if m == 1:
+            self.modulus = (0, 1)
+            n = p - 1
+            factors = _prime_factors(n)
+            g = next(
+                x for x in range(1, p) if all(pow(x, n // r, p) != 1 for r in factors)
+            )
+            exp = [0] * n
+            log = [-1] * p
+            y = 1
             for i in range(n):
                 exp[i] = y
                 log[y] = i
                 y = y * g % p
         else:
-            # y*g = (l + h*split)*g = lo[l] + hi[h] by F_p-linearity
-            split = p ** (m // 2)
-            lo = [self._mul_raw(c, g) for c in range(split)]
-            hi = [self._mul_raw(c * split, g) for c in range(self.q // split)]
-            add = operator.xor if p == 2 else self._add_digitwise
-            for i in range(n):
-                exp[i] = y
-                log[y] = i
-                h, l = divmod(y, split)
-                y = add(lo[l], hi[h])
-        if y != 1:
-            raise AssertionError("generator order mismatch")  # unreachable
-        return exp, log
+            # GF(p^m) is F_p[t]/(modulus); poly_ring imports this module
+            from .poly_ring import _ben_or, _quotient_tables
 
-    def _build_zech(self):
-        # 1 + g^i differs from g^i only in the constant digit; at i = half it
-        # is 0, whose log is the sentinel -1
-        p, log = self.p, self.log
-        return [log[y + 1] if y % p != p - 1 else log[y + 1 - p] for y in self.exp]
+            base = Field(p, 1, max_q)
+            # codes below p^(m-1) have constant term 0, so t divides them
+            for code in range(p ** (m - 1), p**m):
+                cand = [0] * m + [1]
+                for i in range(m - 1, -1, -1):
+                    code, cand[i] = divmod(code, p)
+                if _ben_or(base, cand):
+                    break
+            self.modulus = tuple(cand)
+            g, exp, log = _quotient_tables(base, cand)
+        self.g, self.exp, self.log = g, exp, log
+        self.half = 0 if p == 2 else (q - 1) // 2
+        self.zech = _zech(p, exp, log) if p != 2 and m > 1 else None
 
     # -- arithmetic ------------------------------------------------------
 

@@ -338,11 +338,18 @@ def criteria_equiv_bruteforce(n: int, d: int, bound: int = 1_000_000) -> EquivRe
     definition-level and independent of the shortcut in classify().  Work
     is capped by `bound` on the number of matrices.
     """
-    if d % 2 != 0:
-        raise ValueError("the odd law requires d even")
-    total = d ** (n * (n - 1))
+    if n < 1:
+        raise ValueError(f"matrix size must be >= 1, got n = {n}")
+    if d < 2 or d % 2 != 0:
+        raise ValueError(f"the odd law requires d even and >= 2, got d = {d}")
+    # d >= 2, so the product passes the bound within log2(bound) + 1 steps
+    total = 1
+    for _ in range(n * (n - 1)):
+        if total > bound:
+            break
+        total *= d
     if total > bound:
-        raise ValueError(f"{total} matrices exceed the bound {bound}")
+        raise ValueError(f"{d}^{n * (n - 1)} matrices exceed the bound {bound}")
     admissible = 0
     mismatches = []
     perms = list(itertools.permutations(range(n)))

@@ -13,6 +13,10 @@ After the i = 1 root test, each step of the chain applies the matrix of
 the q-power Frobenius on F_q[t]/(P) (_frobenius_rows) instead of raising
 to the q-th power.
 
+The same Ben-Or test finds field_core's GF(p^m) modulus, and
+_quotient_tables walks the exp/log tables of any quotient field
+F_q[t]/(P): GF(p^m) over GF(p), and verify's copies of GF(q^n).
+
 The text format is exact and round-trips: terms joined by '+' or '-',
 descending powers preferred on output, prime coefficients as decimal
 integers and extension coefficients as '{c0,c1,...}' digit vectors
@@ -83,7 +87,7 @@ class Poly:
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash(self.coeffs)
 
     def __add__(self, other):
         f = _same_field(self, other)
@@ -383,18 +387,15 @@ def is_irreducible(P: Poly) -> bool:
     the whole basis costs about one square-and-multiply step.
     """
     if P._irred is None:
-        P._irred = _ben_or(P)
+        P._irred = len(P.coeffs) > 1 and _ben_or(P.field, P.monic().coeffs)
     return P._irred
 
 
-def _ben_or(P: Poly) -> bool:
-    f = P.field
-    n = len(P.coeffs) - 1
-    if n < 1:
-        return False
+def _ben_or(f: Field, mod) -> bool:
+    """is_irreducible on a monic coefficient list of degree >= 1."""
+    n = len(mod) - 1
     if n == 1:
         return True
-    mod = P.monic().coeffs
     t = [0, 1]
     img = _pow_raw(f, t, f.q, mod)
     if len(_gcd_raw(f, _sub_raw(f, img, t), mod)) > 1:
@@ -418,6 +419,67 @@ def _frobenius_rows(f: Field, xq, mod) -> list:
     for _ in range(2, len(mod) - 1):
         rows.append(_mul_raw(f, rows[-1], xq, mod))
     return rows
+
+
+def _quotient_tables(f: Field, mod) -> tuple:
+    """(g, exp, log) for K = F_q[t]/(mod), mod a monic irreducible of degree
+    n: g is the smallest code of full order q^n - 1, exp[i] = g^i and
+    log[0] = -1.  Elements are coded by their base-q digits, constant digit
+    least significant (from_code), so each code is also the base-p digit
+    string of its m*n coefficients over F_p.
+
+    Multiplication by g is F_p-linear, so the walk splits each code at a
+    power of p into low and high digits, y = l + h*split, and adds the two
+    precomputed products lo[l] + hi[h]: about 2*sqrt(q^n) products in all.
+    The addition is XOR in characteristic 2 and otherwise base-p digit by
+    digit."""
+    q, p = f.q, f.p
+    size = q ** (len(mod) - 1)
+    M = size - 1
+
+    def digits(code):
+        out = []
+        while code:
+            code, c = divmod(code, q)
+            out.append(c)
+        return out
+
+    def code_of(coeffs):
+        out = 0
+        for c in reversed(coeffs):
+            out = out * q + c
+        return out
+
+    factors = _prime_factors(M)
+    for g in range(1, size):
+        gd = digits(g)
+        if all(_pow_raw(f, gd, M // r, mod) != [1] for r in factors):
+            break
+    split = p ** (f.m * (len(mod) - 1) // 2)
+    lo = [code_of(_mul_raw(f, digits(c), gd, mod)) for c in range(split)]
+    hi = [
+        code_of(_mul_raw(f, digits(c * split), gd, mod)) for c in range(size // split)
+    ]
+    exp = [0] * M
+    log = [-1] * size
+    y = 1
+    for i in range(M):
+        exp[i] = y
+        log[y] = i
+        h, l = divmod(y, split)
+        a, b = lo[l], hi[h]
+        if p == 2:
+            y = a ^ b
+            continue
+        y, unit = 0, 1
+        while a or b:
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            y += (da + db) % p * unit
+            unit *= p
+    if y != 1:
+        raise AssertionError("generator order mismatch")  # unreachable
+    return g, exp, log
 
 
 def monic_from_code(field: Field, degree: int, code: int) -> Poly:

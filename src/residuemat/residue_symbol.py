@@ -25,11 +25,12 @@ K_n = F_q[t]/(Q_n) of GF(q^n) per degree n, where Q_n is the first
 irreducible of degree n.  For a monic irreducible Q of degree n with a
 root beta in K_n, t -> beta is an isomorphism F_q[t]/(Q) -> K_n fixing
 F_q, so it carries a^((|Q| - 1)/d) mod Q to a(beta)^((q^n - 1)/d).  With
-exp/log tables of a generator gamma of K_n^*, that is zeta^(s * log a(beta))
-where zeta^s = gamma^((q^n - 1)/d).  One pass over the Frobenius orbits
-{k q^i} of size n finds log beta for every Q (the orbit's minimal
-polynomial names Q), and a(beta) is one Horner pass in logarithms and
-Zech logarithms, O(deg a) table steps per symbol.  Nothing here uses
+exp/log tables of the smallest generator gamma of K_n^*, walked by
+poly_ring._quotient_tables (which builds every GF(p^m) too), that is
+zeta^(s * log a(beta)) where zeta^s = gamma^((q^n - 1)/d).  One pass over
+the Frobenius orbits {k q^i} of size n finds log beta for every Q (the
+orbit's minimal polynomial names Q), and a(beta) is one Horner pass in
+logarithms and Zech logarithms, O(deg a) table steps per symbol.  Nothing here uses
 reciprocity.
 
 The reciprocity law: for distinct monic irreducibles P and Q,
@@ -41,12 +42,12 @@ symmetric no matter the parity of the exponent.
 
 from dataclasses import dataclass
 
-from .field_core import Field, RootIndex, _prime_factors, index_to_element, root_index_of
+from .field_core import Field, RootIndex, _zech, index_to_element, root_index_of
 from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
     _mul_raw,
-    _pow_raw,
+    _quotient_tables,
     _rem_raw,
     format_poly,
     from_code,
@@ -136,7 +137,8 @@ def _exponent_oracle(ctx: SymbolContext, polys):
     fields = {}
     roots = {}
     for n, Qs in by_deg.items():
-        exp, log, zech = _extension_tables(f, Qs[0].coeffs)
+        _, exp, log = _quotient_tables(f, Qs[0].coeffs)
+        zech = _zech(f.p, exp, log)
         M = len(exp)
         # gamma^((q^n - 1)/d) lies in F_q: it is zeta^s
         s = root_index_of(f, d, exp[M // d % M]).k
@@ -169,34 +171,6 @@ def _exponent_oracle(ctx: SymbolContext, polys):
         return s * lv % d
 
     return index
-
-
-def _extension_tables(f: Field, mod):
-    """exp, log and Zech tables of K = F_q[t]/(mod) for a monic irreducible
-    mod, elements coded by their base-q digits (from_code), walked from the
-    smallest generator gamma of K^*; log[0] = -1 and
-    zech[i] = log(1 + gamma^i)."""
-    q = f.q
-    M = q ** (len(mod) - 1) - 1
-    factors = _prime_factors(M)
-    for code in range(1, M + 1):
-        g = from_code(f, code).coeffs
-        if all(_pow_raw(f, g, M // r, mod) != [1] for r in factors):
-            break
-    exp = [0] * M
-    log = [-1] * (M + 1)
-    y = [1]
-    for i in range(M):
-        code = 0
-        for c in reversed(y):
-            code = code * q + c
-        exp[i] = code
-        log[code] = i
-        y = _mul_raw(f, y, g, mod)
-    p = f.p
-    # 1 + y differs from y only in the lowest base-p digit
-    zech = [log[y + 1] if y % p != p - 1 else log[y + 1 - p] for y in exp]
-    return exp, log, zech
 
 
 def _root_logs(f: Field, n: int, Qs, exp, log, zech):

@@ -334,6 +334,14 @@ def test_equiv_bound(capsys):
     code, _, err = run(capsys, "equiv", "--n", "3", "--d", "4", "--bound", "100")
     assert code == 1
     assert "exceed" in err
+    # 2^14520 has more decimal digits than int-to-str conversion allows
+    code, out, err = run(capsys, "equiv", "--n", "121", "--d", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: 2^14520 matrices exceed the bound 1000000\n"
+    for d in ("0", "-2"):
+        code, out, err = run(capsys, "equiv", "--n", "2", "--d", d)
+        assert (code, out) == (1, "")
+        assert "d even" in err
 
 
 # -- parser-level behavior ---------------------------------------------------

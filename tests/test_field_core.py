@@ -12,6 +12,7 @@ from residuemat import (
     unit_scalings,
 )
 
+import field_digests
 from conftest import get_field
 from naive import (
     element_order,
@@ -25,9 +26,9 @@ from naive import (
 # Moduli and generators are pinned: they were computed with the standalone
 # digit-arithmetic routines in naive.py (modulus = first monic irreducible in
 # lex order with the constant coefficient most significant; generator = the
-# smallest element of full order).  The last three pin what the library
-# computes at sizes too large for those routines; the table tests below check
-# their arithmetic against naive.py.
+# smallest element of full order).  From (2, 8) on they pin what the library's
+# earlier trial-division search computed at sizes too large for those
+# routines; the table tests below check their arithmetic against naive.py.
 PINNED = {
     (2, 1): ((0, 1), 1),
     (3, 1): ((0, 1), 2),
@@ -37,6 +38,9 @@ PINNED = {
     (2, 2): ((1, 1, 1), 2),
     (3, 2): ((1, 0, 1), 4),
     (2, 3): ((1, 0, 1, 1), 2),
+    (2, 8): ((1, 0, 0, 0, 1, 1, 0, 1, 1), 6),
+    (17, 2): ((1, 1, 1), 20),
+    (3, 7): ((1, 0, 0, 0, 0, 1, 2, 1), 3),
     (2, 9): ((1, 0, 0, 0, 0, 0, 0, 0, 1, 1), 7),
     (3, 5): ((1, 0, 0, 0, 2, 1), 3),
     (2, 16): ((1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1), 6),
@@ -54,6 +58,15 @@ def test_pinned_modulus_and_generator(p, m):
     assert f.modulus == modulus
     assert f.g == g
     assert f.q == p**m
+
+
+@pytest.mark.parametrize(
+    "p,m", sorted(set(field_digests.EXPECTED) - set(field_digests.SLOW))
+)
+def test_tables_keep_their_digest(p, m):
+    # (modulus, g, exp, log, zech) as the trial-division search and the
+    # digit-convolution walk built them; the CI step checks the SLOW fields
+    assert field_digests.digest(field_build(p, m)) == field_digests.EXPECTED[(p, m)]
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from residuemat import (
@@ -308,3 +310,15 @@ def test_criteria_equivalence_guards():
         criteria_equiv_bruteforce(2, 3)
     with pytest.raises(ValueError):
         criteria_equiv_bruteforce(3, 4, bound=100)
+    # no check is run, so none may be reported
+    for d in (0, -2):
+        with pytest.raises(ValueError, match="d even"):
+            criteria_equiv_bruteforce(2, d)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n = "):
+            criteria_equiv_bruteforce(n, 2)
+    # the bound is decided without computing d^(n(n-1)) in full
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2\\^9999900000 matrices exceed the bound 1000000"):
+        criteria_equiv_bruteforce(10**5, 2)
+    assert time.perf_counter() - start < 0.1
