@@ -107,9 +107,14 @@ class Field:
             raise ValueError(f"p = {p} is not prime")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        q = p**m
-        if q > max_q:
-            raise ValueError(f"q = p^m = {q} exceeds the configured bound {max_q}")
+        # at most log2(max_q) + 1 products: p^m itself may have millions of digits
+        q = 1
+        for _ in range(m):
+            q *= p
+            if q > max_q:
+                raise ValueError(
+                    f"q = p^m = {p}^{m} exceeds the configured bound {max_q}"
+                )
         self.p = p
         self.m = m
         self.q = q
@@ -210,12 +215,6 @@ class Field:
             a, digit = divmod(a, self.p)
             out.append(digit)
         return tuple(out)
-
-    def elements(self):
-        return range(self.q)
-
-    def units(self):
-        return range(1, self.q)
 
     def __eq__(self, other):
         return (

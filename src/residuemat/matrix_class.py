@@ -25,7 +25,6 @@ entries with "." on the diagonal.
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -229,23 +228,15 @@ def _odd_law_decision(M: CycMatrix) -> Classification:
                     realizable=False, branch=ODD_LAW, witness_pair=(i, j)
                 )
     diag = mmbar_diagonal(M)
-    # D_j = n + 1 - 2s at the s skew positions and n - 1 elsewhere.  At most
-    # one s in [1, n] can match a given multiset (s = 1 means all n - 1),
-    # so the ascending scan returns the smallest — and only — valid s.
-    for s in range(1, n + 1):
-        want = Counter()
-        want[n + 1 - 2 * s] += s
-        if n - s:
-            want[n - 1] += n - s
-        if Counter(diag) == want:
-            if s >= 2:
-                target = n + 1 - 2 * s
-                skew = [j for j in range(n) if diag[j] == target]
-                rest = [j for j in range(n) if diag[j] != target]
-                sigma = tuple(skew + rest)
-            else:
-                sigma = tuple(range(n))
-            return Classification(realizable=True, branch=ODD_LAW, s=s, sigma=sigma)
+    # D_j = n + 1 - 2s at the s skew positions and n - 1 elsewhere, and
+    # n + 1 - 2s = n - 1 only for s = 1.  So the skew rows are the rows off
+    # n - 1, their count is s (none means s = 1), and they must all read
+    # n + 1 - 2s; sigma puts them first.
+    skew = [j for j in range(n) if diag[j] != n - 1]
+    s = len(skew) or 1
+    if all(diag[j] == n + 1 - 2 * s for j in skew):
+        sigma = tuple(skew + [j for j in range(n) if diag[j] == n - 1])
+        return Classification(realizable=True, branch=ODD_LAW, s=s, sigma=sigma)
     return Classification(
         realizable=False, branch=ODD_LAW, witness_diagonal=tuple(sorted(diag))
     )

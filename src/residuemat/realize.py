@@ -10,6 +10,8 @@ congruences are merged by the Chinese Remainder Theorem into
 u0 mod Q = P_1 ... P_k, and candidates P = Q h + u0 are scanned for an
 irreducible — which exists at a large enough degree by the function-field
 analogue of Dirichlet's theorem on primes in arithmetic progressions.
+Position 1 runs the same step with no congruence: its class is 0 mod 1,
+so the scan starts at degree 1 and returns t.
 The entries on the other side of the diagonal are then forced to be
 correct by the reciprocity law together with the block structure of the
 input matrix.
@@ -20,8 +22,9 @@ control.  The final matrix equality is rechecked, never trusted.
 
 Everything is reproducible: deterministic mode scans residues and
 candidates in enumeration order, and random mode draws from a
-random.Random seeded by the options, so a fixed option set always yields
-the identical Realization.
+random.Random seeded by the options (position 1 keeps the enumeration
+order in both modes), so a fixed option set always yields the identical
+Realization.
 """
 
 import random
@@ -38,13 +41,14 @@ from .matrix_class import (
 from .poly_ring import (
     Poly,
     _xgcd_raw,
-    enumerate_monic,
     format_poly,
     from_code,
     gcd,
     is_irreducible,
     monic_from_code,
     norm,
+    one,
+    zero,
 )
 from .residue_symbol import SymbolContext, residue_matrix, symbol
 
@@ -82,25 +86,19 @@ class RealizeOptions:
     """Search-strategy knobs.
 
     deterministic=True scans residues and candidate polynomials in
-    enumeration order; otherwise both are sampled via seed.  The base
-    degrees are where the first polynomial starts (the odd one also serves
-    the symmetric branch, where parity is irrelevant); later degrees are
-    dictated by the CRT modulus and only floored by these.
+    enumeration order; otherwise both are sampled via seed.  Degrees are
+    not configurable: each position starts at deg Q + 1 for the CRT modulus
+    Q of the earlier polynomials (so at 1 for the first), raised by one
+    where the odd law needs the other parity, and climbs to max_degree.
     """
 
     seed: int = 0
     max_degree: int = 40
     deterministic: bool = True
-    base_degree_odd: int = 1
-    base_degree_even: int = 2
 
     def __post_init__(self):
         if self.max_degree < 2:
             raise ValueError("max_degree must be >= 2")
-        if self.base_degree_odd < 1 or self.base_degree_odd % 2 != 1:
-            raise ValueError("base_degree_odd must be odd and >= 1")
-        if self.base_degree_even < 2 or self.base_degree_even % 2 != 0:
-            raise ValueError("base_degree_even must be even and >= 2")
 
 
 @dataclass(frozen=True)
@@ -241,36 +239,23 @@ def crt_combine(pairs):
             raise ValueError(
                 f"residue {format_poly(u)} not reduced mod {format_poly(P)}"
             )
-    Q = moduli[0]
-    for P in moduli[1:]:
-        Q = Q * P
-    u0 = Poly._make(f, [])
+    # fold one congruence at a time into u0 mod Q, starting from 0 mod 1
+    u0, Q = zero(f), one(f)
     for u, P in pairs:
-        Mj = Q // P
-        g, inv, _ = _xgcd_raw(f, (Mj % P).coeffs, P.coeffs)
+        g, inv, _ = _xgcd_raw(f, (Q % P).coeffs, P.coeffs)
         if g != [1]:
             raise ValueError("moduli are not coprime")  # unreachable for primes
-        u0 = (u0 + u * Mj * Poly._make(f, inv)) % Q
+        u0 = u0 + Q * ((u - u0) * Poly._make(f, inv) % P)
+        Q = Q * P
     return u0, Q
 
 
-def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, exclude, rng):
-    """(P, candidates_tested) with P monic irreducible of the given degree,
-    P = u0 mod Q, P not in exclude; raises NoneFoundAtDegreeError on a full
-    unsuccessful scan."""
-    f = ctx.field
-    if Q.is_zero() or not Q.is_monic():
-        raise ValueError("Q must be monic")
-    dq = Q.degree
-    if not u0.degree < dq:
-        raise ValueError("u0 must be reduced mod Q")
-    if degree < dq:
-        raise ValueError(f"degree {degree} is below deg Q = {dq}")
-    if gcd(u0, Q).degree != 0:
-        raise NotCoprimeError(
-            f"residue {format_poly(u0)} shares a factor with {format_poly(Q)}"
-        )
-    hdeg = degree - dq
+def _find_irreducible(u0: Poly, Q: Poly, degree: int, rng, exclude=frozenset()):
+    """(P, candidates_tested): the first monic irreducible P = Q h + u0 of
+    the given degree not in exclude, or None.  Search only: the caller
+    checks Q monic, u0 reduced mod Q and coprime to it, degree >= deg Q."""
+    f = Q.field
+    hdeg = degree - Q.degree
     space = f.q**hdeg
     if rng is None:
         codes = range(space)
@@ -283,11 +268,9 @@ def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, exclud
     for code in codes:
         P = Q * monic_from_code(f, hdeg, code) + u0
         tested += 1
-        if P in exclude:
-            continue
-        if is_irreducible(P):
+        if is_irreducible(P) and P not in exclude:
             return P, tested
-    raise NoneFoundAtDegreeError(degree=degree, tested=tested)
+    return None, tested
 
 
 def _random_codes(space: int, rng):
@@ -309,24 +292,31 @@ def find_irreducible_in_class(
 ) -> Poly:
     """First monic irreducible P of the given degree with P = u0 mod Q and
     P not in exclude (candidates P = Q h + u0 over monic h, in enumeration
-    order, or seeded random order in non-deterministic mode)."""
+    order, or seeded random order in non-deterministic mode).  Checks the
+    arguments, raising ValueError or NotCoprimeError, and raises
+    NoneFoundAtDegreeError when no candidate of that degree is irreducible.
+    """
     if opts is None:
         opts = RealizeOptions()
+    if Q.is_zero() or not Q.is_monic():
+        raise ValueError("Q must be monic")
+    dq = Q.degree
+    if not u0.degree < dq:
+        raise ValueError("u0 must be reduced mod Q")
+    if degree < dq:
+        raise ValueError(f"degree {degree} is below deg Q = {dq}")
+    if gcd(u0, Q).degree != 0:
+        raise NotCoprimeError(
+            f"residue {format_poly(u0)} shares a factor with {format_poly(Q)}"
+        )
     rng = None if opts.deterministic else random.Random(opts.seed)
-    P, _ = _find_irreducible(ctx, u0, Q, degree, frozenset(exclude), rng)
+    P, tested = _find_irreducible(u0, Q, degree, rng, frozenset(exclude))
+    if P is None:
+        raise NoneFoundAtDegreeError(degree=degree, tested=tested)
     return P
 
 
 # -- the inductive construction ----------------------------------------------
-
-
-def _first_irreducible(f, degree: int):
-    tested = 0
-    for P in enumerate_monic(f, degree):
-        tested += 1
-        if is_irreducible(P):
-            return P, tested
-    raise RealizeError(f"no irreducible of degree {degree}")  # unreachable
 
 
 def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = None) -> Realization:
@@ -364,23 +354,7 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
 
     polys_p = []
     steps = []
-    base_deg = (
-        opts.base_degree_even if parity[0] == 0 else opts.base_degree_odd
-    )
-    P1, tested = _first_irreducible(f, base_deg)
-    polys_p.append(P1)
-    steps.append(
-        RealizeStep(
-            position=1,
-            residues=(),
-            crt_residue=None,
-            crt_modulus=None,
-            degrees_tried=(base_deg,),
-            candidates_tested=tested,
-            chosen=P1,
-        )
-    )
-    for k in range(1, n):
+    for k in range(n):
         choices = []
         for j in range(k):
             target = Mp.entries[k][j]
@@ -390,28 +364,24 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
                     modulus=polys_p[j], target=target, residue=u, trials=trials
                 )
             )
-        u0, Q = crt_combine([(c.residue, c.modulus) for c in choices])
+        # each u_j is a nonzero residue, so u0 is coprime to Q and no
+        # candidate P = u_j mod P_j can repeat an earlier P_j
+        pairs = [(c.residue, c.modulus) for c in choices]
+        u0, Q = crt_combine(pairs) if pairs else (zero(f), one(f))
         req = parity[k]
         D = Q.degree + 1
-        if req == 1:
-            D = max(D, opts.base_degree_odd)
-        elif req == 0:
-            D = max(D, opts.base_degree_even)
         if req is not None and D % 2 != req:
             D += 1
-        exclude = frozenset(polys_p)
+        # position 1 scans in enumeration order in either mode: t comes first
+        scan = rng if pairs else None
         degrees_tried = []
         tested_total = 0
         chosen = None
-        while D <= opts.max_degree:
+        while chosen is None and D <= opts.max_degree:
             degrees_tried.append(D)
-            try:
-                chosen, tested = _find_irreducible(ctx, u0, Q, D, exclude, rng)
-                tested_total += tested
-                break
-            except NoneFoundAtDegreeError as exc:
-                tested_total += exc.tested
-                D += 2 if req is not None else 1
+            chosen, tested = _find_irreducible(u0, Q, D, scan)
+            tested_total += tested
+            D += 2 if req is not None else 1
         if chosen is None:
             raise ResourceExhaustedError(
                 f"no irreducible in the class up to max_degree = {opts.max_degree} "
@@ -422,8 +392,8 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
             RealizeStep(
                 position=k + 1,
                 residues=tuple(choices),
-                crt_residue=u0,
-                crt_modulus=Q,
+                crt_residue=u0 if pairs else None,
+                crt_modulus=Q if pairs else None,
                 degrees_tried=tuple(degrees_tried),
                 candidates_tested=tested_total,
                 chosen=chosen,

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from residuemat import cli
+from residuemat import DEFAULT_MAX_Q, cli
 from residuemat.cli import MAX_POLY_DEGREE, VERIFY_MAX_PAIRS, VERIFY_MAX_PRODUCTS, main
 
 
@@ -95,6 +95,15 @@ def test_max_q_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "symbol", "--q", "13", "--d", "2", "--a", "t", "--P", "t+1")
     assert code == 1
     assert "exceeds the configured bound 8" in err
+
+
+def test_max_q_bound_for_huge_m(capsys):
+    # p^m here has about 30,000 digits, more than Python converts to a string
+    code, _, err = run(
+        capsys, "symbol", "--p", "2", "--m", "100000", "--d", "3", "--a", "t", "--P", "t+1"
+    )
+    assert code == 1
+    assert f"exceeds the configured bound {DEFAULT_MAX_Q}" in err
 
 
 def test_max_q_env_garbage(capsys, monkeypatch):

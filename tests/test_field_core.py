@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -190,6 +191,11 @@ def test_field_construction_errors():
     field_build(2, 5, max_q=32)
     with pytest.raises(ValueError):
         field_build(2, 5, max_q=31)
+    # the bound is decided without computing p^m in full
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2\\^1000000000 exceeds the configured bound"):
+        field_build(2, 10**9)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_field_equality_and_repr():

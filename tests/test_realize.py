@@ -1,4 +1,8 @@
+import hashlib
+import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +20,11 @@ from residuemat import (
     crt_combine,
     find_irreducible_in_class,
     format_poly,
+    from_code,
     is_irreducible,
+    monic_irreducibles,
+    one,
+    parse_matrix,
     parse_poly,
     realize,
     residue_matrix,
@@ -27,6 +35,8 @@ from residuemat import (
 from residuemat.realize import _choose_residue
 
 from conftest import get_context, get_field
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def mat(n, d, *rows):
@@ -115,14 +125,26 @@ def test_crt_combine_single(f3):
     assert u0 == parse_poly("2", f3) and Q == variable(f3)
 
 
-def test_crt_combine_reconstructs(f5):
-    moduli = [parse_poly(s, f5) for s in ("t", "t+1", "t^2+2")]
-    residues = [parse_poly(s, f5) for s in ("3", "2", "t+4")]
-    u0, Q = crt_combine(list(zip(residues, moduli)))
-    assert Q.degree == 4
-    assert u0.degree < Q.degree
-    for u, P in zip(residues, moduli):
-        assert u0 % P == u
+def test_crt_combine_reconstructs(f5, f9):
+    # over GF(9), moduli of degrees 1, 1, 2, 3: the fold's products run
+    # through the Zech kernels
+    gf9_moduli = list(itertools.islice(monic_irreducibles(f9, 1), 2))
+    gf9_moduli += [next(monic_irreducibles(f9, deg)) for deg in (2, 3)]
+    cases = [
+        ([parse_poly(s, f5) for s in ("t", "t+1", "t^2+2")], (3, 2, 9)),
+        (gf9_moduli, (5, 0, 40, 700)),
+    ]
+    for moduli, residue_codes in cases:
+        f = moduli[0].field
+        residues = [from_code(f, c) for c in residue_codes]
+        u0, Q = crt_combine(list(zip(residues, moduli)))
+        product = one(f)
+        for P in moduli:
+            product = product * P
+        assert Q == product
+        assert u0.degree < Q.degree
+        for u, P in zip(residues, moduli):
+            assert u0 % P == u
 
 
 def test_crt_combine_zero_residues_allowed(f3):
@@ -221,15 +243,9 @@ def test_find_irreducible_random_mode(f5):
 
 
 def test_realize_options_validation():
-    RealizeOptions(seed=5, max_degree=10, base_degree_odd=3, base_degree_even=4)
+    RealizeOptions(seed=5, max_degree=10)
     with pytest.raises(ValueError):
         RealizeOptions(max_degree=1)
-    with pytest.raises(ValueError):
-        RealizeOptions(base_degree_odd=2)
-    with pytest.raises(ValueError):
-        RealizeOptions(base_degree_even=3)
-    with pytest.raises(ValueError):
-        RealizeOptions(base_degree_odd=-1)
 
 
 # -- realize ----------------------------------------------------------------
@@ -247,8 +263,7 @@ def check_realization(ctx, M, res):
         for choice in st.residues:
             assert st.chosen % choice.modulus == choice.residue
             assert symbol(ctx, choice.residue, choice.modulus).k == choice.target
-        if i:
-            assert st.degrees_tried[-1] == st.chosen.degree
+        assert st.degrees_tried[-1] == st.chosen.degree
 
 
 def test_realize_one_by_one():
@@ -356,12 +371,28 @@ def test_realize_random_mode():
     check_realization(ctx, M, res2)
 
 
-def test_realize_base_degree_knobs():
-    ctx = get_context(5, 2)
-    M = mat(2, 2, (None, 1), (1, None))
-    res = realize(ctx, M, RealizeOptions(base_degree_odd=3))
+# sha256 of the realization JSON, as the CLI prints it, for seed 7 in random
+# mode on each committed fixture; no golden file pins random mode
+RANDOM_MODE_DIGESTS = {
+    ("skew_q5_d4", 5): "ad744e6e15e63ff16e989ef7602e7be8b5e51a74315ab00afb21ad0fe508d7c2",
+    ("sym_q5_d2", 5): "1c75a1f67da96d7f37e30cac65e7dd285e0f3493ed2c0ded810dfc00bbb32209",
+    ("s2_q13_d4", 13): "92ff8f390cceda149930ca75c9ceb45f41fc6c86343652702512516da27f4547",
+    ("skew_q9_d8", 9): "c0dbccdb9abb3e88e032ccf0ee26bd2d3657d0daeeee9ed9effbf4a110ecf626",
+    ("mixed_q7_d6", 7): "495f67405d097eda26d974eea1bde4631c99ef92db99a3d831c5d6b9bae2d472",
+}
+
+
+@pytest.mark.parametrize("name,q", sorted(RANDOM_MODE_DIGESTS))
+def test_realize_random_mode_is_pinned(name, q):
+    M = parse_matrix((FIXTURES / f"{name}.mat").read_text(encoding="utf-8"))
+    ctx = get_context(q, M.d)
+    res = realize(ctx, M, RealizeOptions(seed=7, deterministic=False))
     check_realization(ctx, M, res)
-    assert res.transcript[0].chosen.degree == 3
+    # position 1 scans in enumeration order in either mode
+    assert res.transcript[0].chosen == variable(ctx.field)
+    assert res.transcript[0].crt_residue is None
+    blob = json.dumps(res.to_json_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == RANDOM_MODE_DIGESTS[name, q]
 
 
 def test_realization_json_shape():
