@@ -70,6 +70,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p, k >= 1: Newton's floor(q^(1/k)) for
+    each k < log2 q, where trial division would take sqrt(q) steps."""
+    for k in range(1, q.bit_length()):
+        r = 1 << -(-q.bit_length() // k)
+        while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == q and is_prime(r):
+            return True
+    return False
+
+
 def _prime_factors(n: int) -> list:
     """Distinct prime factors by trial division (n stays small here)."""
     out = []
@@ -134,17 +146,15 @@ class Field:
                 y = y * g % p
         else:
             # GF(p^m) is F_p[t]/(modulus); poly_ring imports this module
-            from .poly_ring import _ben_or, _quotient_tables
+            from .poly_ring import _ben_or, _quotient_tables, monic_from_code
 
             base = Field(p, 1, max_q)
             # codes below p^(m-1) have constant term 0, so t divides them
             for code in range(p ** (m - 1), p**m):
-                cand = [0] * m + [1]
-                for i in range(m - 1, -1, -1):
-                    code, cand[i] = divmod(code, p)
+                cand = monic_from_code(base, m, code).coeffs
                 if _ben_or(base, cand):
                     break
-            self.modulus = tuple(cand)
+            self.modulus = cand
             g, exp, log = _quotient_tables(base, cand)
         self.g, self.exp, self.log = g, exp, log
         self.half = 0 if p == 2 else (q - 1) // 2
@@ -173,24 +183,10 @@ class Field:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a * b % self.p
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         return self.exp[-self.log[a] % (self.q - 1)]
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("negative exponent; use inv() first")
-        if a == 0:
-            return 1 if e == 0 else 0
-        return self.exp[self.log[a] * (e % (self.q - 1)) % (self.q - 1)]
 
     # -- element coding --------------------------------------------------
 

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .field_core import _is_prime_power
+
 SYMMETRIC_LAW = "symmetric"
 ODD_LAW = "odd"
 
@@ -200,7 +202,7 @@ class Classification:
 
 def classify(M: CycMatrix, q: int) -> Classification:
     """Decide realizability of M over F_q[t] for its own d."""
-    if q < 2:
+    if not _is_prime_power(q):
         raise ValueError(f"q must be a prime power >= 2, got {q}")
     if (q - 1) % M.d != 0:
         raise ValueError(f"d = {M.d} does not divide q - 1 = {q - 1}")

@@ -91,27 +91,14 @@ class Poly:
 
     def __add__(self, other):
         f = _same_field(self, other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        add = f.add
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return Poly._make(f, out)
+        return Poly._make(f, _add_raw(f, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        neg = self.field.neg
-        return Poly._make(self.field, [neg(c) for c in self.coeffs])
+        return Poly._make(self.field, _add_raw(self.field, (), self.coeffs, True))
 
     def __sub__(self, other):
         f = _same_field(self, other)
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        sub = f.sub
-        for i, c in enumerate(b):
-            out[i] = sub(out[i], c)
-        return Poly._make(f, out)
+        return Poly._make(f, _add_raw(f, self.coeffs, other.coeffs, True))
 
     def __mul__(self, other):
         f = _same_field(self, other)
@@ -310,8 +297,8 @@ def _xgcd_raw(f: Field, a, b) -> tuple:
     while r1:
         qt, rm = _divmod_raw(f, r0, r1)
         r0, r1 = r1, rm
-        s0, s1 = s1, _sub_raw(f, s0, _mul_raw(f, qt, s1))
-        t0, t1 = t1, _sub_raw(f, t0, _mul_raw(f, qt, t1))
+        s0, s1 = s1, _add_raw(f, s0, _mul_raw(f, qt, s1), True)
+        t0, t1 = t1, _add_raw(f, t0, _mul_raw(f, qt, t1), True)
     if r0 and r0[-1] != 1:
         inv_lead = [f.inv(r0[-1])]
         r0 = _mul_raw(f, inv_lead, r0)
@@ -320,11 +307,15 @@ def _xgcd_raw(f: Field, a, b) -> tuple:
     return r0, s0, t0
 
 
-def _sub_raw(f: Field, a, b) -> list:
+def _add_raw(f: Field, a, b, subtract=False) -> list:
+    """a + b, or a - b when subtract is set, coefficient by coefficient.
+    A sum runs its loop over the shorter operand."""
+    if not subtract and len(a) < len(b):
+        a, b = b, a
     out = list(a) + [0] * (len(b) - len(a))
-    sub = f.sub
+    op = f.sub if subtract else f.add
     for i, c in enumerate(b):
-        out[i] = sub(out[i], c)
+        out[i] = op(out[i], c)
     return _trim(out)
 
 
@@ -398,14 +389,14 @@ def _ben_or(f: Field, mod) -> bool:
         return True
     t = [0, 1]
     img = _pow_raw(f, t, f.q, mod)
-    if len(_gcd_raw(f, _sub_raw(f, img, t), mod)) > 1:
+    if len(_gcd_raw(f, _add_raw(f, img, t, True), mod)) > 1:
         return False
     if n < 4:
         return True
     rows = _frobenius_rows(f, img, mod)
     for _ in range(n // 2 - 1):
         img = _mul_raw(f, img, rows, rows=True)
-        if len(_gcd_raw(f, _sub_raw(f, img, t), mod)) > 1:
+        if len(_gcd_raw(f, _add_raw(f, img, t, True), mod)) > 1:
             return False
     return True
 
@@ -436,29 +427,18 @@ def _quotient_tables(f: Field, mod) -> tuple:
     q, p = f.q, f.p
     size = q ** (len(mod) - 1)
     M = size - 1
-
-    def digits(code):
-        out = []
-        while code:
-            code, c = divmod(code, q)
-            out.append(c)
-        return out
-
-    def code_of(coeffs):
-        out = 0
-        for c in reversed(coeffs):
-            out = out * q + c
-        return out
-
     factors = _prime_factors(M)
     for g in range(1, size):
-        gd = digits(g)
+        gd = _digits_raw(q, g)
         if all(_pow_raw(f, gd, M // r, mod) != [1] for r in factors):
             break
     split = p ** (f.m * (len(mod) - 1) // 2)
-    lo = [code_of(_mul_raw(f, digits(c), gd, mod)) for c in range(split)]
+    lo = [
+        _code_raw(q, _mul_raw(f, _digits_raw(q, c), gd, mod)) for c in range(split)
+    ]
     hi = [
-        code_of(_mul_raw(f, digits(c * split), gd, mod)) for c in range(size // split)
+        _code_raw(q, _mul_raw(f, _digits_raw(q, c * split), gd, mod))
+        for c in range(size // split)
     ]
     exp = [0] * M
     log = [-1] * size
@@ -535,25 +515,33 @@ def _moebius(n: int) -> int:
 # -- residue coding ----------------------------------------------------------
 
 
+def _digits_raw(q: int, code: int) -> list:
+    """Base-q digits of code >= 0, least significant first, no trailing zeros."""
+    out = []
+    while code:
+        code, c = divmod(code, q)
+        out.append(c)
+    return out
+
+
+def _code_raw(q: int, coeffs) -> int:
+    """Inverse of _digits_raw."""
+    out = 0
+    for c in reversed(coeffs):
+        out = out * q + c
+    return out
+
+
 def from_code(field: Field, code: int) -> Poly:
     """Polynomial whose base-q digits (little-endian) are the given code."""
     if code < 0:
         raise ValueError("code must be >= 0")
-    q = field.q
-    coeffs = []
-    while code:
-        code, digit = divmod(code, q)
-        coeffs.append(digit)
-    return Poly._make(field, coeffs)
+    return Poly._make(field, _digits_raw(field.q, code))
 
 
 def to_code(P: Poly) -> int:
     """Inverse of from_code."""
-    q = P.field.q
-    out = 0
-    for c in reversed(P.coeffs):
-        out = out * q + c
-    return out
+    return _code_raw(P.field.q, P.coeffs)
 
 
 # -- text format -------------------------------------------------------------

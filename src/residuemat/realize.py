@@ -31,7 +31,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .field_core import RootIndex
 from .matrix_class import (
     ODD_LAW,
     CycMatrix,
@@ -43,7 +42,6 @@ from .poly_ring import (
     _xgcd_raw,
     format_poly,
     from_code,
-    gcd,
     is_irreducible,
     monic_from_code,
     norm,
@@ -59,22 +57,6 @@ class RealizeError(Exception):
 
 class NotRealizableError(RealizeError):
     """The input matrix fails the classification, so no tuple exists."""
-
-
-class NotCoprimeError(RealizeError):
-    """The residue class u0 mod Q contains no polynomial coprime to Q."""
-
-
-class NoneFoundAtDegreeError(RealizeError):
-    """No irreducible of the requested degree in the class; try a higher one."""
-
-    def __init__(self, degree: int, tested: int):
-        super().__init__(
-            f"no irreducible of degree {degree} in the residue class "
-            f"({tested} candidates tested)"
-        )
-        self.degree = degree
-        self.tested = tested
 
 
 class ResourceExhaustedError(RealizeError):
@@ -194,28 +176,6 @@ def _choose_residue(ctx: SymbolContext, P: Poly, target_k: int, rng):
     return u, trials
 
 
-def choose_residue_with_symbol(
-    ctx: SymbolContext,
-    P: Poly,
-    target,
-    opts: Optional[RealizeOptions] = None,
-) -> Poly:
-    """A nonzero residue u mod P with symbol(u, P) = target.
-
-    Deterministic mode returns the first match in residue enumeration order
-    (codes 1, 2, ... read as base-q coefficient digits); random mode
-    rejection-samples uniformly, succeeding with probability 1/d per trial.
-    """
-    if opts is None:
-        opts = RealizeOptions()
-    k = target.k if isinstance(target, RootIndex) else int(target)
-    if not 0 <= k < ctx.d:
-        raise ValueError(f"target index {k} out of range [0, {ctx.d})")
-    rng = None if opts.deterministic else random.Random(opts.seed)
-    u, _ = _choose_residue(ctx, P, k, rng)
-    return u
-
-
 def crt_combine(pairs):
     """Merge congruences u = u_j mod P_j into (u0, Q) with Q the product.
 
@@ -250,10 +210,14 @@ def crt_combine(pairs):
     return u0, Q
 
 
-def _find_irreducible(u0: Poly, Q: Poly, degree: int, rng, exclude=frozenset()):
+def _find_irreducible(u0: Poly, Q: Poly, degree: int, rng):
     """(P, candidates_tested): the first monic irreducible P = Q h + u0 of
-    the given degree not in exclude, or None.  Search only: the caller
-    checks Q monic, u0 reduced mod Q and coprime to it, degree >= deg Q."""
+    the given degree over monic h, in enumeration order (rng=None) or an
+    rng-shuffled order, or (None, tested) when the degree has none.
+
+    Search only: Q must be monic, u0 reduced mod Q and coprime to it, and
+    degree >= deg Q.  realize meets all three through crt_combine over
+    nonzero residues and starts at degree deg Q + 1."""
     f = Q.field
     hdeg = degree - Q.degree
     space = f.q**hdeg
@@ -268,7 +232,7 @@ def _find_irreducible(u0: Poly, Q: Poly, degree: int, rng, exclude=frozenset()):
     for code in codes:
         P = Q * monic_from_code(f, hdeg, code) + u0
         tested += 1
-        if is_irreducible(P) and P not in exclude:
+        if is_irreducible(P):
             return P, tested
     return None, tested
 
@@ -282,45 +246,16 @@ def _random_codes(space: int, rng):
             yield code
 
 
-def find_irreducible_in_class(
-    ctx: SymbolContext,
-    u0: Poly,
-    Q: Poly,
-    degree: int,
-    exclude=frozenset(),
-    opts: Optional[RealizeOptions] = None,
-) -> Poly:
-    """First monic irreducible P of the given degree with P = u0 mod Q and
-    P not in exclude (candidates P = Q h + u0 over monic h, in enumeration
-    order, or seeded random order in non-deterministic mode).  Checks the
-    arguments, raising ValueError or NotCoprimeError, and raises
-    NoneFoundAtDegreeError when no candidate of that degree is irreducible.
-    """
-    if opts is None:
-        opts = RealizeOptions()
-    if Q.is_zero() or not Q.is_monic():
-        raise ValueError("Q must be monic")
-    dq = Q.degree
-    if not u0.degree < dq:
-        raise ValueError("u0 must be reduced mod Q")
-    if degree < dq:
-        raise ValueError(f"degree {degree} is below deg Q = {dq}")
-    if gcd(u0, Q).degree != 0:
-        raise NotCoprimeError(
-            f"residue {format_poly(u0)} shares a factor with {format_poly(Q)}"
-        )
-    rng = None if opts.deterministic else random.Random(opts.seed)
-    P, tested = _find_irreducible(u0, Q, degree, rng, frozenset(exclude))
-    if P is None:
-        raise NoneFoundAtDegreeError(degree=degree, tested=tested)
-    return P
-
-
 # -- the inductive construction ----------------------------------------------
 
 
 def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = None) -> Realization:
     """A tuple of distinct monic irreducibles with residue matrix exactly M.
+
+    Each position picks its residues with _choose_residue, merges them with
+    crt_combine (which checks the moduli and residues) and scans the class
+    with _find_irreducible.  The residue matrix of the result is recomputed
+    and compared with M before it is returned.
 
     Raises NotRealizableError when classify rejects M and
     ResourceExhaustedError if the degree schedule passes opts.max_degree

@@ -42,7 +42,7 @@ symmetric no matter the parity of the exponent.
 
 from dataclasses import dataclass
 
-from .field_core import Field, RootIndex, _zech, index_to_element, root_index_of
+from .field_core import Field, RootIndex, _zech, root_index_of
 from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
@@ -57,16 +57,15 @@ from .poly_ring import (
 
 
 class SymbolContext:
-    """Immutable (field, d) pair with d | q - 1 and the zeta power table."""
+    """Immutable (field, d) pair with d | q - 1."""
 
-    __slots__ = ("field", "d", "zeta_powers")
+    __slots__ = ("field", "d")
 
     def __init__(self, field: Field, d: int):
         if d < 1 or (field.q - 1) % d != 0:
             raise ValueError(f"d = {d} does not divide q - 1 = {field.q - 1}")
         self.field = field
         self.d = d
-        self.zeta_powers = tuple(index_to_element(field, d, k) for k in range(d))
 
     def __repr__(self):
         return f"SymbolContext({self.field!r}, d={self.d})"

@@ -1,6 +1,15 @@
 """Slow, definition-level reference implementations used to cross-check the
-library's fast paths.  Nothing here shares code with the implementations
-under test beyond the Field's element encoding and its chosen modulus."""
+library's fast paths.  Every product, sum and division here is digit
+arithmetic written out in this file; no library kernel runs.  What the
+oracles take from the library is its conventions:
+
+* the element encoding: a code's base-p digits are the coefficients of
+  the element, constant digit first (Field.p, .m and .q);
+* each Field's modulus, which field_mul_digits reduces by, and its
+  generator g, which naive_symbol_index takes discrete logarithms to;
+* enumerate_monic, which trial_division_irreducible uses only to list
+  every candidate divisor, so its order does not matter;
+* Poly as a container: only .field, .coeffs and .degree are read."""
 
 from residuemat import Poly
 
@@ -119,9 +128,8 @@ def naive_symbol_index(ctx, a: Poly, P: Poly) -> int:
 
 
 def trial_division_irreducible(P: Poly) -> bool:
-    """Irreducibility by dividing by every monic polynomial of degree at
-    most deg(P)/2 (the library enumerator is fair game here: its order is
-    irrelevant, only completeness)."""
+    """Irreducibility by long division (poly_divmod_lists) by every monic
+    polynomial of degree at most deg(P)/2."""
     from residuemat import enumerate_monic
 
     deg = P.degree
@@ -130,6 +138,6 @@ def trial_division_irreducible(P: Poly) -> bool:
     f = P.field
     for ddeg in range(1, deg // 2 + 1):
         for D in enumerate_monic(f, ddeg):
-            if (P % D).is_zero():
+            if not poly_divmod_lists(f, list(P.coeffs), list(D.coeffs))[1]:
                 return False
     return True

@@ -136,6 +136,17 @@ def test_classify_validates_arguments():
         classify(SYM22, 7)  # 4 does not divide 6
 
 
+def test_classify_rejects_q_not_a_prime_power():
+    # each d divides q - 1, so only the prime-power check can refuse these;
+    # the large q would take minutes by trial division
+    big = (2**31 - 1) * (2**61 - 1)
+    for q, d in ((6, 5), (10, 3), (12, 11), (15, 2), (big, 2)):
+        with pytest.raises(ValueError, match="prime power"):
+            classify(mat(2, d, (None, 1), (d - 1, None)), q)
+    for q, d in ((4, 3), (8, 7), (9, 8), (2**61 - 1, 2), ((2**31 - 1) ** 2, 2)):
+        assert classify(mat(2, d, (None, 1), (1, None)), q).realizable
+
+
 def test_classify_branch_selection():
     assert classify(SYM22, 5).branch == ODD_LAW  # (5-1)/4 odd
     assert classify(SYM22, 13).branch == ODD_LAW  # (13-1)/4 = 3 odd

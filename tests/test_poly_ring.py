@@ -341,7 +341,7 @@ def _sympy_oracle():
     def irreducible(c, p):
         return gf_irreducible_p(c[::-1], p, ZZ)
 
-    def mul(a, b, p):
+    def product(a, b, p):
         return gf_mul(a[::-1], b[::-1], p, ZZ)[::-1]
 
     def random_irreducible(rng, p, deg):
@@ -350,7 +350,7 @@ def _sympy_oracle():
             if irreducible(c, p):
                 return c
 
-    return irreducible, mul, random_irreducible
+    return irreducible, product, random_irreducible
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 13])

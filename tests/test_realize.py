@@ -8,17 +8,12 @@ import pytest
 
 from residuemat import (
     CycMatrix,
-    NoneFoundAtDegreeError,
-    NotCoprimeError,
     NotRealizableError,
     RealizeError,
     RealizeOptions,
     ResourceExhaustedError,
-    RootIndex,
     SymbolContext,
-    choose_residue_with_symbol,
     crt_combine,
-    find_irreducible_in_class,
     format_poly,
     from_code,
     is_irreducible,
@@ -32,7 +27,7 @@ from residuemat import (
     variable,
     zero,
 )
-from residuemat.realize import _choose_residue
+from residuemat.realize import _choose_residue, _find_irreducible
 
 from conftest import get_context, get_field
 
@@ -50,15 +45,11 @@ def test_choose_residue_deterministic():
     ctx = get_context(3, 2)
     f = ctx.field
     t1 = parse_poly("t+1", f)
-    assert choose_residue_with_symbol(ctx, t1, 1) == parse_poly("2", f)
-    assert choose_residue_with_symbol(ctx, t1, 0) == parse_poly("1", f)
+    assert _choose_residue(ctx, t1, 1, None)[0] == parse_poly("2", f)
+    assert _choose_residue(ctx, t1, 0, None)[0] == parse_poly("1", f)
     ctx54 = get_context(5, 4)
     f5 = ctx54.field
-    assert choose_residue_with_symbol(ctx54, variable(f5), 1) == parse_poly("2", f5)
-    # RootIndex targets are accepted too
-    assert choose_residue_with_symbol(
-        ctx54, variable(f5), RootIndex(1, 4)
-    ) == parse_poly("2", f5)
+    assert _choose_residue(ctx54, variable(f5), 1, None)[0] == parse_poly("2", f5)
 
 
 def test_choose_residue_target_zero_is_one():
@@ -66,8 +57,7 @@ def test_choose_residue_target_zero_is_one():
     for q, d in ((3, 2), (5, 4), (9, 8)):
         ctx = get_context(q, d)
         t = variable(ctx.field)
-        u = choose_residue_with_symbol(ctx, t, 0)
-        assert u == parse_poly("1", ctx.field)
+        assert _choose_residue(ctx, t, 0, None) == (parse_poly("1", ctx.field), 1)
 
 
 @pytest.mark.parametrize("q,d", [(5, 4), (9, 2), (13, 6)])
@@ -76,7 +66,7 @@ def test_choose_residue_hits_every_target(q, d):
     f = ctx.field
     for P in (variable(f), parse_poly("t+1", f)):
         for k in range(d):
-            u = choose_residue_with_symbol(ctx, P, k)
+            u, _ = _choose_residue(ctx, P, k, None)
             assert symbol(ctx, u, P).k == k
             assert u.degree < P.degree
 
@@ -84,11 +74,10 @@ def test_choose_residue_hits_every_target(q, d):
 def test_choose_residue_random_mode():
     ctx = get_context(5, 4)
     t = variable(ctx.field)
-    opts = RealizeOptions(seed=7, deterministic=False)
-    u = choose_residue_with_symbol(ctx, t, 3, opts)
+    u, _ = _choose_residue(ctx, t, 3, random.Random(7))
     assert symbol(ctx, u, t).k == 3
     # same seed, same draw
-    assert choose_residue_with_symbol(ctx, t, 3, opts) == u
+    assert _choose_residue(ctx, t, 3, random.Random(7))[0] == u
 
 
 def test_choose_residue_rejection_rate():
@@ -99,14 +88,6 @@ def test_choose_residue_rejection_rate():
     trials = [_choose_residue(ctx, t, i % 4, rng)[1] for i in range(1000)]
     mean = sum(trials) / len(trials)
     assert 2.0 < mean < 6.0
-
-
-def test_choose_residue_target_range(f5):
-    ctx = get_context(5, 4)
-    with pytest.raises(ValueError):
-        choose_residue_with_symbol(ctx, variable(f5), 4)
-    with pytest.raises(ValueError):
-        choose_residue_with_symbol(ctx, variable(f5), -1)
 
 
 # -- CRT -------------------------------------------------------------------
@@ -174,69 +155,38 @@ def test_crt_combine_errors(f3, f5):
 
 
 def test_find_irreducible_examples(f3):
-    ctx = get_context(3, 2)
     t = variable(f3)
-    got = find_irreducible_in_class(ctx, parse_poly("1", f3), t, 1)
+    got, _ = _find_irreducible(parse_poly("1", f3), t, 1, None)
     assert got == parse_poly("t+1", f3)
-    got = find_irreducible_in_class(ctx, parse_poly("2", f3), t, 2)
+    got, tested = _find_irreducible(parse_poly("2", f3), t, 2, None)
     assert got == parse_poly("t^2+t+2", f3)  # t^2+2 comes first but has root 1
-    got = find_irreducible_in_class(
-        ctx, parse_poly("2", f3), t, 2, exclude={parse_poly("t^2+t+2", f3)}
-    )
-    assert got == parse_poly("t^2+2*t+2", f3)
+    assert tested == 2
 
 
 def test_find_irreducible_respects_class_and_degree(f5):
-    ctx = get_context(5, 4)
     Q = parse_poly("t^2+2", f5)
     u0 = parse_poly("t+1", f5)
     for deg in (3, 4, 5):
-        P = find_irreducible_in_class(ctx, u0, Q, deg)
+        P, _ = _find_irreducible(u0, Q, deg, None)
         assert P.degree == deg and P.is_monic() and is_irreducible(P)
         assert P % Q == u0
 
 
 def test_find_irreducible_none_at_degree():
-    ctx = get_context(2, 1)
-    f2 = ctx.field
+    f2 = get_field(2)
     Q = parse_poly("t^2+t+1", f2)
     u0 = variable(f2)
     # the only degree-2 candidate is Q + t = t^2 + 1 = (t+1)^2
-    with pytest.raises(NoneFoundAtDegreeError) as exc:
-        find_irreducible_in_class(ctx, u0, Q, 2)
-    assert exc.value.degree == 2 and exc.value.tested == 1
-    assert find_irreducible_in_class(ctx, u0, Q, 3) == parse_poly("t^3+t+1", f2)
-
-
-def test_find_irreducible_not_coprime(f3):
-    ctx = get_context(3, 2)
-    t = variable(f3)
-    Q = t * parse_poly("t+1", f3)
-    with pytest.raises(NotCoprimeError):
-        find_irreducible_in_class(ctx, t, Q, 3)
-    with pytest.raises(NotCoprimeError):
-        find_irreducible_in_class(ctx, zero(f3), t, 2)
-
-
-def test_find_irreducible_argument_errors(f3):
-    ctx = get_context(3, 2)
-    t = variable(f3)
-    with pytest.raises(ValueError, match="monic"):
-        find_irreducible_in_class(ctx, parse_poly("1", f3), parse_poly("2*t", f3), 2)
-    with pytest.raises(ValueError, match="reduced"):
-        find_irreducible_in_class(ctx, parse_poly("t^2", f3), t, 3)
-    with pytest.raises(ValueError, match="below deg Q"):
-        find_irreducible_in_class(ctx, parse_poly("1", f3), parse_poly("t^2+1", f3), 1)
+    assert _find_irreducible(u0, Q, 2, None) == (None, 1)
+    assert _find_irreducible(u0, Q, 3, None)[0] == parse_poly("t^3+t+1", f2)
 
 
 def test_find_irreducible_random_mode(f5):
-    ctx = get_context(5, 4)
     Q = variable(f5)
     u0 = parse_poly("2", f5)
-    opts = RealizeOptions(seed=11, deterministic=False)
-    P = find_irreducible_in_class(ctx, u0, Q, 4, opts=opts)
+    P, _ = _find_irreducible(u0, Q, 4, random.Random(11))
     assert P.degree == 4 and is_irreducible(P) and P % Q == u0
-    assert find_irreducible_in_class(ctx, u0, Q, 4, opts=opts) == P
+    assert _find_irreducible(u0, Q, 4, random.Random(11))[0] == P
 
 
 # -- options ---------------------------------------------------------------
