@@ -13,7 +13,7 @@ cube of the degree (the Frobenius matrix and up to deg/2 gcds; a symbol
 only its square).  verify refuses a scan of more than VERIFY_MAX_PAIRS
 ordered pairs of irreducibles, the same cap equiv applies to its matrix
 count by default, and a structure check of more than VERIFY_MAX_PRODUCTS
-residue products.
+residue products; equiv refuses a --bound above EQUIV_MAX_MATRICES.
 Matrices travel as text files in the matrix_class format; structured
 results are printed as JSON with sorted keys so output is stable for
 golden-file comparison.
@@ -40,6 +40,8 @@ from .residue_symbol import (
 MAX_POLY_DEGREE = 256
 VERIFY_MAX_PAIRS = 1_000_000
 VERIFY_MAX_PRODUCTS = 10_000_000
+# equiv walks each matrix once; 2^20 admits (5, 2), about 40 s on a 2-vCPU Xeon
+EQUIV_MAX_MATRICES = 2**20
 
 
 class UsageError(Exception):
@@ -152,7 +154,7 @@ def _reciprocity_pairs(field, max_deg: int) -> int:
 
 
 def _structure_products(field, max_deg: int) -> int:
-    """Residue products the structure check multiplies: |P|(|P| - 1)/2 for
+    """Residue products the structure check compares: |P|(|P| - 1)/2 for
     each monic irreducible P of degree <= max_deg."""
     total = 0
     for k in range(1, max_deg + 1):
@@ -188,6 +190,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    if args.bound > EQUIV_MAX_MATRICES:
+        raise ValueError(
+            f"--bound {args.bound} exceeds the matrix-count ceiling "
+            f"EQUIV_MAX_MATRICES = {EQUIV_MAX_MATRICES}"
+        )
     rep = criteria_equiv_bruteforce(args.n, args.d, bound=args.bound)
     verdict = "yes" if rep.equivalent else "no"
     print(
@@ -267,7 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("equiv", help="brute-force block-form vs diagonal criteria")
     sp.add_argument("--n", type=int, required=True, help="matrix size")
     sp.add_argument("--d", type=int, required=True, help="root order (even)")
-    sp.add_argument("--bound", type=int, default=1_000_000, help="matrix-count cap")
+    sp.add_argument(
+        "--bound",
+        type=int,
+        default=1_000_000,
+        help=f"matrix-count cap (at most {EQUIV_MAX_MATRICES})",
+    )
     sp.set_defaults(func=cmd_equiv)
 
     return parser

@@ -16,8 +16,9 @@ the matrix into block form [[A, B], [B^t, S]] with A an s x s
 skew-symmetric block (entry pairs negated: m_jk - m_kj = d/2 mod d),
 S symmetric, and the lower-left block the exact transpose of B.
 classify() decides the multiset condition directly and reconstructs the
-permutation; the block search only exists for the brute-force
-cross-check.
+permutation.  The block form itself is only used by the brute-force
+cross-check, which generates every block-form matrix per (s, sigma), and
+by check_block_form, which tests one (s, sigma) by definition.
 
 The text format: first line "n d", then n rows of n whitespace-separated
 entries with "." on the diagonal.
@@ -327,9 +328,13 @@ class EquivReport:
 def criteria_equiv_bruteforce(n: int, d: int, bound: int = 1_000_000) -> EquivReport:
     """Check (block form exists) == (diagonal criterion) over every matrix.
 
-    The left side searches all (s, sigma) pairs outright, so this is
-    definition-level and independent of the shortcut in classify().  Work
-    is capped by `bound` on the number of matrices.
+    The left side is the definition, independent of the shortcut in
+    classify(): for every (s, sigma), each filling of the n(n-1)/2 entries
+    above the diagonal of the conjugated matrix gives exactly one block-form
+    matrix (its lower entries follow from the upper ones), and its index in
+    iter_all_matrices order is marked.  Then every matrix is walked once
+    and its mark compared with _odd_law_decision.  Work is capped by
+    `bound` on the number of matrices.
     """
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got n = {n}")
@@ -343,15 +348,30 @@ def criteria_equiv_bruteforce(n: int, d: int, bound: int = 1_000_000) -> EquivRe
         total *= d
     if total > bound:
         raise ValueError(f"{d}^{n * (n - 1)} matrices exceed the bound {bound}")
+    # weight[i][j] = d^(number of slots after (i, j)), so that a matrix's
+    # index is sum(M[i][j] * weight[i][j]) over the off-diagonal slots
+    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
+    weight = [[0] * n for _ in range(n)]
+    for t, (i, j) in enumerate(reversed(slots)):
+        weight[i][j] = d**t
+    half = d // 2
+    blocks = bytearray(total)
+    for sigma in itertools.permutations(range(n)):
+        for s in range(1, n + 1):
+            # M[sigma(i)][sigma(j)] = a above the diagonal, and below it
+            # a + d/2 inside the skew block (j < s), a outside it
+            found = [0]
+            for j in range(1, n):
+                shift = half if j < s else 0
+                for i in range(j):
+                    up, down = weight[sigma[i]][sigma[j]], weight[sigma[j]][sigma[i]]
+                    adds = [a * up + (a + shift) % d * down for a in range(d)]
+                    found = [x + y for y in adds for x in found]
+            for x in found:
+                blocks[x] = 1
     admissible = 0
     mismatches = []
-    perms = list(itertools.permutations(range(n)))
-    for M in iter_all_matrices(n, d):
-        by_blocks = any(
-            check_block_form(M, s, sigma)
-            for s in range(1, n + 1)
-            for sigma in perms
-        )
+    for M, by_blocks in zip(iter_all_matrices(n, d), blocks):
         by_diag = _odd_law_decision(M).realizable
         if by_blocks:
             admissible += 1

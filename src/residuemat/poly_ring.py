@@ -422,8 +422,10 @@ def _quotient_tables(f: Field, mod) -> tuple:
     Multiplication by g is F_p-linear, so the walk splits each code at a
     power of p into low and high digits, y = l + h*split, and adds the two
     precomputed products lo[l] + hi[h]: about 2*sqrt(q^n) products in all.
-    The addition is XOR in characteristic 2 and otherwise base-p digit by
-    digit."""
+    In characteristic 2 the addition is the XOR of codes.  In odd
+    characteristic lo and hi are recoded with base-2p digits, so their sum
+    never carries: it splits at the same digit into two halves, and one
+    table lookup each reduces a half's digits mod p back to a code."""
     q, p = f.q, f.p
     size = q ** (len(mod) - 1)
     M = size - 1
@@ -432,7 +434,8 @@ def _quotient_tables(f: Field, mod) -> tuple:
         gd = _digits_raw(q, g)
         if all(_pow_raw(f, gd, M // r, mod) != [1] for r in factors):
             break
-    split = p ** (f.m * (len(mod) - 1) // 2)
+    digits = f.m * (len(mod) - 1)
+    split = p ** (digits // 2)
     lo = [
         _code_raw(q, _mul_raw(f, _digits_raw(q, c), gd, mod)) for c in range(split)
     ]
@@ -443,23 +446,39 @@ def _quotient_tables(f: Field, mod) -> tuple:
     exp = [0] * M
     log = [-1] * size
     y = 1
-    for i in range(M):
-        exp[i] = y
-        log[y] = i
+    if p == 2:
+        for i in range(M):
+            exp[i] = y
+            log[y] = i
+            h, l = divmod(y, split)
+            y = lo[l] ^ hi[h]
+    else:
+        wide = (2 * p) ** (digits // 2)
+        lo = [_code_raw(2 * p, _digits_raw(p, c)) for c in lo]
+        hi = [_code_raw(2 * p, _digits_raw(p, c)) for c in hi]
+        low = _fold_table(p, digits // 2)
+        high = _fold_table(p, digits - digits // 2)
         h, l = divmod(y, split)
-        a, b = lo[l], hi[h]
-        if p == 2:
-            y = a ^ b
-            continue
-        y, unit = 0, 1
-        while a or b:
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            y += (da + db) % p * unit
-            unit *= p
+        for i in range(M):
+            y = l + h * split
+            exp[i] = y
+            log[y] = i
+            h, l = divmod(lo[l] + hi[h], wide)
+            l, h = low[l], high[h]
+        y = l + h * split
     if y != 1:
         raise AssertionError("generator order mismatch")  # unreachable
     return g, exp, log
+
+
+def _fold_table(p: int, k: int) -> list:
+    """table[c] for every c < (2p)^k: the base-p code of c's k base-2p
+    digits, each reduced mod p."""
+    table = [0]
+    for i in range(k):
+        w = p**i
+        table = [x + c % p * w for c in range(2 * p) for x in table]
+    return table
 
 
 def monic_from_code(field: Field, degree: int, code: int) -> Poly:

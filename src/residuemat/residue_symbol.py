@@ -33,6 +33,13 @@ orbit's minimal polynomial names Q), and a(beta) is one Horner pass in
 logarithms and Zech logarithms, O(deg a) table steps per symbol.  Nothing here uses
 reciprocity.
 
+verify_symbol_structure() does call symbol(), on every unit residue mod
+every monic irreducible P up to its degree, since those symbols are what
+it checks.  It takes the exp/log tables of F_q[t]/(P) from the same
+_quotient_tables, so the product of g^i and g^j is g^((i + j) mod
+(|P| - 1)): each product is an index sum, and every unordered pair of
+units is still compared, one row of pairs per list comparison.
+
 The reciprocity law: for distinct monic irreducibles P and Q,
 symbol(P, Q) - symbol(Q, P) = reciprocity_index(deg P, deg Q) mod d,
 where the right side is the image of (-1)^((q-1) deg P deg Q / d) with -1
@@ -285,12 +292,19 @@ def verify_reciprocity(ctx: SymbolContext, max_deg: int) -> ReciprocityReport:
         P for deg in range(1, max_deg + 1) for P in monic_irreducibles(f, deg)
     ]
     index = _exponent_oracle(ctx, polys)
+    # the law's right side depends only on the two degrees
+    sign = {
+        (a, b): reciprocity_index(ctx, a, b).k
+        for a in range(1, max_deg + 1)
+        for b in range(1, max_deg + 1)
+    }
+    degs = [len(P.coeffs) - 1 for P in polys]
     pairs = 0
     failures = []
     for i, P in enumerate(polys):
-        dp = P.degree
-        for Q in polys[i + 1 :]:
-            expected = reciprocity_index(ctx, dp, Q.degree).k
+        dp = degs[i]
+        for Q, dq in zip(polys[i + 1 :], degs[i + 1 :]):
+            expected = sign[dp, dq]
             s_pq = index(P, Q)
             s_qp = index(Q, P)
             pairs += 2
@@ -330,29 +344,27 @@ def verify_symbol_structure(ctx: SymbolContext, max_deg: int = 2) -> SymbolStruc
     mult_failures = []
     surj_failures = []
     for deg in range(1, max_deg + 1):
-        size = f.q**deg
-        raws = [list(from_code(f, code).coeffs) for code in range(size)]
         for P in monic_irreducibles(f, deg):
             moduli += 1
-            mod = P.coeffs
-            ks = [0] * size
-            for code in range(1, size):
-                ks[code] = symbol(ctx, from_code(f, code), P).k
-            residues += size - 1
-            if set(ks[1:]) != set(range(d)):
+            # the units are exp[i] = g^i, and g^i * g^j = g^((i + j) mod M)
+            _, exp, _ = _quotient_tables(f, P.coeffs)
+            M = len(exp)
+            kl = [symbol(ctx, from_code(f, code), P).k for code in exp]
+            residues += M
+            if set(kl) != set(range(d)):
                 surj_failures.append(P)
-            q = f.q
-            for ca in range(1, size):
-                ka = ks[ca]
-                ra = raws[ca]
-                for cb in range(ca, size):
-                    prod = _mul_raw(f, ra, raws[cb], mod)
-                    code = 0
-                    for c in reversed(prod):
-                        code = code * q + c
-                    products += 1
-                    if ks[code] != (ka + ks[cb]) % d:
-                        mult_failures.append((P, ca, cb))
+            # row i compares every unordered pair {g^i, g^j}, j >= i, at once
+            kk = kl + kl
+            found = []
+            for i, ki in enumerate(kl):
+                products += M - i
+                if kk[2 * i : i + M] == [(ki + x) % d for x in kl[i:]]:
+                    continue
+                for j in range(i, M):
+                    if kk[i + j] != (ki + kl[j]) % d:
+                        a, b = exp[i], exp[j]
+                        found.append((min(a, b), max(a, b)))
+            mult_failures += [(P, ca, cb) for ca, cb in sorted(found)]
     return SymbolStructureReport(
         q=f.q,
         d=d,

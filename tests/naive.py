@@ -8,10 +8,13 @@ oracles take from the library is its conventions:
 * each Field's modulus, which field_mul_digits reduces by, and its
   generator g, which naive_symbol_index takes discrete logarithms to;
 * enumerate_monic, which trial_division_irreducible uses only to list
-  every candidate divisor, so its order does not matter;
-* Poly as a container: only .field, .coeffs and .degree are read."""
+  every candidate divisor, so its order does not matter, and which
+  structure_failures uses to list moduli in the library's report order;
+* Poly as a container: only .field, .coeffs and .degree are read;
+* residue_symbol.symbol, read at call time, in structure_failures: the
+  symbols are what that check tests, so only its products are rebuilt."""
 
-from residuemat import Poly
+from residuemat import Poly, residue_symbol
 
 
 def field_mul_digits(f, a: int, b: int) -> int:
@@ -141,3 +144,43 @@ def trial_division_irreducible(P: Poly) -> bool:
             if not poly_divmod_lists(f, list(P.coeffs), list(D.coeffs))[1]:
                 return False
     return True
+
+
+def structure_failures(ctx, max_deg: int):
+    """(moduli, residues, products, mult_failures, surjectivity_failures) of
+    verify_symbol_structure, by its definition: every unordered pair of unit
+    residues a <= b (as codes) mod every monic irreducible P of degree
+    <= max_deg, with a*b mod P by poly_mul_lists and poly_divmod_lists."""
+    from residuemat import enumerate_monic
+
+    f, d, q = ctx.field, ctx.d, ctx.field.q
+    moduli = residues = products = 0
+    mult, surj = [], []
+    for deg in range(1, max_deg + 1):
+        size = q**deg
+        digits = [[c // q**i % q for i in range(deg)] for c in range(size)]
+        for cs in digits:
+            while cs and cs[-1] == 0:
+                cs.pop()
+        for P in enumerate_monic(f, deg):
+            if not trial_division_irreducible(P):
+                continue
+            moduli += 1
+            ks = [None] + [
+                residue_symbol.symbol(ctx, Poly(f, digits[c]), P).k
+                for c in range(1, size)
+            ]
+            residues += size - 1
+            if set(ks[1:]) != set(range(d)):
+                surj.append(P)
+            mod = list(P.coeffs)
+            for ca in range(1, size):
+                for cb in range(ca, size):
+                    prod = poly_divmod_lists(
+                        f, poly_mul_lists(f, digits[ca], digits[cb]), mod
+                    )[1]
+                    products += 1
+                    code = sum(c * q**i for i, c in enumerate(prod))
+                    if ks[code] != (ks[ca] + ks[cb]) % d:
+                        mult.append((P, ca, cb))
+    return moduli, residues, products, tuple(mult), tuple(surj)

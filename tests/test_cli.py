@@ -1,11 +1,18 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from residuemat import DEFAULT_MAX_Q, cli
-from residuemat.cli import MAX_POLY_DEGREE, VERIFY_MAX_PAIRS, VERIFY_MAX_PRODUCTS, main
+from residuemat.cli import (
+    EQUIV_MAX_MATRICES,
+    MAX_POLY_DEGREE,
+    VERIFY_MAX_PAIRS,
+    VERIFY_MAX_PRODUCTS,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -351,6 +358,30 @@ def test_equiv_bound(capsys):
         code, out, err = run(capsys, "equiv", "--n", "2", "--d", d)
         assert (code, out) == (1, "")
         assert "d even" in err
+
+
+def test_equiv_bound_ceiling(capsys, monkeypatch):
+    # a user bound above the ceiling is refused before any matrix is counted,
+    # even where the matrices themselves would fit under the default bound
+    assert EQUIV_MAX_MATRICES == 2**20
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("equiv started work above the ceiling")
+
+    monkeypatch.setattr(cli, "criteria_equiv_bruteforce", no_work)
+    for n, bound in (("5", "2000000"), ("6", str(10**10)), ("2", str(2**20 + 1))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "equiv", "--n", n, "--d", "2", "--bound", bound)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: --bound {bound} exceeds the matrix-count ceiling "
+            "EQUIV_MAX_MATRICES = 1048576\n"
+        )
+    monkeypatch.undo()
+    # the ceiling itself is allowed
+    code, out, _ = run(capsys, "equiv", "--n", "2", "--d", "4", "--bound", str(2**20))
+    assert code == 0 and out == "n=2, d=4: total=16, admissible=8, equivalent=yes\n"
 
 
 # -- parser-level behavior ---------------------------------------------------

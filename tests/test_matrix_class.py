@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from residuemat import (
     ODD_LAW,
     SYMMETRIC_LAW,
+    Classification,
     CycMatrix,
     check_block_form,
     classify,
@@ -17,6 +19,7 @@ from residuemat import (
     parse_matrix,
     scale_indices,
 )
+from residuemat import matrix_class
 
 
 def mat(n, d, *rows):
@@ -314,6 +317,39 @@ def test_criteria_equivalence(n, d, total, admissible):
     assert rep.total == total
     assert rep.admissible == admissible
     assert rep.mismatches == ()
+
+
+def _searched_decision(M):
+    # the block form by search over every (s, sigma), in place of the
+    # diagonal criterion, so the generated left side meets the definition
+    perms = list(itertools.permutations(range(M.n)))
+    found = any(
+        check_block_form(M, s, sigma) for s in range(1, M.n + 1) for sigma in perms
+    )
+    return Classification(realizable=found, branch=ODD_LAW)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4)])
+def test_generated_block_forms_equal_the_searched_ones(n, d, monkeypatch):
+    monkeypatch.setattr(matrix_class, "_odd_law_decision", _searched_decision)
+    rep = criteria_equiv_bruteforce(n, d)
+    assert rep.mismatches == ()
+    assert rep.total == d ** (n * (n - 1))
+
+
+@pytest.mark.parametrize("n,d,k", [(2, 4, 6), (3, 2, 37), (3, 4, 1234)])
+def test_criteria_equivalence_reports_one_flipped_verdict(n, d, k, monkeypatch):
+    flipped = list(iter_all_matrices(n, d))[k]
+    true_decision = matrix_class._odd_law_decision
+
+    def decision(M):
+        res = true_decision(M)
+        if M == flipped:
+            return Classification(realizable=not res.realizable, branch=ODD_LAW)
+        return res
+
+    monkeypatch.setattr(matrix_class, "_odd_law_decision", decision)
+    assert criteria_equiv_bruteforce(n, d).mismatches == (flipped,)
 
 
 def test_criteria_equivalence_guards():

@@ -27,7 +27,7 @@ from residuemat import (
 from residuemat import residue_symbol
 
 from conftest import get_context, get_field
-from naive import naive_symbol_index
+from naive import naive_symbol_index, structure_failures
 
 
 def test_context_validates_d(f5):
@@ -323,6 +323,60 @@ def test_verify_symbol_structure_counts():
 @pytest.mark.parametrize("q,d", [(5, 4), (7, 6), (9, 8), (4, 3)])
 def test_verify_symbol_structure_ok(q, d):
     assert verify_symbol_structure(get_context(q, d), 2).ok
+
+
+def _structure_fields(ctx, max_deg):
+    rep = verify_symbol_structure(ctx, max_deg)
+    return (
+        rep.moduli,
+        rep.residues,
+        rep.products,
+        rep.mult_failures,
+        rep.surjectivity_failures,
+    )
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 4)])
+def test_verify_symbol_structure_matches_naive(q, d):
+    ctx = get_context(q, d)
+    want = structure_failures(ctx, 2)
+    assert want[3:] == ((), ())
+    assert _structure_fields(ctx, 2) == want
+
+
+@pytest.mark.parametrize(
+    "q,d,max_deg,modulus,residue",
+    [(9, 8, 1, "t + {1,1}", 5), (5, 4, 2, "t^2 + 2", 7)],
+)
+def test_verify_symbol_structure_reports_a_wrong_residue(
+    q, d, max_deg, modulus, residue, monkeypatch
+):
+    # a symbol off by one at a single residue code of a single modulus:
+    # every pair it breaks is reported, exactly as the pairwise oracle finds
+    ctx = get_context(q, d)
+    f = ctx.field
+    bad_P, bad_a = parse_poly(modulus, f), from_code(f, residue)
+    true_symbol = residue_symbol.symbol
+
+    def mutant(ctx, a, P):
+        k = true_symbol(ctx, a, P)
+        if P == bad_P and a == bad_a:
+            return RootIndex((k.k + 1) % k.d, k.d)
+        return k
+
+    monkeypatch.setattr(residue_symbol, "symbol", mutant)
+    want = structure_failures(ctx, max_deg)
+    assert want[3] and all(P == bad_P for P, _, _ in want[3])
+    assert _structure_fields(ctx, max_deg) == want
+
+
+def test_verify_symbol_structure_reports_a_constant_symbol(monkeypatch):
+    # a constant symbol is multiplicative but onto nothing: every modulus fails
+    ctx = get_context(5, 4)
+    monkeypatch.setattr(residue_symbol, "symbol", lambda ctx, a, P: RootIndex(0, ctx.d))
+    want = structure_failures(ctx, 2)
+    assert want[3] == () and len(want[4]) == want[0] == 15
+    assert _structure_fields(ctx, 2) == want
 
 
 def test_residue_matrix_entries():
