@@ -40,7 +40,7 @@ from .residue_symbol import (
 MAX_POLY_DEGREE = 256
 VERIFY_MAX_PAIRS = 1_000_000
 VERIFY_MAX_PRODUCTS = 10_000_000
-# equiv walks each matrix once; 2^20 admits (5, 2), about 40 s on a 2-vCPU Xeon
+# equiv walks each matrix once; 2^20 admits (5, 2), about 27 s on a 2-vCPU Xeon
 EQUIV_MAX_MATRICES = 2**20
 
 

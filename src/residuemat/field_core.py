@@ -82,6 +82,12 @@ def _is_prime_power(q: int) -> bool:
     return False
 
 
+def _odd_law(q: int, d: int) -> bool:
+    """Whether -1 is not a d-th power in F_q (d | q - 1): q odd and (q - 1)/d
+    odd.  This law makes reciprocity and classify's criterion non-symmetric."""
+    return q % 2 == 1 and (q - 1) // d % 2 == 1
+
+
 def _prime_factors(n: int) -> list:
     """Distinct prime factors by trial division (n stays small here)."""
     out = []

@@ -15,8 +15,10 @@ The second branch is equivalent to the existence of a permutation putting
 the matrix into block form [[A, B], [B^t, S]] with A an s x s
 skew-symmetric block (entry pairs negated: m_jk - m_kj = d/2 mod d),
 S symmetric, and the lower-left block the exact transpose of B.
-classify() decides the multiset condition directly and reconstructs the
-permutation.  The block form itself is only used by the brute-force
+classify() picks the law by field_core._odd_law, and one scan over the
+entry pairs decides either: it yields the first bad pair or else the
+M Mbar diagonal, from which the multiset condition and the permutation
+follow.  The block form itself is only used by the brute-force
 cross-check, which generates every block-form matrix per (s, sigma), and
 by check_block_form, which tests one (s, sigma) by definition.
 
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .field_core import _is_prime_power
+from .field_core import _is_prime_power, _odd_law
 
 SYMMETRIC_LAW = "symmetric"
 ODD_LAW = "odd"
@@ -147,22 +149,34 @@ def mmbar_diagonal(M: CycMatrix) -> list:
     other pair gives a non-real summand, which no realizable matrix has, so
     that case raises ValueError.
     """
-    n, d = M.n, M.d
-    out = []
-    for j in range(n):
-        total = 0
-        for k in range(n):
-            if k == j:
+    bad, diag = _pair_scan(M, M.d % 2 == 0)
+    if bad is not None:
+        j, k = bad
+        raise ValueError(
+            f"entries ({j + 1},{k + 1}) and ({k + 1},{j + 1}) are neither "
+            "equal nor conjugate; M Mbar diagonal is not an integer vector"
+        )
+    return diag
+
+
+def _pair_scan(M: CycMatrix, negated_ok: bool) -> tuple:
+    """(bad, diag) from one pass over the entry pairs i < j, row-major.  A
+    pair is good when its entries are equal or, with negated_ok, differ by
+    d/2 mod d.  bad is the first other pair, or None; then diag is the
+    M Mbar diagonal: n - 1, less 2 at both ends of each negated pair."""
+    n, d, e = M.n, M.d, M.entries
+    diag = [n - 1] * n
+    for i in range(n):
+        row = e[i]
+        for j in range(i + 1, n):
+            a, b = row[j], e[j][i]
+            if a == b:
                 continue
-            e = epsilon(M, j, k)
-            if e is None:
-                raise ValueError(
-                    f"entries ({j + 1},{k + 1}) and ({k + 1},{j + 1}) are neither "
-                    "equal nor conjugate; M Mbar diagonal is not an integer vector"
-                )
-            total += e
-        out.append(total)
-    return out
+            if not negated_ok or (a - b) % d != d // 2:
+                return (i, j), None
+            diag[i] -= 2
+            diag[j] -= 2
+    return None, diag
 
 
 @dataclass(frozen=True)
@@ -207,30 +221,17 @@ def classify(M: CycMatrix, q: int) -> Classification:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
     if (q - 1) % M.d != 0:
         raise ValueError(f"d = {M.d} does not divide q - 1 = {q - 1}")
-    if q % 2 == 0 or ((q - 1) // M.d) % 2 == 0:
-        return _symmetric_law_decision(M)
-    return _odd_law_decision(M)
-
-
-def _symmetric_law_decision(M: CycMatrix) -> Classification:
-    for i in range(M.n):
-        for j in range(i + 1, M.n):
-            if M.entries[i][j] != M.entries[j][i]:
-                return Classification(
-                    realizable=False, branch=SYMMETRIC_LAW, witness_pair=(i, j)
-                )
-    return Classification(realizable=True, branch=SYMMETRIC_LAW)
+    if _odd_law(q, M.d):
+        return _odd_law_decision(M)
+    bad, _ = _pair_scan(M, False)
+    return Classification(bad is None, SYMMETRIC_LAW, witness_pair=bad)
 
 
 def _odd_law_decision(M: CycMatrix) -> Classification:
     n = M.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if epsilon(M, i, j) is None:
-                return Classification(
-                    realizable=False, branch=ODD_LAW, witness_pair=(i, j)
-                )
-    diag = mmbar_diagonal(M)
+    bad, diag = _pair_scan(M, M.d % 2 == 0)
+    if bad is not None:
+        return Classification(realizable=False, branch=ODD_LAW, witness_pair=bad)
     # D_j = n + 1 - 2s at the s skew positions and n - 1 elsewhere, and
     # n + 1 - 2s = n - 1 only for s = 1.  So the skew rows are the rows off
     # n - 1, their count is s (none means s = 1), and they must all read

@@ -289,22 +289,20 @@ def _gcd_raw(f: Field, a, b) -> list:
     return a
 
 
-def _xgcd_raw(f: Field, a, b) -> tuple:
-    """Monic g plus Bezout coefficients (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
+def _inv_raw(f: Field, a, mod) -> tuple:
+    """(g, s): the monic gcd g of a and mod, and s with s*a = g mod mod.
+    When g = 1, s is the inverse of a mod mod."""
+    r0, r1 = list(a), list(mod)
     s0, s1 = [1], []
-    t0, t1 = [], [1]
     while r1:
         qt, rm = _divmod_raw(f, r0, r1)
         r0, r1 = r1, rm
         s0, s1 = s1, _add_raw(f, s0, _mul_raw(f, qt, s1), True)
-        t0, t1 = t1, _add_raw(f, t0, _mul_raw(f, qt, t1), True)
     if r0 and r0[-1] != 1:
         inv_lead = [f.inv(r0[-1])]
         r0 = _mul_raw(f, inv_lead, r0)
         s0 = _mul_raw(f, inv_lead, s0)
-        t0 = _mul_raw(f, inv_lead, t0)
-    return r0, s0, t0
+    return r0, s0
 
 
 def _add_raw(f: Field, a, b, subtract=False) -> list:

@@ -31,15 +31,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .matrix_class import (
-    ODD_LAW,
-    CycMatrix,
-    classify,
-    conjugate_by_permutation,
-)
+from .matrix_class import ODD_LAW, CycMatrix, classify
 from .poly_ring import (
     Poly,
-    _xgcd_raw,
+    _inv_raw,
     format_poly,
     from_code,
     is_irreducible,
@@ -202,7 +197,7 @@ def crt_combine(pairs):
     # fold one congruence at a time into u0 mod Q, starting from 0 mod 1
     u0, Q = zero(f), one(f)
     for u, P in pairs:
-        g, inv, _ = _xgcd_raw(f, (Q % P).coeffs, P.coeffs)
+        g, inv = _inv_raw(f, (Q % P).coeffs, P.coeffs)
         if g != [1]:
             raise ValueError("moduli are not coprime")  # unreachable for primes
         u0 = u0 + Q * ((u - u0) * Poly._make(f, inv) % P)
@@ -284,7 +279,6 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
     else:
         sigma, s = tuple(range(n)), None
         parity = [None] * n
-    Mp = conjugate_by_permutation(M, sigma)
     rng = None if opts.deterministic else random.Random(opts.seed)
 
     polys_p = []
@@ -292,7 +286,7 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
     for k in range(n):
         choices = []
         for j in range(k):
-            target = Mp.entries[k][j]
+            target = M.entries[sigma[k]][sigma[j]]
             u, trials = _choose_residue(ctx, polys_p[j], target, rng)
             choices.append(
                 ResidueChoice(

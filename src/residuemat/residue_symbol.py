@@ -49,7 +49,7 @@ symmetric no matter the parity of the exponent.
 
 from dataclasses import dataclass
 
-from .field_core import Field, RootIndex, _zech, root_index_of
+from .field_core import Field, RootIndex, _odd_law, _zech, root_index_of
 from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
@@ -108,9 +108,8 @@ def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
     Euclid's algorithm and the reciprocity law."""
     f, d = ctx.field, ctx.d
     log = f.log
-    # the reciprocity sign is d/2 exactly when p is odd, (q-1)/d is odd
-    # and both degrees are odd (reciprocity_index)
-    signed = f.p != 2 and (f.q - 1) // d % 2 == 1
+    # the reciprocity sign is d/2 on two odd degrees (reciprocity_index)
+    signed = _odd_law(f.q, d)
     k = 0
     ra, rb = list(a.coeffs), b.coeffs
     while len(rb) > 1:
@@ -232,19 +231,14 @@ def _root_logs(f: Field, n: int, Qs, exp, log, zech):
 
 
 def reciprocity_index(ctx: SymbolContext, deg_p: int, deg_q: int) -> RootIndex:
-    """Index of the reciprocity sign phi((-1)^((q-1) deg_p deg_q / d)).
-
-    Zero in characteristic 2 (where -1 = 1) and whenever the exponent is
-    even; d/2 otherwise, which is well defined since an odd exponent forces
-    (q-1)/d odd with q odd, hence d even.
-    """
+    """Index of the reciprocity sign phi((-1)^((q-1) deg_p deg_q / d)): d/2
+    when -1 is not a d-th power (field_core._odd_law) and both degrees are
+    odd, else 0."""
     if deg_p < 1 or deg_q < 1:
         raise ValueError("degrees must be >= 1")
-    f, d = ctx.field, ctx.d
-    if f.p == 2:
-        return RootIndex(0, d)
-    e = (f.q - 1) // d * deg_p * deg_q
-    return RootIndex(0 if e % 2 == 0 else d // 2, d)
+    d = ctx.d
+    odd = _odd_law(ctx.field.q, d) and deg_p % 2 == 1 and deg_q % 2 == 1
+    return RootIndex(d // 2 if odd else 0, d)
 
 
 def residue_matrix(ctx: SymbolContext, polys) -> CycMatrix:

@@ -11,6 +11,8 @@ oracles take from the library is its conventions:
   every candidate divisor, so its order does not matter, and which
   structure_failures uses to list moduli in the library's report order;
 * Poly as a container: only .field, .coeffs and .degree are read;
+* CycMatrix as a container: only .n, .d and .entries are read, by
+  mmbar_reference and classify_reference;
 * residue_symbol.symbol, read at call time, in structure_failures: the
   symbols are what that check tests, so only its products are rebuilt."""
 
@@ -184,3 +186,52 @@ def structure_failures(ctx, max_deg: int):
                     if ks[code] != (ks[ca] + ks[cb]) % d:
                         mult.append((P, ca, cb))
     return moduli, residues, products, tuple(mult), tuple(surj)
+
+
+def mmbar_reference(M):
+    """(diag, bad) by the definition of the M Mbar diagonal: entry j sums,
+    over the ordered pairs (j, k) with k != j, +1 where m_jk = m_kj and -1
+    where m_jk - m_kj = d/2 mod d (d even).  bad is the first ordered pair
+    in row-major order that is neither, and then diag is None."""
+    n, d, e = M.n, M.d, M.entries
+    diag = []
+    for j in range(n):
+        total = 0
+        for k in range(n):
+            if k == j:
+                continue
+            if e[j][k] == e[k][j]:
+                total += 1
+            elif d % 2 == 0 and (e[j][k] - e[k][j]) % d == d // 2:
+                total -= 1
+            else:
+                return None, (j, k)
+        diag.append(total)
+    return diag, None
+
+
+def classify_reference(M, q: int) -> tuple:
+    """(realizable, branch, s, sigma, witness_pair, witness_diagonal) of
+    classify, from the theorem as stated.  When q is even or (q - 1)/d is
+    even, M is realizable iff it is symmetric, with the first unequal pair
+    i < j in row-major order as witness.  Otherwise every pair must be
+    equal or negated (witness: the first that is neither), and the M Mbar
+    diagonal must be, as a multiset, s copies of n + 1 - 2s and n - s
+    copies of n - 1 for some s in 1..n (witness: the sorted diagonal).
+    sigma lists the rows off n - 1, then the rest."""
+    n, d, e = M.n, M.d, M.entries
+    if q % 2 == 0 or (q - 1) // d % 2 == 0:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if e[i][j] != e[j][i]:
+                    return False, "symmetric", None, None, (i, j), None
+        return True, "symmetric", None, None, None, None
+    diag, bad = mmbar_reference(M)
+    if bad is not None:
+        return False, "odd", None, None, bad, None
+    for s in range(1, n + 1):
+        if sorted(diag) == sorted([n + 1 - 2 * s] * s + [n - 1] * (n - s)):
+            skew = [j for j in range(n) if diag[j] != n - 1]
+            rest = [j for j in range(n) if diag[j] == n - 1]
+            return True, "odd", s, tuple(skew + rest), None, None
+    return False, "odd", None, None, None, tuple(sorted(diag))

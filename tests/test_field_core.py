@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from residuemat import (
+    CycMatrix,
     RootIndex,
+    SymbolContext,
+    classify,
     field_build,
     index_to_element,
     is_prime,
+    reciprocity_index,
     root_index_of,
     unit_scalings,
 )
+from residuemat.field_core import _odd_law
 
 import field_digests
 from conftest import get_field
@@ -228,6 +233,23 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+
+
+def test_odd_law_is_minus_one_not_a_dth_power():
+    # -1 is a d-th power in F_q iff (-1)^((q - 1)/d) = 1, by digit arithmetic
+    for p in (x for x in range(2, 65) if is_prime(x)):
+        m = 1
+        while p**m <= 64:
+            f, q = field_build(p, m), p**m
+            minus_one = field_neg_digits(f, 1)
+            for d in (x for x in range(1, q) if (q - 1) % x == 0):
+                odd = field_pow_digits(f, minus_one, (q - 1) // d) != 1
+                assert _odd_law(q, d) == odd, (q, d)
+                M = CycMatrix(2, d, [[None, 0], [0, None]])
+                assert classify(M, q).branch == ("odd" if odd else "symmetric")
+                k = reciprocity_index(SymbolContext(f, d), 1, 1).k
+                assert k == (d // 2 if odd else 0), (q, d)
+            m += 1
 
 
 def test_unit_scalings():

@@ -21,6 +21,8 @@ from residuemat import (
 )
 from residuemat import matrix_class
 
+from naive import classify_reference, mmbar_reference
+
 
 def mat(n, d, *rows):
     return CycMatrix(n, d, [list(r) for r in rows])
@@ -129,6 +131,22 @@ def test_mmbar_diagonal():
         mmbar_diagonal(mat(2, 4, (None, 0), (1, None)))
 
 
+@pytest.mark.parametrize("n,d", [(3, 3), (3, 4)])
+def test_mmbar_diagonal_matches_reference(n, d):
+    for M in iter_all_matrices(n, d):
+        diag, bad = mmbar_reference(M)
+        if bad is None:
+            assert mmbar_diagonal(M) == diag, M
+            continue
+        j, k = bad
+        with pytest.raises(ValueError) as err:
+            mmbar_diagonal(M)
+        assert str(err.value) == (
+            f"entries ({j + 1},{k + 1}) and ({k + 1},{j + 1}) are neither "
+            "equal nor conjugate; M Mbar diagonal is not an integer vector"
+        ), M
+
+
 # -- classify -------------------------------------------------------------
 
 
@@ -227,6 +245,27 @@ def test_classify_smallest_s_is_reported():
     # also trivially block-form for no other s
     M = mat(3, 2, (None, 0, 0), (0, None, 0), (0, 0, None))
     assert classify(M, 3).s == 1
+
+
+# each (n, d) under the smallest q of every law that applies: the odd law,
+# the symmetric law in odd characteristic and in characteristic 2
+@pytest.mark.parametrize(
+    "n,d,q",
+    [
+        (2, 4, 5), (2, 4, 9),
+        (3, 4, 5), (3, 4, 9),
+        (3, 2, 3), (3, 2, 5),
+        (2, 6, 7), (2, 6, 13),
+        (4, 2, 3), (4, 2, 5),
+        (3, 3, 4), (3, 3, 7),
+        (2, 8, 9), (2, 8, 17),
+    ],
+)
+def test_classify_matches_reference(n, d, q):
+    for M in iter_all_matrices(n, d):
+        c = classify(M, q)
+        got = (c.realizable, c.branch, c.s, c.sigma, c.witness_pair, c.witness_diagonal)
+        assert got == classify_reference(M, q), M
 
 
 # -- block form ------------------------------------------------------------

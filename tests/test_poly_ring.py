@@ -25,7 +25,7 @@ from residuemat import (
     zero,
 )
 
-from residuemat.poly_ring import _frobenius_rows
+from residuemat.poly_ring import _frobenius_rows, _inv_raw
 
 from conftest import get_field
 from naive import (
@@ -252,6 +252,31 @@ def test_gcd_divides_both(data):
     else:
         assert g.is_monic()
         assert (a % g).is_zero() and (b % g).is_zero()
+
+
+@pytest.mark.parametrize("q", [5, 4, 9])
+def test_inv_raw_cofactor(q):
+    # s*a = g mod b with g monic; a common factor c makes some pairs not coprime
+    f = get_field(q)
+    rng = random.Random(q)
+
+    def rand_poly(lo, hi):
+        cs = [rng.randrange(q) for _ in range(rng.randint(lo, hi))]
+        return cs + [rng.randrange(1, q)]
+
+    coprime = 0
+    for trial in range(60):
+        a, b = rand_poly(0, 5), rand_poly(1, 5)
+        if trial % 4 == 0:
+            c = rand_poly(1, 2)
+            a, b = poly_mul_lists(f, a, c), poly_mul_lists(f, b, c)
+        g, s = _inv_raw(f, a, b)
+        assert g[-1] == 1
+        assert not poly_divmod_lists(f, a, g)[1] and not poly_divmod_lists(f, b, g)[1]
+        sa = poly_divmod_lists(f, poly_mul_lists(f, s, a), b)[1]
+        assert sa == poly_divmod_lists(f, g, b)[1], (a, b)
+        coprime += g == [1]
+    assert 20 <= coprime < 60
 
 
 # -- modular exponentiation ----------------------------------------------
