@@ -9,8 +9,9 @@ The field is given as --q for a prime, or --p/--m for a prime power
 q = p^m; the environment variable RESIDUEMAT_MAX_Q overrides the default
 field-size bound.  Polynomial arguments and realize's --max-degree above
 MAX_POLY_DEGREE are refused, since an irreducibility test costs about the
-cube of the degree (the Frobenius matrix and up to deg/2 gcds; a symbol
-only its square).  verify refuses a scan of more than VERIFY_MAX_PAIRS
+cube of the degree (the Frobenius matrix and up to deg/2 gcds, about
+sqrt(deg/2) of them over a prime field where the chain runs on packed
+ints; a symbol only its square).  verify refuses a scan of more than VERIFY_MAX_PAIRS
 ordered pairs of irreducibles, the same cap equiv applies to its matrix
 count by default, and a structure check of more than VERIFY_MAX_PRODUCTS
 residue products; equiv refuses a --bound above EQUIV_MAX_MATRICES.
@@ -40,7 +41,7 @@ from .residue_symbol import (
 MAX_POLY_DEGREE = 256
 VERIFY_MAX_PAIRS = 1_000_000
 VERIFY_MAX_PRODUCTS = 10_000_000
-# equiv walks each matrix once; 2^20 admits (5, 2), about 27 s on a 2-vCPU Xeon
+# equiv walks each matrix once; 2^20 admits (5, 2), about 19 s on a 2-vCPU Xeon
 EQUIV_MAX_MATRICES = 2**20
 
 

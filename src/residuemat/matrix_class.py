@@ -64,6 +64,14 @@ class CycMatrix:
         self.d = d
         self.entries = tuple(tuple(r) for r in rows)
 
+    @classmethod
+    def _make(cls, n: int, d: int, entries: tuple) -> "CycMatrix":
+        # trusted constructor: entries is already n row tuples of indices
+        # in [0, d) with None on the diagonal
+        self = object.__new__(cls)
+        self.n, self.d, self.entries = n, d, entries
+        return self
+
     def entry(self, i: int, j: int) -> int:
         """Off-diagonal entry, 0-based."""
         if i == j:
@@ -303,12 +311,12 @@ def check_block_form(M: CycMatrix, s: int, sigma) -> bool:
 
 def iter_all_matrices(n: int, d: int) -> Iterator[CycMatrix]:
     """All d^(n(n-1)) matrices, in row-major lexicographic entry order."""
-    slots = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for combo in itertools.product(range(d), repeat=len(slots)):
-        entries = [[None] * n for _ in range(n)]
-        for (i, j), v in zip(slots, combo):
-            entries[i][j] = v
-        yield CycMatrix(n, d, entries)
+    # row i is combo[i k : i k + k] with None put in at column i
+    k = n - 1
+    cuts = [(i * k, i * k + i, i * k + k) for i in range(n)]
+    for combo in itertools.product(range(d), repeat=n * k):
+        entries = tuple(combo[a:b] + (None,) + combo[b:c] for a, b, c in cuts)
+        yield CycMatrix._make(n, d, entries)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,11 @@ i <= n/2, stopping at the first nontrivial gcd) and is cached on the
 instance, since symbol evaluation revalidates its modulus on every call.
 After the i = 1 root test, each step of the chain applies the matrix of
 the q-power Frobenius on F_q[t]/(P) (_frobenius_rows) instead of raising
-to the q-th power.
+to the q-th power.  Over a prime field of high enough degree the chain
+runs on Kronecker-packed ints (_Packed): a polynomial is one int with a
+coefficient per fixed-width slot, so a product mod P is three int
+products (Barrett reduction), and the differences are multiplied together
+so that one gcd covers a block of steps (_packed_chain).
 
 The same Ben-Or test finds field_core's GF(p^m) modulus, and
 _quotient_tables walks the exp/log tables of any quotient field
@@ -24,11 +28,18 @@ integers and extension coefficients as '{c0,c1,...}' digit vectors
 """
 
 import re
+import sys
+from array import array
+from math import isqrt
+from operator import mul
 from typing import Iterator
 
 from .field_core import Field, _prime_factors
 
 NEG_INF = float("-inf")
+_BIG_ENDIAN = sys.byteorder == "big"
+# array typecodes by word width in bits, for packing slots of that width
+_WORDS = {array(code).itemsize * 8: code for code in "BHIQ"}
 
 
 def _trim(c: list) -> list:
@@ -158,14 +169,17 @@ def constant(field: Field, c: int) -> Poly:
 
 # -- raw coefficient-list kernels ------------------------------------------
 #
-# All coefficient arithmetic of F_q[t] runs in two kernels: the product
-# _mul_raw (which also reduces mod a modulus in the same call, and applies
-# the Frobenius matrix in its rows form) and the reduction _rem_raw.
-# Irreducibility testing, symbols and the reciprocity oracle spend nearly
-# all of their time in them, so each carries one inner loop per field
-# arithmetic, chosen by (p, m) alone, with every field operation inlined:
-# prime fields add mod p, characteristic 2 XORs codes, and odd extension
-# fields add through the Zech table (see field_core).
+# All coefficient arithmetic of F_q[t] on coefficient lists runs in two
+# kernels: the product _mul_raw (which also reduces mod a modulus in the
+# same call, and applies the Frobenius matrix in its rows form) and the
+# reduction _rem_raw.  Irreducibility testing, symbols and the reciprocity
+# oracle spend nearly all of their time in them, so each carries one inner
+# loop per field arithmetic, chosen by (p, m) alone, with every field
+# operation inlined: prime fields add mod p, characteristic 2 XORs codes,
+# and odd extension fields add through the Zech table (see field_core).
+# The one exception is the Frobenius chain of Ben-Or's test over a prime
+# field past the crossover in _ben_or, which runs on packed ints (_Packed)
+# and comes back to lists only for its gcds.
 
 
 def _mul_raw(f: Field, a, b, mod=None, rows=False) -> list:
@@ -374,6 +388,11 @@ def is_irreducible(P: Poly) -> bool:
     The rows cost n - 2 mulmods by t^q mod P; when q < n that is the
     monomial t^q, so each is a shift plus at most q reduction rows, and
     the whole basis costs about one square-and-multiply step.
+
+    Over a prime field with n * min(p, n) >= 64 the rows and steps run on
+    packed ints, and the differences t^(p^i) - t are multiplied mod P in
+    blocks of isqrt(n/2) steps with one gcd per block: the scan then stops
+    at the first nontrivial gcd of a block, with the same verdict.
     """
     if P._irred is None:
         P._irred = len(P.coeffs) > 1 and _ben_or(P.field, P.monic().coeffs)
@@ -391,6 +410,12 @@ def _ben_or(f: Field, mod) -> bool:
         return False
     if n < 4:
         return True
+    # the list route spends n * min(p, n) coefficient operations per row
+    # (a shift and p reduction rows, or a dense product), the packed route
+    # a few int operations and a fixed set-up per call; packing pays from
+    # 64 on (BENCH_packed.json)
+    if f.m == 1 and n * min(f.p, n) >= 64:
+        return _packed_chain(f, mod, img)
     rows = _frobenius_rows(f, img, mod)
     for _ in range(n // 2 - 1):
         img = _mul_raw(f, img, rows, rows=True)
@@ -408,6 +433,147 @@ def _frobenius_rows(f: Field, xq, mod) -> list:
     for _ in range(2, len(mod) - 1):
         rows.append(_mul_raw(f, rows[-1], xq, mod))
     return rows
+
+
+def _packed_chain(f: Field, mod, xq) -> bool:
+    """Steps i = 2 .. n/2 of _ben_or over a prime field, on packed ints,
+    given xq = t^p mod P from the root test.  Each step is one product
+    of the packed Frobenius rows with the previous image; the differences
+    t^(p^i) - t are multiplied mod P and tested by one gcd per block of
+    isqrt(n/2) steps, and once at the end.  P is coprime to every
+    difference of a block iff it is coprime to their product, so the
+    verdict is the per-step test's."""
+    p, n = f.p, len(mod) - 1
+    ctx = _Packed(p, mod)
+    rows = ctx.frobenius_rows(xq)
+    block = isqrt(n // 2)
+    steps = n // 2 - 1
+    img = xq
+    for i in range(steps):
+        img = ctx.unpack(sum(map(mul, img, rows)), n)
+        diff = img.copy()
+        diff[1] = (diff[1] - 1) % p
+        acc = diff if i % block == 0 else ctx.mulmod(ctx.pack(acc), ctx.pack(diff))
+        if (i + 1) % block == 0 or i + 1 == steps:
+            if len(_gcd_raw(f, _trim(acc), mod)) > 1:
+                return False
+    return True
+
+
+class _Packed:
+    """Arithmetic mod a monic P of degree n over F_p on Kronecker-packed
+    ints: c_0 + c_1 t + ... is the int sum of c_i * 2^(w i), one w-bit slot
+    per coefficient, so a product of polynomials is one product of ints.
+
+    Slots are never reduced inside an int: w is derived from the largest
+    slot value any product here can hold, and a packed value is brought
+    back to coefficients below p only by unpack.  Reduction mod P is
+    Barrett's: v = 1/rev(P) mod s^(n-1), with rev(P)(s) = s^n P(1/s), turns
+    the quotient of a product into one more product."""
+
+    __slots__ = ("p", "n", "w", "wb", "code", "reduce_top", "low", "kn", "v", "vr")
+
+    def __init__(self, p: int, mod):
+        n = len(mod) - 1
+        self.p, self.n = p, n
+        # a multiple of p at least every slot of quot * low (both reduced,
+        # quot at most n - 1 long), added to each slot before subtracting it
+        k = -(-(n - 1) * (p - 1) ** 2 // p) * p
+        prod = n * (p - 1) ** 2
+        bound = prod + k
+        # mulmod's middle product multiplies the n - 1 top slots of a
+        # product by v; they are reduced mod p first only where leaving
+        # them as they are would need slots wider than a machine word
+        lazy = (n - 1) * prod * (p - 1)
+        self.reduce_top = lazy.bit_length() > max(_WORDS)
+        if not self.reduce_top:
+            bound = max(bound, lazy)
+        if p < n:
+            # frobenius_rows' shift route: each reduction adds k to every
+            # slot, and a slot goes through at most ceil(n/p) of them
+            bound = max(bound, n * (p - 1) * -(-n // p) * k)
+        bits = bound.bit_length()
+        self.w = min((w for w in _WORDS if w >= bits), default=-(-bits // 64) * 64)
+        self.wb = self.w // 8
+        self.code = _WORDS.get(self.w)
+        self.low = self.pack(mod[:n])
+        self.kn = self.pack([k] * n)
+        # v by Newton iteration: v <- v (2 - rev(P) v) doubles the
+        # precision, from v = 1 since rev(P) has constant term 1
+        rev = self.pack(mod[::-1])
+        v, prec = [1], 1
+        while prec < n - 1:
+            prec = min(2 * prec, n - 1)
+            e = [(-c) % p for c in self.unpack(rev * self.pack(v), prec)]
+            e[0] = 1  # 2 - rev(P) v, whose constant term is 2 - 1
+            v = self.unpack(self.pack(v) * self.pack(e), prec)
+        self.v = v[: n - 1]
+        self.vr = self.reversed_v(n - 1)
+
+    def reversed_v(self, length: int) -> int:
+        """Packed sum of v_k t^(length - k) over k < length: for h of at
+        most length slots, (h * this) >> (w * length) is the middle product
+        sum_k h_(m+k) v_k at slot m, the quotient of h t^n by P."""
+        return self.pack([0] + self.v[:length][::-1])
+
+    def pack(self, coeffs) -> int:
+        if self.code:
+            words = array(self.code, coeffs)
+            if _BIG_ENDIAN:
+                words.byteswap()
+            return int.from_bytes(words, "little")
+        wb = self.wb
+        raw = b"".join(c.to_bytes(wb, "little") for c in coeffs)
+        return int.from_bytes(raw, "little")
+
+    def unpack(self, x: int, k: int) -> list:
+        """The low k slots of x, each reduced mod p.  Slots above them may
+        hold anything, even a borrow, since they are masked off first."""
+        p, wb = self.p, self.wb
+        raw = (x & ((1 << (self.w * k)) - 1)).to_bytes(k * wb, "little")
+        if self.code:
+            words = array(self.code, raw)
+            if _BIG_ENDIAN:
+                words.byteswap()
+            return [c % p for c in words]
+        return [
+            int.from_bytes(raw[i : i + wb], "little") % p for i in range(0, k * wb, wb)
+        ]
+
+    def mulmod(self, a: int, b: int) -> list:
+        """a * b mod P as n residues, for packed a and b with n reduced slots."""
+        w, n = self.w, self.n
+        c = a * b
+        top = c >> (w * n)
+        if self.reduce_top:
+            top = self.pack(self.unpack(top, n - 1))
+        quot = self.pack(self.unpack(top * self.vr >> (w * (n - 1)), n - 1))
+        return self.unpack(c + self.kn - quot * self.low, n)
+
+    def frobenius_rows(self, xq) -> list:
+        """_frobenius_rows, packed.  For p >= n, row j is the Barrett product
+        of row j - 1 and xq = t^p mod P.  For p < n, t^p is a monomial, so
+        row j is row j - 1 shifted by p slots with only the top p slots
+        reduced; the rows' slots then stay unreduced but correct mod p, so
+        the rows are only good for products that unpack mod p after them."""
+        p, n, w = self.p, self.n, self.w
+        if p >= n:
+            x = self.pack(xq)
+            rows = [1, x]
+            for _ in range(2, n):
+                rows.append(self.pack(self.mulmod(rows[-1], x)))
+            return rows
+        vr = self.reversed_v(p)
+        mask = (1 << (w * n)) - 1
+        row, rows = 1, [1]
+        for _ in range(1, n):
+            row <<= w * p
+            top = row >> (w * n)
+            if top:
+                quot = self.pack(self.unpack(top * vr >> (w * p), p))
+                row = (row + self.kn - quot * self.low) & mask
+            rows.append(row)
+        return rows
 
 
 def _quotient_tables(f: Field, mod) -> tuple:

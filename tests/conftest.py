@@ -11,6 +11,7 @@ _FIELD_PARAMS = {
     8: (2, 3),
     9: (3, 2),
     13: (13, 1),
+    1021: (1021, 1),
     256: (2, 8),
     2187: (3, 7),
 }

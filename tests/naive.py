@@ -8,7 +8,8 @@ oracles take from the library is its conventions:
 * each Field's modulus, which field_mul_digits reduces by, and its
   generator g, which naive_symbol_index takes discrete logarithms to;
 * enumerate_monic, which trial_division_irreducible uses only to list
-  every candidate divisor, so its order does not matter, and which
+  every candidate divisor and reducible_monics every factor pair, so its
+  order does not matter, and which
   structure_failures uses to list moduli in the library's report order;
 * Poly as a container: only .field, .coeffs and .degree are read;
 * CycMatrix as a container: only .n, .d and .entries are read, by
@@ -146,6 +147,21 @@ def trial_division_irreducible(P: Poly) -> bool:
             if not poly_divmod_lists(f, list(P.coeffs), list(D.coeffs))[1]:
                 return False
     return True
+
+
+def reducible_monics(f, deg: int) -> set:
+    """Coefficient tuples of every product (poly_mul_lists) of two monics of
+    degrees k and deg - k, 1 <= k <= deg/2: the reducible monics of this
+    degree, by definition.  Trial division in reverse, for sweeps where
+    dividing every irreducible by every candidate would take too long."""
+    from residuemat import enumerate_monic
+
+    out = set()
+    for k in range(1, deg // 2 + 1):
+        for A in enumerate_monic(f, k):
+            for B in enumerate_monic(f, deg - k):
+                out.add(tuple(poly_mul_lists(f, list(A.coeffs), list(B.coeffs))))
+    return out
 
 
 def structure_failures(ctx, max_deg: int):

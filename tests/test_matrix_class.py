@@ -344,6 +344,14 @@ def test_iter_all_matrices():
     assert all22[0] == mat(2, 2, (None, 0), (0, None))
     assert len(list(iter_all_matrices(2, 3))) == 9
     assert len(list(iter_all_matrices(3, 2))) == 64
+    # each matrix is what the checking constructor builds, and the
+    # off-diagonal entries read row by row count up in base d
+    slots = [(i, j) for i in range(3) for j in range(3) if i != j]
+    for code, M in enumerate(iter_all_matrices(3, 3)):
+        assert M == CycMatrix(3, 3, M.entries)
+        assert [M.entries[i][j] for i, j in slots] == [
+            code // 3 ** (5 - k) % 3 for k in range(6)
+        ]
 
 
 @pytest.mark.parametrize(

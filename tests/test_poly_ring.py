@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,13 +26,22 @@ from residuemat import (
     zero,
 )
 
-from residuemat.poly_ring import _frobenius_rows, _inv_raw
+from residuemat.poly_ring import (
+    _Packed,
+    _add_raw,
+    _frobenius_rows,
+    _gcd_raw,
+    _inv_raw,
+    _packed_chain,
+    _pow_raw,
+)
 
 from conftest import get_field
 from naive import (
     poly_divmod_lists,
     poly_mod_pow_lists,
     poly_mul_lists,
+    reducible_monics,
     trial_division_irreducible,
 )
 
@@ -434,18 +444,106 @@ def test_structured_reducibles_rejected_over_extension_fields(q):
             assert not is_irreducible(P), (k, format_poly(P))
 
 
-@pytest.mark.parametrize("q", [2, 5, 13, 8, 9, 2187])
+@pytest.mark.parametrize("q", [2, 5, 13, 1021, 8, 9, 2187])
 def test_frobenius_rows_match_naive_powers(q):
     f = get_field(q)
     rng = random.Random(q)
-    # deg P > q makes t^q mod P the monomial t^q (the sparse path), and
-    # deg P <= q a dense residue; GF(2187) has only the dense one in reach
+    # deg P > q makes t^q mod P the monomial t^q (the sparse path, and the
+    # packed shift route), and deg P <= q a dense residue (the packed
+    # Barrett route); GF(1021) and GF(2187) have only the dense one in reach
     for n in [2, 5, 9] + ([q + 3] if q < 20 else []):
         mod = [rng.randrange(q) for _ in range(n)] + [1]
-        rows = _frobenius_rows(f, poly_mod_pow_lists(f, [0, 1], q, mod), mod)
-        assert len(rows) == n
-        for j, row in enumerate(rows):
-            assert row == poly_mod_pow_lists(f, [0, 1], j * q, mod), (n, j)
+        xq = poly_mod_pow_lists(f, [0, 1], q, mod)
+        expected = [poly_mod_pow_lists(f, [0, 1], j * q, mod) for j in range(n)]
+        assert _frobenius_rows(f, xq, mod) == expected, n
+        if f.m == 1:
+            # packed rows, read through the kernel's own unpack mod p
+            ctx = _Packed(q, mod)
+            rows = [ctx.unpack(row, n) for row in ctx.frobenius_rows(xq)]
+            assert rows == [e + [0] * (n - len(e)) for e in expected], n
+
+
+def _packed_ben_or(f, mod) -> bool:
+    """_ben_or with the packed chain at every degree: its root test, then
+    _packed_chain, so that the crossover hides no degree."""
+    n = len(mod) - 1
+    xq = _pow_raw(f, [0, 1], f.q, mod)
+    if n == 1:
+        return True
+    if len(_gcd_raw(f, _add_raw(f, xq, [0, 1], True), mod)) > 1:
+        return False
+    return _packed_chain(f, mod, xq)
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 7), (5, 6), (7, 5)])
+def test_packed_chain_matches_every_monic(q, max_deg):
+    # trial division of every GF(5) sextic would take about 20 s, so the
+    # oracle is its mirror image: the set of all products of two monics
+    f = get_field(q)
+    for deg in range(1, max_deg + 1):
+        reducible = reducible_monics(f, deg)
+        found = 0
+        for P in enumerate_monic(f, deg):
+            flag = _packed_ben_or(f, list(P.coeffs))
+            assert flag == (P.coeffs not in reducible), format_poly(P)
+            found += flag
+        assert found == count_monic_irreducibles(f, deg)
+
+
+@pytest.mark.parametrize("q", [5, 13, 1021])
+def test_packed_chain_matches_sympy(q):
+    irreducible, mul, random_irreducible = _sympy_oracle()
+    f = get_field(q)
+    rng = random.Random(q)
+    for n in (9, 12, 17, 24, 33, 48, 64, 96):
+        c = [rng.randrange(q) for _ in range(n)] + [1]
+        assert _packed_ben_or(f, c) == irreducible(c, q), (n, c)
+        if n > 64:
+            continue  # the root test alone makes a degree-96 search slow
+        # sympy takes up to 0.5 s on each reducible of high degree, so the
+        # irreducible is found by the packed chain and confirmed by sympy
+        while not _packed_ben_or(f, c):
+            c = [rng.randrange(q) for _ in range(n)] + [1]
+        assert irreducible(c, q), (n, c)
+    # at n = 24 the chain runs steps i = 2 .. 12 in gcd blocks of
+    # isqrt(12) = 3, the last one partial (i = 11, 12); a smallest factor
+    # of degree k is first seen at step i = k, so k = 2 .. 12 lands at every
+    # position of every block.  k = 12 is A * B with deg A = deg B: there
+    # t^(q^12) = t mod P, and the difference itself is zero.
+    n = 24
+    for k in range(2, n // 2 + 1):
+        A = random_irreducible(rng, q, k)
+        B = A
+        while B == A:
+            B = random_irreducible(rng, q, n - k)
+        c = mul(A, B, q)
+        assert len(c) == n + 1 and not irreducible(c, q)
+        assert not _packed_ben_or(f, c), (k, c)
+
+
+@pytest.mark.parametrize("p", [2, 5, 13, 1021, 2**20 - 3, 2**61 - 1])
+def test_packed_mulmod_matches_naive(p):
+    # the packed kernel reads only p, so large p needs no field tables;
+    # the naive lists read p, m and q
+    f = SimpleNamespace(p=p, m=1, q=p)
+    rng = random.Random(p)
+    for n in (1, 2, 3, 7, 16, 33, 64, 129, 300):
+        mod = [rng.randrange(p) for _ in range(n)] + [1]
+        ctx = _Packed(p, mod)
+        if n == 300:
+            # 2^20 - 3 (the largest prime under the default cap) reduces
+            # the product's top half to keep 64-bit slots; 2^61 - 1 needs
+            # wider slots all the same
+            assert ctx.reduce_top == (p > 2**16)
+            assert (ctx.w <= 64) == (p < 2**32)
+        # random inputs, and all coefficients p - 1: the largest slots
+        for a, b in (
+            ([rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]),
+            ([p - 1] * n, [p - 1] * n),
+        ):
+            got = ctx.mulmod(ctx.pack(a), ctx.pack(b))
+            want = poly_divmod_lists(f, poly_mul_lists(f, a, b), mod)[1]
+            assert got == want + [0] * (n - len(want)), (n, a[0])
 
 
 def test_irreducibility_is_cached(f3):
