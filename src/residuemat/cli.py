@@ -11,10 +11,11 @@ field-size bound.  Polynomial arguments and realize's --max-degree above
 MAX_POLY_DEGREE are refused, since an irreducibility test costs about the
 cube of the degree (the Frobenius matrix and up to deg/2 gcds, about
 sqrt(deg/2) of them over a prime field where the chain runs on packed
-ints; a symbol only its square).  verify refuses a scan of more than VERIFY_MAX_PAIRS
-ordered pairs of irreducibles, the same cap equiv applies to its matrix
-count by default, and a structure check of more than VERIFY_MAX_PRODUCTS
-residue products; equiv refuses a --bound above EQUIV_MAX_MATRICES.
+ints; a symbol only its square).  verify refuses a scan of more than
+VERIFY_MAX_PAIRS ordered pairs of irreducibles, the same cap equiv
+applies to its matrix count by default, and a structure check of more
+than VERIFY_MAX_PRODUCTS residue products; equiv refuses a --bound above
+EQUIV_MAX_MATRICES.
 Matrices travel as text files in the matrix_class format; structured
 results are printed as JSON with sorted keys so output is stable for
 golden-file comparison.

@@ -11,11 +11,12 @@ i <= n/2, stopping at the first nontrivial gcd) and is cached on the
 instance, since symbol evaluation revalidates its modulus on every call.
 After the i = 1 root test, each step of the chain applies the matrix of
 the q-power Frobenius on F_q[t]/(P) (_frobenius_rows) instead of raising
-to the q-th power.  Over a prime field of high enough degree the chain
-runs on Kronecker-packed ints (_Packed): a polynomial is one int with a
-coefficient per fixed-width slot, so a product mod P is three int
-products (Barrett reduction), and the differences are multiplied together
-so that one gcd covers a block of steps (_packed_chain).
+to the q-th power.  Over a prime field, for a dense enough P of high
+enough degree, the chain runs on Kronecker-packed ints (_Packed): a
+polynomial is one int with a coefficient per machine-word slot, so a
+product mod P is three int products (Barrett reduction), and the
+differences are multiplied together so that one gcd covers a block of
+steps (_packed_chain).
 
 The same Ben-Or test finds field_core's GF(p^m) modulus, and
 _quotient_tables walks the exp/log tables of any quotient field
@@ -30,7 +31,7 @@ integers and extension coefficients as '{c0,c1,...}' digit vectors
 import re
 import sys
 from array import array
-from math import isqrt
+from math import gcd as _int_gcd, isqrt
 from operator import mul
 from typing import Iterator
 
@@ -392,7 +393,9 @@ def is_irreducible(P: Poly) -> bool:
     Over a prime field with n * min(p, n) >= 64 the rows and steps run on
     packed ints, and the differences t^(p^i) - t are multiplied mod P in
     blocks of isqrt(n/2) steps with one gcd per block: the scan then stops
-    at the first nontrivial gcd of a block, with the same verdict.
+    at the first nontrivial gcd of a block, with the same verdict.  Sparse
+    P = g(t^k) with (n/k)^2 < 2n, such as binomials t^n - c, and p too
+    large for 64-bit slots keep the list loops.
     """
     if P._irred is None:
         P._irred = len(P.coeffs) > 1 and _ben_or(P.field, P.monic().coeffs)
@@ -413,9 +416,15 @@ def _ben_or(f: Field, mod) -> bool:
     # the list route spends n * min(p, n) coefficient operations per row
     # (a shift and p reduction rows, or a dense product), the packed route
     # a few int operations and a fixed set-up per call; packing pays from
-    # 64 on (BENCH_packed.json)
+    # 64 on (BENCH_packed.json, ben_or_per_call).  When P = g(t^k), every
+    # row and image has at most d = n/k terms, and the list loops skip the
+    # zeros: packing then pays from d^2 >= 2n on (composed_moduli), which
+    # keeps binomials (d = 1) on lists.  Slots wider than a machine word
+    # stay on lists as well.
     if f.m == 1 and n * min(f.p, n) >= 64:
-        return _packed_chain(f, mod, img)
+        d = n // _int_gcd(*(i for i, c in enumerate(mod) if c))
+        if 2 * n <= d * d and _slots(f.p, n)[1]:
+            return _packed_chain(f, mod, img)
     rows = _frobenius_rows(f, img, mod)
     for _ in range(n // 2 - 1):
         img = _mul_raw(f, img, rows, rows=True)
@@ -460,42 +469,44 @@ def _packed_chain(f: Field, mod, xq) -> bool:
     return True
 
 
+def _slots(p: int, n: int) -> tuple:
+    """(k, w) for _Packed mod a P of degree n over F_p.  k is a multiple of
+    p at least every slot of quot * low (both reduced, quot at most n - 1
+    long), added to each slot before subtracting it so that none borrows.
+    w is the smallest machine word that holds every slot value _Packed can
+    produce, or 0 when none does."""
+    k = -(-(n - 1) * (p - 1) ** 2 // p) * p
+    prod = n * (p - 1) ** 2
+    # a product of reduced inputs plus k, and mulmod's middle product of
+    # the n - 1 unreduced top slots of such a product with v
+    bound = max(prod + k, (n - 1) * prod * (p - 1))
+    if p < n:
+        # frobenius_rows' shift route: each reduction adds k to every
+        # slot, and a slot goes through at most ceil(n/p) of them
+        bound = max(bound, n * (p - 1) * -(-n // p) * k)
+    bits = bound.bit_length()
+    return k, min((w for w in _WORDS if w >= bits), default=0)
+
+
 class _Packed:
     """Arithmetic mod a monic P of degree n over F_p on Kronecker-packed
     ints: c_0 + c_1 t + ... is the int sum of c_i * 2^(w i), one w-bit slot
     per coefficient, so a product of polynomials is one product of ints.
 
     Slots are never reduced inside an int: w is derived from the largest
-    slot value any product here can hold, and a packed value is brought
-    back to coefficients below p only by unpack.  Reduction mod P is
-    Barrett's: v = 1/rev(P) mod s^(n-1), with rev(P)(s) = s^n P(1/s), turns
-    the quotient of a product into one more product."""
+    slot value any product here can hold (_slots, which must find a
+    machine word), and a packed value is brought back to coefficients
+    below p only by unpack.  Reduction mod P is Barrett's: v = 1/rev(P)
+    mod s^(n-1), with rev(P)(s) = s^n P(1/s), turns the quotient of a
+    product into one more product."""
 
-    __slots__ = ("p", "n", "w", "wb", "code", "reduce_top", "low", "kn", "v", "vr")
+    __slots__ = ("p", "n", "w", "code", "low", "kn", "v", "vr")
 
     def __init__(self, p: int, mod):
         n = len(mod) - 1
         self.p, self.n = p, n
-        # a multiple of p at least every slot of quot * low (both reduced,
-        # quot at most n - 1 long), added to each slot before subtracting it
-        k = -(-(n - 1) * (p - 1) ** 2 // p) * p
-        prod = n * (p - 1) ** 2
-        bound = prod + k
-        # mulmod's middle product multiplies the n - 1 top slots of a
-        # product by v; they are reduced mod p first only where leaving
-        # them as they are would need slots wider than a machine word
-        lazy = (n - 1) * prod * (p - 1)
-        self.reduce_top = lazy.bit_length() > max(_WORDS)
-        if not self.reduce_top:
-            bound = max(bound, lazy)
-        if p < n:
-            # frobenius_rows' shift route: each reduction adds k to every
-            # slot, and a slot goes through at most ceil(n/p) of them
-            bound = max(bound, n * (p - 1) * -(-n // p) * k)
-        bits = bound.bit_length()
-        self.w = min((w for w in _WORDS if w >= bits), default=-(-bits // 64) * 64)
-        self.wb = self.w // 8
-        self.code = _WORDS.get(self.w)
+        k, self.w = _slots(p, n)
+        self.code = _WORDS[self.w]
         self.low = self.pack(mod[:n])
         self.kn = self.pack([k] * n)
         # v by Newton iteration: v <- v (2 - rev(P) v) doubles the
@@ -517,36 +528,26 @@ class _Packed:
         return self.pack([0] + self.v[:length][::-1])
 
     def pack(self, coeffs) -> int:
-        if self.code:
-            words = array(self.code, coeffs)
-            if _BIG_ENDIAN:
-                words.byteswap()
-            return int.from_bytes(words, "little")
-        wb = self.wb
-        raw = b"".join(c.to_bytes(wb, "little") for c in coeffs)
-        return int.from_bytes(raw, "little")
+        words = array(self.code, coeffs)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return int.from_bytes(words, "little")
 
     def unpack(self, x: int, k: int) -> list:
         """The low k slots of x, each reduced mod p.  Slots above them may
         hold anything, even a borrow, since they are masked off first."""
-        p, wb = self.p, self.wb
-        raw = (x & ((1 << (self.w * k)) - 1)).to_bytes(k * wb, "little")
-        if self.code:
-            words = array(self.code, raw)
-            if _BIG_ENDIAN:
-                words.byteswap()
-            return [c % p for c in words]
-        return [
-            int.from_bytes(raw[i : i + wb], "little") % p for i in range(0, k * wb, wb)
-        ]
+        p, w = self.p, self.w
+        raw = (x & ((1 << (w * k)) - 1)).to_bytes(k * w // 8, "little")
+        words = array(self.code, raw)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return [c % p for c in words]
 
     def mulmod(self, a: int, b: int) -> list:
         """a * b mod P as n residues, for packed a and b with n reduced slots."""
         w, n = self.w, self.n
         c = a * b
         top = c >> (w * n)
-        if self.reduce_top:
-            top = self.pack(self.unpack(top, n - 1))
         quot = self.pack(self.unpack(top * self.vr >> (w * (n - 1)), n - 1))
         return self.unpack(c + self.kn - quot * self.low, n)
 

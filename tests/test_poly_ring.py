@@ -11,6 +11,7 @@ from residuemat import (
     constant,
     count_monic_irreducibles,
     enumerate_monic,
+    field_build,
     format_poly,
     from_code,
     gcd,
@@ -29,11 +30,13 @@ from residuemat import (
 from residuemat.poly_ring import (
     _Packed,
     _add_raw,
+    _ben_or,
     _frobenius_rows,
     _gcd_raw,
     _inv_raw,
     _packed_chain,
     _pow_raw,
+    _slots,
 )
 
 from conftest import get_field
@@ -521,21 +524,20 @@ def test_packed_chain_matches_sympy(q):
         assert not _packed_ben_or(f, c), (k, c)
 
 
-@pytest.mark.parametrize("p", [2, 5, 13, 1021, 2**20 - 3, 2**61 - 1])
+@pytest.mark.parametrize("p", [2, 5, 13, 1021, 65521])
 def test_packed_mulmod_matches_naive(p):
-    # the packed kernel reads only p, so large p needs no field tables;
-    # the naive lists read p, m and q
+    # the packed kernel reads only p, so it needs no field tables; the
+    # naive lists read p, m and q
     f = SimpleNamespace(p=p, m=1, q=p)
     rng = random.Random(p)
-    for n in (1, 2, 3, 7, 16, 33, 64, 129, 300):
+    for n in (1, 2, 3, 7, 16, 33, 64, 129, 256, 300):
+        if not _slots(p, n)[1]:
+            # GF(65521) fills 64-bit slots at n = 256 and overflows them
+            # from n = 257 on, where _ben_or keeps the lists
+            assert (p, n) == (65521, 300)
+            continue
         mod = [rng.randrange(p) for _ in range(n)] + [1]
         ctx = _Packed(p, mod)
-        if n == 300:
-            # 2^20 - 3 (the largest prime under the default cap) reduces
-            # the product's top half to keep 64-bit slots; 2^61 - 1 needs
-            # wider slots all the same
-            assert ctx.reduce_top == (p > 2**16)
-            assert (ctx.w <= 64) == (p < 2**32)
         # random inputs, and all coefficients p - 1: the largest slots
         for a, b in (
             ([rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]),
@@ -544,6 +546,48 @@ def test_packed_mulmod_matches_naive(p):
             got = ctx.mulmod(ctx.pack(a), ctx.pack(b))
             want = poly_divmod_lists(f, poly_mul_lists(f, a, b), mod)[1]
             assert got == want + [0] * (n - len(want)), (n, a[0])
+
+
+def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
+    # the packed chain runs for dense enough moduli of degree n with
+    # n * min(p, n) >= 64 whose slots fit a machine word; the verdict is
+    # the list chain's either way
+    import residuemat.poly_ring as pr
+
+    packed = []
+
+    def spy(f, mod, xq):
+        packed.append(len(mod) - 1)
+        return _packed_chain(f, mod, xq)
+
+    monkeypatch.setattr(pr, "_packed_chain", spy)
+    rng = random.Random(64)
+
+    def root_free(f, n, k=1):
+        # g(t^k) for a random monic g of degree n / k, past the root test
+        while True:
+            mod = [0] * (n + 1)
+            for i in range(n // k):
+                mod[i * k] = rng.randrange(f.p)
+            mod[n] = 1
+            xq = _pow_raw(f, [0, 1], f.q, mod)
+            if len(_gcd_raw(f, _add_raw(f, xq, [0, 1], True), mod)) == 1:
+                return mod
+
+    f13, fbig = get_field(13), field_build(2**20 - 3)
+    irreducible = _sympy_oracle()[0]
+    for f, mod, expect in (
+        (f13, root_free(f13, 7), False),  # 7 * 7 < 64
+        (f13, root_free(f13, 8), True),
+        (f13, root_free(f13, 32), True),
+        (f13, root_free(f13, 64, 8), False),  # d = 8, d^2 < 2n
+        (f13, root_free(f13, 64, 4), True),  # d = 16, d^2 >= 2n
+        (f13, [11] + [0] * 255 + [1], False),  # the binomial t^256 + 11
+        (fbig, root_free(fbig, 8), False),  # 64-bit slots overflow from n = 5
+    ):
+        packed.clear()
+        assert _ben_or(f, mod) == irreducible(mod, f.p), mod
+        assert packed == ([len(mod) - 1] if expect else []), mod
 
 
 def test_irreducibility_is_cached(f3):
