@@ -28,7 +28,6 @@ indices mod d in exact integer arithmetic; no complex numbers appear
 anywhere.
 """
 
-import math
 from typing import NamedTuple
 
 DEFAULT_MAX_Q = 1 << 20
@@ -45,19 +44,32 @@ class RootIndex(NamedTuple):
         return RootIndex((-self.k) % self.d, self.d)
 
 
+# psi_13: the least odd composite that passes strong tests to every prime
+# base through 41 (1287836182261 * 2575672364521, Sorenson and Webster)
+_PSI13 = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin to the 13 prime bases through 41, exact
+    for n < psi_13 = 3317044064679887385961981.  A larger n with no factor
+    among the bases is refused with a ValueError, never guessed."""
     if n < 2:
         return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for sp in _BASES:
         if n % sp == 0:
             return n == sp
+    if n >= _PSI13:
+        raise ValueError(
+            f"{n} is at or above psi_13 = {_PSI13}, where Miller-Rabin to "
+            "bases 2 .. 41 stops being exact"
+        )
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -71,14 +83,19 @@ def is_prime(n: int) -> bool:
 
 
 def _is_prime_power(q: int) -> bool:
-    """Whether q = p^k for a prime p, k >= 1: Newton's floor(q^(1/k)) for
-    each k < log2 q, where trial division would take sqrt(q) steps."""
-    for k in range(1, q.bit_length()):
+    """Whether q = p^k for a prime p, k >= 1.  Then p is the exact k-th
+    root of q for the largest k that has one, so only that root is tested.
+    Roots are Newton's floor(q^(1/k)) for k < log2 q, where trial division
+    would take sqrt(q) steps."""
+    for k in range(q.bit_length() - 1, 0, -1):
         r = 1 << -(-q.bit_length() // k)
         while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
             r = s
-        if r**k == q and is_prime(r):
-            return True
+        if r**k == q:
+            try:
+                return is_prime(r)
+            except ValueError as exc:
+                raise ValueError(f"cannot tell whether {q} is a prime power: {exc}") from exc
     return False
 
 
@@ -260,8 +277,3 @@ def index_to_element(field: Field, d: int, k: int) -> int:
 def _check_d(field: Field, d: int):
     if d < 1 or (field.q - 1) % d != 0:
         raise ValueError(f"d = {d} does not divide q - 1 = {field.q - 1}")
-
-
-def unit_scalings(d: int):
-    """The units mod d: the index rescalings that change the fixed isomorphism."""
-    return [c for c in range(1, d + 1) if math.gcd(c, d) == 1]

@@ -19,15 +19,13 @@ classify() picks the law by field_core._odd_law, and one scan over the
 entry pairs decides either: it yields the first bad pair or else the
 M Mbar diagonal, from which the multiset condition and the permutation
 follow.  The block form itself is only used by the brute-force
-cross-check, which generates every block-form matrix per (s, sigma), and
-by check_block_form, which tests one (s, sigma) by definition.
+cross-check, which generates every block-form matrix per (s, sigma).
 
 The text format: first line "n d", then n rows of n whitespace-separated
 entries with "." on the diagonal.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -252,61 +250,6 @@ def _odd_law_decision(M: CycMatrix) -> Classification:
     return Classification(
         realizable=False, branch=ODD_LAW, witness_diagonal=tuple(sorted(diag))
     )
-
-
-def _permutation(sigma, n: int) -> tuple:
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(n)):
-        raise ValueError(f"not a permutation of range({n}): {sigma}")
-    return sigma
-
-
-def conjugate_by_permutation(M: CycMatrix, sigma) -> CycMatrix:
-    """Matrix M' with M'[i][j] = M[sigma(i)][sigma(j)] (sigma 0-based)."""
-    sigma = _permutation(sigma, M.n)
-    entries = [
-        [None if i == j else M.entries[sigma[i]][sigma[j]] for j in range(M.n)]
-        for i in range(M.n)
-    ]
-    return CycMatrix(M.n, M.d, entries)
-
-
-def scale_indices(M: CycMatrix, c: int) -> CycMatrix:
-    """Entrywise multiplication by a unit c mod d: the change of isomorphism."""
-    if math.gcd(c, M.d) != 1:
-        raise ValueError(f"c = {c} is not a unit mod d = {M.d}")
-    entries = [
-        [None if i == j else (c * M.entries[i][j]) % M.d for j in range(M.n)]
-        for i in range(M.n)
-    ]
-    return CycMatrix(M.n, M.d, entries)
-
-
-def check_block_form(M: CycMatrix, s: int, sigma) -> bool:
-    """Does conjugating by sigma put M into [[A skew, B], [B^t, S sym]] form?
-
-    A is the leading s x s block with m_jk - m_kj = d/2 mod d off its
-    diagonal (vacuous for s = 1), S the trailing symmetric block, and the
-    lower-left block must be the exact transpose of B.
-    """
-    n, d = M.n, M.d
-    if not 1 <= s <= n:
-        raise ValueError(f"s = {s} out of range [1, {n}]")
-    sigma = _permutation(sigma, n)
-    if s >= 2 and d % 2 != 0:
-        return False
-    # read M[sigma(i)][sigma(j)] in place: no conjugated matrix is built
-    e = M.entries
-    for i in range(n):
-        row = e[sigma[i]]
-        for j in range(i + 1, n):
-            a, b = row[sigma[j]], e[sigma[j]][sigma[i]]
-            if j < s:
-                if (a - b) % d != d // 2:
-                    return False
-            elif a != b:
-                return False
-    return True
 
 
 def iter_all_matrices(n: int, d: int) -> Iterator[CycMatrix]:

@@ -6,17 +6,10 @@ is the empty tuple; its degree is the sentinel -inf, which makes the
 degree inequalities deg(a + b) <= max(deg a, deg b) and
 deg(a * b) = deg a + deg b hold without special-casing.
 
-Irreducibility uses Ben-Or's test (gcd(t^(q^i) - t, P) = 1 for every
-i <= n/2, stopping at the first nontrivial gcd) and is cached on the
-instance, since symbol evaluation revalidates its modulus on every call.
-After the i = 1 root test, each step of the chain applies the matrix of
-the q-power Frobenius on F_q[t]/(P) (_frobenius_rows) instead of raising
-to the q-th power.  Over a prime field, for a dense enough P of high
-enough degree, the chain runs on Kronecker-packed ints (_Packed): a
-polynomial is one int with a coefficient per machine-word slot, so a
-product mod P is three int products (Barrett reduction), and the
-differences are multiplied together so that one gcd covers a block of
-steps (_packed_chain).
+Irreducibility uses Ben-Or's test, cached on the instance since symbol
+evaluation revalidates its modulus on every call; is_irreducible states
+its Frobenius chain and the chain's two routes, on coefficient lists and
+on Kronecker-packed ints (_Packed).
 
 The same Ben-Or test finds field_core's GF(p^m) modulus, and
 _quotient_tables walks the exp/log tables of any quotient field
@@ -178,9 +171,8 @@ def constant(field: Field, c: int) -> Poly:
 # loop per field arithmetic, chosen by (p, m) alone, with every field
 # operation inlined: prime fields add mod p, characteristic 2 XORs codes,
 # and odd extension fields add through the Zech table (see field_core).
-# The one exception is the Frobenius chain of Ben-Or's test over a prime
-# field past the crossover in _ben_or, which runs on packed ints (_Packed)
-# and comes back to lists only for its gcds.
+# The one exception is the packed route of Ben-Or's chain (is_irreducible),
+# which comes back to lists only for its gcds.
 
 
 def _mul_raw(f: Field, a, b, mod=None, rows=False) -> list:
@@ -390,12 +382,17 @@ def is_irreducible(P: Poly) -> bool:
     monomial t^q, so each is a shift plus at most q reduction rows, and
     the whole basis costs about one square-and-multiply step.
 
-    Over a prime field with n * min(p, n) >= 64 the rows and steps run on
-    packed ints, and the differences t^(p^i) - t are multiplied mod P in
-    blocks of isqrt(n/2) steps with one gcd per block: the scan then stops
-    at the first nontrivial gcd of a block, with the same verdict.  Sparse
+    The differences t^(q^i) - t are multiplied mod P in blocks, with one
+    gcd per block and one at the end: P is coprime to every difference of
+    a block iff it is coprime to their product, so the scan stops at the
+    first nontrivial gcd of a block with the per-step verdict.  The steps
+    i = 2 .. n/2 run in _chain on one of two routes.  On coefficient lists
+    a block is one step, since a list mulmod costs more than the gcd it
+    saves.  Over a prime field with n * min(p, n) >= 64, the rows, steps
+    and block products run on packed ints (_Packed), where a product mod P
+    is three int products, in blocks of isqrt(n/2) steps.  Sparse
     P = g(t^k) with (n/k)^2 < 2n, such as binomials t^n - c, and p too
-    large for 64-bit slots keep the list loops.
+    large for 64-bit slots keep the lists.
     """
     if P._irred is None:
         P._irred = len(P.coeffs) > 1 and _ben_or(P.field, P.monic().coeffs)
@@ -408,29 +405,25 @@ def _ben_or(f: Field, mod) -> bool:
     if n == 1:
         return True
     t = [0, 1]
-    img = _pow_raw(f, t, f.q, mod)
-    if len(_gcd_raw(f, _add_raw(f, img, t, True), mod)) > 1:
+    xq = _pow_raw(f, t, f.q, mod)
+    if len(_gcd_raw(f, _add_raw(f, xq, t, True), mod)) > 1:
         return False
     if n < 4:
         return True
-    # the list route spends n * min(p, n) coefficient operations per row
-    # (a shift and p reduction rows, or a dense product), the packed route
-    # a few int operations and a fixed set-up per call; packing pays from
-    # 64 on (BENCH_packed.json, ben_or_per_call).  When P = g(t^k), every
-    # row and image has at most d = n/k terms, and the list loops skip the
-    # zeros: packing then pays from d^2 >= 2n on (composed_moduli), which
-    # keeps binomials (d = 1) on lists.  Slots wider than a machine word
-    # stay on lists as well.
+    # the chain's route (is_irreducible): the list route spends
+    # n * min(p, n) coefficient operations per row (a shift and p reduction
+    # rows, or a dense product), the packed route a few int operations and
+    # a fixed set-up per call; packing pays from 64 on (BENCH_packed.json,
+    # ben_or_per_call).  When P = g(t^k), every row and image has at most
+    # d = n/k terms, and the list loops skip the zeros: packing then pays
+    # from d^2 >= 2n on (composed_moduli), which keeps binomials (d = 1) on
+    # lists.  Slots wider than a machine word stay on lists as well.
+    ctx = None
     if f.m == 1 and n * min(f.p, n) >= 64:
         d = n // _int_gcd(*(i for i, c in enumerate(mod) if c))
         if 2 * n <= d * d and _slots(f.p, n)[1]:
-            return _packed_chain(f, mod, img)
-    rows = _frobenius_rows(f, img, mod)
-    for _ in range(n // 2 - 1):
-        img = _mul_raw(f, img, rows, rows=True)
-        if len(_gcd_raw(f, _add_raw(f, img, t, True), mod)) > 1:
-            return False
-    return True
+            ctx = _Packed(f.p, mod)
+    return _chain(f, mod, xq, ctx)
 
 
 def _frobenius_rows(f: Field, xq, mod) -> list:
@@ -444,27 +437,28 @@ def _frobenius_rows(f: Field, xq, mod) -> list:
     return rows
 
 
-def _packed_chain(f: Field, mod, xq) -> bool:
-    """Steps i = 2 .. n/2 of _ben_or over a prime field, on packed ints,
-    given xq = t^p mod P from the root test.  Each step is one product
-    of the packed Frobenius rows with the previous image; the differences
-    t^(p^i) - t are multiplied mod P and tested by one gcd per block of
-    isqrt(n/2) steps, and once at the end.  P is coprime to every
-    difference of a block iff it is coprime to their product, so the
-    verdict is the per-step test's."""
-    p, n = f.p, len(mod) - 1
-    ctx = _Packed(p, mod)
-    rows = ctx.frobenius_rows(xq)
-    block = isqrt(n // 2)
-    steps = n // 2 - 1
+def _chain(f: Field, mod, xq, ctx) -> bool:
+    """Steps i = 2 .. n/2 of is_irreducible's chain, given xq = t^q mod P
+    from the root test: on coefficient lists when ctx is None, else on the
+    packed ints of ctx, a _Packed for P.  The routes differ only in how
+    rows, steps and block products are computed, and in the block."""
+    n = len(mod) - 1
+    if ctx is None:
+        rows, block = _frobenius_rows(f, xq, mod), 1
+    else:
+        rows, block = ctx.frobenius_rows(xq), isqrt(n // 2)
+    steps, minus_one = n // 2 - 1, f.neg(1)
     img = xq
     for i in range(steps):
-        img = ctx.unpack(sum(map(mul, img, rows)), n)
-        diff = img.copy()
-        diff[1] = (diff[1] - 1) % p
+        if ctx is None:
+            img = _mul_raw(f, img, rows, rows=True)
+        else:
+            img = ctx.unpack(sum(map(mul, img, rows)), n)
+        diff = img + [0] * (2 - len(img))  # img - t, maybe untrimmed
+        diff[1] = f.add(diff[1], minus_one)
         acc = diff if i % block == 0 else ctx.mulmod(ctx.pack(acc), ctx.pack(diff))
         if (i + 1) % block == 0 or i + 1 == steps:
-            if len(_gcd_raw(f, _trim(acc), mod)) > 1:
+            if len(_gcd_raw(f, acc, mod)) > 1:
                 return False
     return True
 
@@ -543,13 +537,19 @@ class _Packed:
             words.byteswap()
         return [c % p for c in words]
 
+    def reduce(self, c: int, vr: int, k: int) -> int:
+        """c mod P by Barrett's product: the quotient of c's slots from n
+        up (at most k of them) is one product with vr = reversed_v(k), and
+        c + kn - quot * low holds c mod P in its low n slots, correct mod p
+        and with no borrow.  The slots from n up still hold c's, for the
+        caller to mask off."""
+        w, n = self.w, self.n
+        quot = self.pack(self.unpack((c >> (w * n)) * vr >> (w * k), k))
+        return c + self.kn - quot * self.low
+
     def mulmod(self, a: int, b: int) -> list:
         """a * b mod P as n residues, for packed a and b with n reduced slots."""
-        w, n = self.w, self.n
-        c = a * b
-        top = c >> (w * n)
-        quot = self.pack(self.unpack(top * self.vr >> (w * (n - 1)), n - 1))
-        return self.unpack(c + self.kn - quot * self.low, n)
+        return self.unpack(self.reduce(a * b, self.vr, self.n - 1), self.n)
 
     def frobenius_rows(self, xq) -> list:
         """_frobenius_rows, packed.  For p >= n, row j is the Barrett product
@@ -569,10 +569,8 @@ class _Packed:
         row, rows = 1, [1]
         for _ in range(1, n):
             row <<= w * p
-            top = row >> (w * n)
-            if top:
-                quot = self.pack(self.unpack(top * vr >> (w * p), p))
-                row = (row + self.kn - quot * self.low) & mask
+            if row > mask:
+                row = self.reduce(row, vr, p) & mask
             rows.append(row)
         return rows
 

@@ -28,7 +28,7 @@ Realization.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 from .matrix_class import ODD_LAW, CycMatrix, classify
@@ -112,36 +112,22 @@ class Realization:
     transcript: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "polys": [format_poly(P) for P in self.polys],
-            "branch": self.branch,
-            "s": self.s,
-            "sigma": [i + 1 for i in self.sigma],
-            "transcript": [
-                {
-                    "position": st.position,
-                    "residues": [
-                        {
-                            "modulus": format_poly(c.modulus),
-                            "target": c.target,
-                            "residue": format_poly(c.residue),
-                            "trials": c.trials,
-                        }
-                        for c in st.residues
-                    ],
-                    "crt_residue": None
-                    if st.crt_residue is None
-                    else format_poly(st.crt_residue),
-                    "crt_modulus": None
-                    if st.crt_modulus is None
-                    else format_poly(st.crt_modulus),
-                    "degrees_tried": list(st.degrees_tried),
-                    "candidates_tested": st.candidates_tested,
-                    "chosen": format_poly(st.chosen),
-                }
-                for st in self.transcript
-            ],
-        }
+        """Every field under its own name, sigma 1-based (_json_value)."""
+        out = _json_value(self)
+        out["sigma"] = [i + 1 for i in self.sigma]
+        return out
+
+
+def _json_value(x):
+    """x as JSON data: a dataclass as the dict of its fields, a tuple as a
+    list and a Poly as its format_poly text; anything else is itself."""
+    if isinstance(x, Poly):
+        return format_poly(x)
+    if isinstance(x, tuple):
+        return [_json_value(v) for v in x]
+    if is_dataclass(x):
+        return {f.name: _json_value(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
 # -- the three building blocks ------------------------------------------------

@@ -49,7 +49,7 @@ symmetric no matter the parity of the exponent.
 
 from dataclasses import dataclass
 
-from .field_core import Field, RootIndex, _odd_law, _zech, root_index_of
+from .field_core import Field, RootIndex, _check_d, _odd_law, _zech, root_index_of
 from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
@@ -69,8 +69,7 @@ class SymbolContext:
     __slots__ = ("field", "d")
 
     def __init__(self, field: Field, d: int):
-        if d < 1 or (field.q - 1) % d != 0:
-            raise ValueError(f"d = {d} does not divide q - 1 = {field.q - 1}")
+        _check_d(field, d)
         self.field = field
         self.d = d
 

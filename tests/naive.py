@@ -13,11 +13,14 @@ oracles take from the library is its conventions:
   structure_failures uses to list moduli in the library's report order;
 * Poly as a container: only .field, .coeffs and .degree are read;
 * CycMatrix as a container: only .n, .d and .entries are read, by
-  mmbar_reference and classify_reference;
+  mmbar_reference, classify_reference and the invariance operations at
+  the end of this file, which also build their results as CycMatrix;
 * residue_symbol.symbol, read at call time, in structure_failures: the
   symbols are what that check tests, so only its products are rebuilt."""
 
-from residuemat import Poly, residue_symbol
+import math
+
+from residuemat import CycMatrix, Poly, residue_symbol
 
 
 def field_mul_digits(f, a: int, b: int) -> int:
@@ -251,3 +254,68 @@ def classify_reference(M, q: int) -> tuple:
             rest = [j for j in range(n) if diag[j] == n - 1]
             return True, "odd", s, tuple(skew + rest), None, None
     return False, "odd", None, None, None, tuple(sorted(diag))
+
+
+# -- the paper's invariance operations: a unit rescaling of the indices,
+# a simultaneous permutation of rows and columns, and the block form that
+# the odd law's permutation must produce
+
+
+def unit_scalings(d: int):
+    """The units mod d: the index rescalings that change the fixed isomorphism."""
+    return [c for c in range(1, d + 1) if math.gcd(c, d) == 1]
+
+
+def _permutation(sigma, n: int) -> tuple:
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"not a permutation of range({n}): {sigma}")
+    return sigma
+
+
+def conjugate_by_permutation(M: CycMatrix, sigma) -> CycMatrix:
+    """Matrix M' with M'[i][j] = M[sigma(i)][sigma(j)] (sigma 0-based)."""
+    sigma = _permutation(sigma, M.n)
+    entries = [
+        [None if i == j else M.entries[sigma[i]][sigma[j]] for j in range(M.n)]
+        for i in range(M.n)
+    ]
+    return CycMatrix(M.n, M.d, entries)
+
+
+def scale_indices(M: CycMatrix, c: int) -> CycMatrix:
+    """Entrywise multiplication by a unit c mod d: the change of isomorphism."""
+    if math.gcd(c, M.d) != 1:
+        raise ValueError(f"c = {c} is not a unit mod d = {M.d}")
+    entries = [
+        [None if i == j else (c * M.entries[i][j]) % M.d for j in range(M.n)]
+        for i in range(M.n)
+    ]
+    return CycMatrix(M.n, M.d, entries)
+
+
+def check_block_form(M: CycMatrix, s: int, sigma) -> bool:
+    """Does conjugating by sigma put M into [[A skew, B], [B^t, S sym]] form?
+
+    A is the leading s x s block with m_jk - m_kj = d/2 mod d off its
+    diagonal (vacuous for s = 1), S the trailing symmetric block, and the
+    lower-left block must be the exact transpose of B.
+    """
+    n, d = M.n, M.d
+    if not 1 <= s <= n:
+        raise ValueError(f"s = {s} out of range [1, {n}]")
+    sigma = _permutation(sigma, n)
+    if s >= 2 and d % 2 != 0:
+        return False
+    # read M[sigma(i)][sigma(j)] in place: no conjugated matrix is built
+    e = M.entries
+    for i in range(n):
+        row = e[sigma[i]]
+        for j in range(i + 1, n):
+            a, b = row[sigma[j]], e[sigma[j]][sigma[i]]
+            if j < s:
+                if (a - b) % d != d // 2:
+                    return False
+            elif a != b:
+                return False
+    return True

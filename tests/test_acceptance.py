@@ -28,14 +28,13 @@ from residuemat import (
     monic_irreducibles,
     realize,
     residue_matrix,
-    scale_indices,
-    unit_scalings,
     verify_reciprocity,
     verify_symbol_structure,
 )
 from residuemat.cli import main
 
 from conftest import get_context, get_field
+from naive import scale_indices, unit_scalings
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -14,7 +14,6 @@ from residuemat import (
     is_prime,
     reciprocity_index,
     root_index_of,
-    unit_scalings,
 )
 from residuemat.field_core import _odd_law
 
@@ -26,6 +25,7 @@ from naive import (
     field_mul_digits,
     field_neg_digits,
     field_pow_digits,
+    unit_scalings,
 )
 
 
@@ -233,6 +233,19 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+
+
+def test_is_prime_is_exact_below_psi13_and_refuses_above():
+    # psi_12 passes strong tests to every prime base through 37 and fails
+    # base 41; psi_13 passes every base through 41, so it is refused
+    psi12 = 399165290221 * 798330580441
+    psi13 = 1287836182261 * 2575672364521
+    assert psi12 == 318665857834031151167461
+    assert psi13 == 3317044064679887385961981
+    assert not is_prime(psi12)
+    with pytest.raises(ValueError, match="psi_13"):
+        is_prime(psi13)
+    assert not is_prime(3 * psi13)  # a factor among the bases still decides
 
 
 def test_odd_law_is_minus_one_not_a_dth_power():

@@ -8,20 +8,23 @@ from residuemat import (
     SYMMETRIC_LAW,
     Classification,
     CycMatrix,
-    check_block_form,
     classify,
-    conjugate_by_permutation,
     criteria_equiv_bruteforce,
     epsilon,
     format_matrix,
     iter_all_matrices,
     mmbar_diagonal,
     parse_matrix,
-    scale_indices,
 )
 from residuemat import matrix_class
 
-from naive import classify_reference, mmbar_reference
+from naive import (
+    check_block_form,
+    classify_reference,
+    conjugate_by_permutation,
+    mmbar_reference,
+    scale_indices,
+)
 
 
 def mat(n, d, *rows):
@@ -166,6 +169,19 @@ def test_classify_rejects_q_not_a_prime_power():
             classify(mat(2, d, (None, 1), (d - 1, None)), q)
     for q, d in ((4, 3), (8, 7), (9, 8), (2**61 - 1, 2), ((2**31 - 1) ** 2, 2)):
         assert classify(mat(2, d, (None, 1), (1, None)), q).realizable
+
+
+def test_classify_refuses_a_strong_pseudoprime_q():
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to every
+    # prime base through 37, and psi_13 to every one through 41, past which
+    # primality is refused rather than guessed
+    M = parse_matrix("2 2\n. 1\n1 .\n")
+    for q in (318665857834031151167461, 3317044064679887385961981):
+        with pytest.raises(ValueError, match="prime power"):
+            classify(M, q)
+    # large powers of small primes are tested at their root only
+    for q in (3**60, 1021**10):
+        assert classify(M, q).realizable
 
 
 def test_classify_branch_selection():

@@ -31,10 +31,10 @@ from residuemat.poly_ring import (
     _Packed,
     _add_raw,
     _ben_or,
+    _chain,
     _frobenius_rows,
     _gcd_raw,
     _inv_raw,
-    _packed_chain,
     _pow_raw,
     _slots,
 )
@@ -466,16 +466,17 @@ def test_frobenius_rows_match_naive_powers(q):
             assert rows == [e + [0] * (n - len(e)) for e in expected], n
 
 
-def _packed_ben_or(f, mod) -> bool:
-    """_ben_or with the packed chain at every degree: its root test, then
-    _packed_chain, so that the crossover hides no degree."""
+def _routed_ben_or(f, mod, packed=True) -> bool:
+    """_ben_or with the chain's route forced at every degree: its root test,
+    then _chain on a _Packed or, with packed=False, on lists, so that the
+    crossover hides no degree."""
     n = len(mod) - 1
     xq = _pow_raw(f, [0, 1], f.q, mod)
     if n == 1:
         return True
     if len(_gcd_raw(f, _add_raw(f, xq, [0, 1], True), mod)) > 1:
         return False
-    return _packed_chain(f, mod, xq)
+    return _chain(f, mod, xq, _Packed(f.p, mod) if packed else None)
 
 
 @pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 7), (5, 6), (7, 5)])
@@ -487,7 +488,7 @@ def test_packed_chain_matches_every_monic(q, max_deg):
         reducible = reducible_monics(f, deg)
         found = 0
         for P in enumerate_monic(f, deg):
-            flag = _packed_ben_or(f, list(P.coeffs))
+            flag = _routed_ben_or(f, list(P.coeffs))
             assert flag == (P.coeffs not in reducible), format_poly(P)
             found += flag
         assert found == count_monic_irreducibles(f, deg)
@@ -500,20 +501,27 @@ def test_packed_chain_matches_sympy(q):
     rng = random.Random(q)
     for n in (9, 12, 17, 24, 33, 48, 64, 96):
         c = [rng.randrange(q) for _ in range(n)] + [1]
-        assert _packed_ben_or(f, c) == irreducible(c, q), (n, c)
+        assert _routed_ben_or(f, c) == irreducible(c, q), (n, c)
         if n > 64:
             continue  # the root test alone makes a degree-96 search slow
         # sympy takes up to 0.5 s on each reducible of high degree, so the
         # irreducible is found by the packed chain and confirmed by sympy
-        while not _packed_ben_or(f, c):
+        while not _routed_ben_or(f, c):
             c = [rng.randrange(q) for _ in range(n)] + [1]
         assert irreducible(c, q), (n, c)
-    # at n = 24 the chain runs steps i = 2 .. 12 in gcd blocks of
-    # isqrt(12) = 3, the last one partial (i = 11, 12); a smallest factor
-    # of degree k is first seen at step i = k, so k = 2 .. 12 lands at every
-    # position of every block.  k = 12 is A * B with deg A = deg B: there
-    # t^(q^12) = t mod P, and the difference itself is zero.
-    n = 24
+    for k, c in _structured_reducibles(rng, q):
+        assert not _routed_ben_or(f, c), (k, c)
+
+
+def _structured_reducibles(rng, q, n=24):
+    """(k, A * B) with deg A = k, for k = 2 .. n/2 and A, B distinct random
+    irreducibles over F_q.  At n = 24 the packed chain runs steps
+    i = 2 .. 12 in gcd blocks of isqrt(12) = 3, the last one partial
+    (i = 11, 12); a smallest factor of degree k is first seen at step
+    i = k, so k lands at every position of every block.  k = 12 is A * B
+    with deg A = deg B: there t^(q^12) = t mod P, and the difference itself
+    is zero."""
+    irreducible, mul, random_irreducible = _sympy_oracle()
     for k in range(2, n // 2 + 1):
         A = random_irreducible(rng, q, k)
         B = A
@@ -521,7 +529,31 @@ def test_packed_chain_matches_sympy(q):
             B = random_irreducible(rng, q, n - k)
         c = mul(A, B, q)
         assert len(c) == n + 1 and not irreducible(c, q)
-        assert not _packed_ben_or(f, c), (k, c)
+        yield k, c
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_list_and_packed_chains_agree(q):
+    # the same dense moduli through both routes of _chain, whatever the
+    # crossover would pick: random ones of degree 16 .. 64 (about 1/n of
+    # them irreducible), one irreducible per degree, and the structured
+    # reducibles that put a smallest factor at every gcd-block position
+    irreducible = _sympy_oracle()[0]
+    f = get_field(q)
+    rng = random.Random(16 * q)
+    cases = []
+    for n in (16, 24, 40, 64):
+        cases += [[rng.randrange(q) for _ in range(n)] + [1] for _ in range(3)]
+        c = cases[-1]
+        while not _routed_ben_or(f, c, packed=False):
+            c = [rng.randrange(q) for _ in range(n)] + [1]
+        cases.append(c)
+    cases += [c for _, c in _structured_reducibles(rng, q)]
+    verdicts = [irreducible(c, q) for c in cases]
+    assert 0 < sum(verdicts) < len(cases)
+    for c, want in zip(cases, verdicts):
+        assert _routed_ben_or(f, c, packed=False) == want, c
+        assert _routed_ben_or(f, c) == want, c
 
 
 @pytest.mark.parametrize("p", [2, 5, 13, 1021, 65521])
@@ -556,11 +588,12 @@ def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
 
     packed = []
 
-    def spy(f, mod, xq):
-        packed.append(len(mod) - 1)
-        return _packed_chain(f, mod, xq)
+    def spy(f, mod, xq, ctx):
+        if ctx is not None:
+            packed.append(len(mod) - 1)
+        return _chain(f, mod, xq, ctx)
 
-    monkeypatch.setattr(pr, "_packed_chain", spy)
+    monkeypatch.setattr(pr, "_chain", spy)
     rng = random.Random(64)
 
     def root_free(f, n, k=1):
