@@ -204,6 +204,10 @@ class Field:
         return self.exp[(self.log[a] + self.half) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
+        if self.m == 1:
+            return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
         return self.add(a, self.neg(b))
 
     def inv(self, a: int) -> int:

@@ -25,7 +25,7 @@ import re
 import sys
 from array import array
 from math import gcd as _int_gcd, isqrt
-from operator import mul
+from operator import add, mul
 from typing import Iterator
 
 from .field_core import Field, _prime_factors
@@ -172,7 +172,8 @@ def constant(field: Field, c: int) -> Poly:
 # operation inlined: prime fields add mod p, characteristic 2 XORs codes,
 # and odd extension fields add through the Zech table (see field_core).
 # The one exception is the packed route of Ben-Or's chain (is_irreducible),
-# which comes back to lists only for its gcds.
+# over prime and extension fields alike, which comes back to lists only
+# for its gcds.
 
 
 def _mul_raw(f: Field, a, b, mod=None, rows=False) -> list:
@@ -314,14 +315,39 @@ def _inv_raw(f: Field, a, mod) -> tuple:
 
 def _add_raw(f: Field, a, b, subtract=False) -> list:
     """a + b, or a - b when subtract is set, coefficient by coefficient.
-    A sum runs its loop over the shorter operand."""
+    A sum runs its loop over the shorter operand.  The field operation is
+    inlined as in _mul_raw: mod p, XOR of codes, or the Zech table."""
     if not subtract and len(a) < len(b):
         a, b = b, a
     out = list(a) + [0] * (len(b) - len(a))
-    op = f.sub if subtract else f.add
-    for i, c in enumerate(b):
-        out[i] = op(out[i], c)
+    if f.p == 2:
+        for i, c in enumerate(b):
+            out[i] ^= c
+    elif f.m == 1:
+        p, sign = f.p, -1 if subtract else 1
+        for i, c in enumerate(b):
+            out[i] = (out[i] + sign * c) % p
+    else:
+        exp, log, zech, qm1 = f.exp, f.log, f.zech, f.q - 1
+        half = f.half if subtract else 0  # -c = g^half * c
+        for i, c in enumerate(b):
+            if c:
+                t = log[c] + half
+                r = out[i]
+                if r:
+                    z = zech[(log[r] - t) % qm1]
+                    out[i] = exp[(t + z) % qm1] if z >= 0 else 0
+                else:
+                    out[i] = exp[t % qm1]
     return _trim(out)
+
+
+def _minus_t(f: Field, a) -> list:
+    """a - t as a new list, maybe untrimmed: the difference t^(q^i) - t of
+    Ben-Or's gcds, for the list a = t^(q^i) mod P."""
+    out = a + [0] * (2 - len(a))
+    out[1] = f.sub(out[1], 1)
+    return out
 
 
 # -- public ring operations --------------------------------------------------
@@ -388,11 +414,12 @@ def is_irreducible(P: Poly) -> bool:
     first nontrivial gcd of a block with the per-step verdict.  The steps
     i = 2 .. n/2 run in _chain on one of two routes.  On coefficient lists
     a block is one step, since a list mulmod costs more than the gcd it
-    saves.  Over a prime field with n * min(p, n) >= 64, the rows, steps
-    and block products run on packed ints (_Packed), where a product mod P
-    is three int products, in blocks of isqrt(n/2) steps.  Sparse
-    P = g(t^k) with (n/k)^2 < 2n, such as binomials t^n - c, and p too
-    large for 64-bit slots keep the lists.
+    saves.  Past a crossover in n that depends on (p, m) (_ben_or), the
+    rows, steps and block products run on packed ints (_Packed), one digit
+    plane per base-p digit of the coefficients, where a product mod P is
+    three int products, in blocks of isqrt(n/2) steps.  Extension fields of
+    characteristic 2, sparse P = g(t^k) with (n/k)^2 < 2n, such as
+    binomials t^n - c, and p too large for 64-bit slots keep the lists.
     """
     if P._irred is None:
         P._irred = len(P.coeffs) > 1 and _ben_or(P.field, P.monic().coeffs)
@@ -404,25 +431,37 @@ def _ben_or(f: Field, mod) -> bool:
     n = len(mod) - 1
     if n == 1:
         return True
-    t = [0, 1]
-    xq = _pow_raw(f, t, f.q, mod)
-    if len(_gcd_raw(f, _add_raw(f, xq, t, True), mod)) > 1:
+    xq = _pow_raw(f, [0, 1], f.q, mod)
+    if len(_gcd_raw(f, _minus_t(f, xq), mod)) > 1:
         return False
     if n < 4:
         return True
-    # the chain's route (is_irreducible): the list route spends
-    # n * min(p, n) coefficient operations per row (a shift and p reduction
-    # rows, or a dense product), the packed route a few int operations and
-    # a fixed set-up per call; packing pays from 64 on (BENCH_packed.json,
-    # ben_or_per_call).  When P = g(t^k), every row and image has at most
-    # d = n/k terms, and the list loops skip the zeros: packing then pays
-    # from d^2 >= 2n on (composed_moduli), which keeps binomials (d = 1) on
-    # lists.  Slots wider than a machine word stay on lists as well.
+    # the chain's route (is_irreducible).  Over a prime field the list
+    # route spends n * min(p, n) coefficient operations per row (a shift
+    # and p reduction rows, or a dense product), the packed route a few int
+    # operations and a fixed set-up per call: packing pays from 64 on
+    # (BENCH_packed.json, ben_or_per_call).  Over GF(p^m) every list
+    # operation goes through the Zech table, while a packed step makes m
+    # sums over rows m planes wide and the set-up grows with m: for odd p
+    # packing pays from n * min(q, n) >= 112 (m - 1)^2 on (GF(9) from
+    # n = 13, GF(25) from 11, GF(27) from 22, GF(81) from 32;
+    # BENCH_ext_packed.json, per_call), measured for q < 1024.  In
+    # characteristic 2 the list loops add by XOR, and the reducibles that
+    # pass the root test stay faster on lists through n = 64, so those
+    # fields keep the lists.  When P = g(t^k),
+    # every row and image has at most d = n/k terms, and the list loops
+    # skip the zeros: packing then pays from d^2 >= 2n on (composed_moduli
+    # in BENCH_packed.json), which keeps binomials (d = 1) on lists.  Slots
+    # wider than a machine word stay on lists as well.
+    if f.m == 1:
+        packs = n * min(f.p, n) >= 64
+    else:
+        packs = f.p > 2 and f.q < 1024 and n * min(f.q, n) >= 112 * (f.m - 1) ** 2
     ctx = None
-    if f.m == 1 and n * min(f.p, n) >= 64:
+    if packs:
         d = n // _int_gcd(*(i for i, c in enumerate(mod) if c))
-        if 2 * n <= d * d and _slots(f.p, n)[1]:
-            ctx = _Packed(f.p, mod)
+        if 2 * n <= d * d and _slots(f, n):
+            ctx = _Packed(f, mod)
     return _chain(f, mod, xq, ctx)
 
 
@@ -447,15 +486,14 @@ def _chain(f: Field, mod, xq, ctx) -> bool:
         rows, block = _frobenius_rows(f, xq, mod), 1
     else:
         rows, block = ctx.frobenius_rows(xq), isqrt(n // 2)
-    steps, minus_one = n // 2 - 1, f.neg(1)
+    steps = n // 2 - 1
     img = xq
     for i in range(steps):
         if ctx is None:
             img = _mul_raw(f, img, rows, rows=True)
         else:
-            img = ctx.unpack(sum(map(mul, img, rows)), n)
-        diff = img + [0] * (2 - len(img))  # img - t, maybe untrimmed
-        diff[1] = f.add(diff[1], minus_one)
+            img = ctx.frobenius(img, rows)
+        diff = _minus_t(f, img)
         acc = diff if i % block == 0 else ctx.mulmod(ctx.pack(acc), ctx.pack(diff))
         if (i + 1) % block == 0 or i + 1 == steps:
             if len(_gcd_raw(f, acc, mod)) > 1:
@@ -463,56 +501,113 @@ def _chain(f: Field, mod, xq, ctx) -> bool:
     return True
 
 
-def _slots(p: int, n: int) -> tuple:
-    """(k, w) for _Packed mod a P of degree n over F_p.  k is a multiple of
-    p at least every slot of quot * low (both reduced, quot at most n - 1
-    long), added to each slot before subtracting it so that none borrows.
-    w is the smallest machine word that holds every slot value _Packed can
+def _ypowers(f) -> list:
+    """The digits of y^k mod f.modulus for k = m .. 2m - 2, where
+    F_q = F_p[y]/(f.modulus): what the planes y^k of a product fold into."""
+    p, m = f.p, f.m
+    ym = [-c % p for c in f.modulus[:m]]
+    out, r = [], ym
+    for _ in range(m - 1):
+        out.append(r)
+        r = [(a + r[-1] * b) % p for a, b in zip([0] + r[:-1], ym)]
+    return out
+
+
+def _slots(f, n: int) -> int:
+    """The slot width w for _Packed mod a P of degree n over f = GF(p^m):
+    the smallest machine word that holds every slot value _Packed can
     produce, or 0 when none does."""
-    k = -(-(n - 1) * (p - 1) ** 2 // p) * p
-    prod = n * (p - 1) ** 2
-    # a product of reduced inputs plus k, and mulmod's middle product of
-    # the n - 1 unreduced top slots of such a product with v
-    bound = max(prod + k, (n - 1) * prod * (p - 1))
-    if p < n:
-        # frobenius_rows' shift route: each reduction adds k to every
-        # slot, and a slot goes through at most ceil(n/p) of them
-        bound = max(bound, n * (p - 1) * -(-n // p) * k)
+    p, m = f.p, f.m
+    top = p - 1  # the largest digit
+    fold = 1  # a prime field's one plane
+    if m > 1:
+        # plane k of a product sums at most pairs[k] plane products, and
+        # fold adds digit j of y^k mod f.modulus times plane k to plane j
+        pairs = [min(k, 2 * m - 2 - k) + 1 for k in range(2 * m - 1)]
+        ypow = list(enumerate(_ypowers(f), m))
+        fold = max(pairs[j] + sum(r[j] * pairs[k] for k, r in ypow) for j in range(m))
+    # a product of reduced inputs, and mulmod's middle product of the
+    # n - 1 unreduced top slots of such a product with v; adding
+    # quot * nlow at most doubles the first
+    prod = fold * n * top * top
+    bound = max(2 * prod, fold * (n - 1) * prod * top)
+    q = p**m
+    if q < n:
+        # frobenius_rows' shift route: each reduction adds a product of q
+        # reduced quotient slots to every slot, and a slot goes through at
+        # most ceil(n/q) of them; a chain step multiplies such rows by
+        # reduced digits
+        row = 1 + -(-n // q) * fold * q * top * top
+        bound = max(bound, fold * n * top * row)
     bits = bound.bit_length()
-    return k, min((w for w in _WORDS if w >= bits), default=0)
+    return min((w for w in _WORDS if w >= bits), default=0)
 
 
 class _Packed:
-    """Arithmetic mod a monic P of degree n over F_p on Kronecker-packed
-    ints: c_0 + c_1 t + ... is the int sum of c_i * 2^(w i), one w-bit slot
-    per coefficient, so a product of polynomials is one product of ints.
+    """Arithmetic mod a monic P of degree n over F_q = F_p[y]/(f.modulus)
+    on Kronecker-packed ints.  An element code holds the base-p digits of
+    its residue in y, constant digit first (field_core), and digit j of
+    the coefficients c_0, c_1, ... makes digit plane j: the int sum of
+    digit_j(c_i) * 2^(w i), one w-bit slot per coefficient.  A polynomial
+    is one int holding its m planes stride = 2n slots apart, plane j from
+    slot j * stride, so a product of two polynomials is one product of
+    ints whose 2m - 1 planes, each under 2n - 1 slots long, are its parts
+    at y^0 .. y^(2m - 2); fold adds the planes from y^m up back into the
+    low m through y^k mod f.modulus.  Over a prime field (m = 1) the one
+    plane is the coefficient list itself and there is nothing to fold.
 
     Slots are never reduced inside an int: w is derived from the largest
     slot value any product here can hold (_slots, which must find a
-    machine word), and a packed value is brought back to coefficients
-    below p only by unpack.  Reduction mod P is Barrett's: v = 1/rev(P)
+    machine word), and a packed value is brought back to digits below p
+    only by _digits.  Reduction mod P is Barrett's: v = 1/rev(P)
     mod s^(n-1), with rev(P)(s) = s^n P(1/s), turns the quotient of a
     product into one more product."""
 
-    __slots__ = ("p", "n", "w", "code", "low", "kn", "v", "vr")
+    __slots__ = (
+        "p", "m", "n", "w", "code", "stride", "digit", "ymod", "low", "high",
+        "nlow", "v", "vr",
+    )
 
-    def __init__(self, p: int, mod):
-        n = len(mod) - 1
-        self.p, self.n = p, n
-        k, self.w = _slots(p, n)
+    def __init__(self, f, mod):
+        p, m, n = f.p, f.m, len(mod) - 1
+        self.p, self.m, self.n = p, m, n
+        self.w = _slots(f, n)
         self.code = _WORDS[self.w]
-        self.low = self.pack(mod[:n])
-        self.kn = self.pack([k] * n)
+        self.stride = 2 * n
+        # digit[j][c] = digit j of the code c, for m > 1
+        self.digit = []
+        for j in range(m if m > 1 else 0):
+            run = []
+            for c in range(p):
+                run += [c] * p**j
+            self.digit.append(run * p ** (m - 1 - j))
+        # fold's table: for each plane k = 2m - 2 down to m, where it starts
+        # and, for each nonzero digit c_j of y^k mod f.modulus, c_j with
+        # where plane j starts
+        bits = self.w * self.stride
+        self.ymod = [
+            (bits * k, [(c, bits * j) for j, c in enumerate(r) if c])
+            for k, r in enumerate(_ypowers(f) if m > 1 else (), m)
+        ][::-1]
+        # every plane's slots below n, and those from n to 2n - 2
+        planes = ((1 << (bits * m)) - 1) // ((1 << bits) - 1)
+        self.low = planes * ((1 << (self.w * n)) - 1)
+        self.high = planes * ((1 << (self.w * (n - 1))) - 1)
+        # -P below t^n, digit by digit: reduce adds quot * nlow, so that
+        # no slot borrows
+        low = mod[:n] if m == 1 else self._split(mod[:n])
+        self.nlow = self._stack([-c % p for c in low], n)
         # v by Newton iteration: v <- v (2 - rev(P) v) doubles the
         # precision, from v = 1 since rev(P) has constant term 1
         rev = self.pack(mod[::-1])
-        v, prec = [1], 1
+        v, prec = 1, 1
         while prec < n - 1:
             prec = min(2 * prec, n - 1)
-            e = [(-c) % p for c in self.unpack(rev * self.pack(v), prec)]
+            e = [-c % p for c in self._digits(self.fold(rev * v), prec)]
             e[0] = 1  # 2 - rev(P) v, whose constant term is 2 - 1
-            v = self.unpack(self.pack(v) * self.pack(e), prec)
-        self.v = v[: n - 1]
+            e = self.fold(v * self._stack(e, prec))
+            v = self._stack(self._digits(e, prec), prec)
+        self.v = self.unpack(v, n - 1)
         self.vr = self.reversed_v(n - 1)
 
     def reversed_v(self, length: int) -> int:
@@ -521,58 +616,127 @@ class _Packed:
         sum_k h_(m+k) v_k at slot m, the quotient of h t^n by P."""
         return self.pack([0] + self.v[:length][::-1])
 
-    def pack(self, coeffs) -> int:
-        words = array(self.code, coeffs)
+    # A digit list holds the m planes of k coefficients one after the
+    # other, k digits each; over a prime field it is the coefficient list.
+
+    def _split(self, coeffs) -> list:
+        """The digit list of a coefficient list (m > 1)."""
+        out = []
+        for d in self.digit:
+            out += map(d.__getitem__, coeffs)
+        return out
+
+    def _restride(self, x: int, k: int, src: int, dst: int) -> int:
+        """The low k slots of each of x's m planes, moved from src slots
+        apart to dst slots apart."""
+        w, mask, out = self.w, (1 << (self.w * k)) - 1, 0
+        for j in range(self.m):
+            out |= ((x >> (w * src * j)) & mask) << (w * dst * j)
+        return out
+
+    def _stack(self, digits, k: int) -> int:
+        """The int of a digit list of k coefficients (k <= 2n)."""
+        words = array(self.code, digits)
         if _BIG_ENDIAN:
             words.byteswap()
-        return int.from_bytes(words, "little")
+        x = int.from_bytes(words, "little")
+        return x if self.m == 1 else self._restride(x, k, k, self.stride)
 
-    def unpack(self, x: int, k: int) -> list:
-        """The low k slots of x, each reduced mod p.  Slots above them may
-        hold anything, even a borrow, since they are masked off first."""
-        p, w = self.p, self.w
-        raw = (x & ((1 << (w * k)) - 1)).to_bytes(k * w // 8, "little")
+    def _digits(self, x: int, k: int) -> list:
+        """The digit list of the low k slots of each of x's m planes,
+        reduced mod p.  Slots above them may hold anything: they are
+        skipped or masked off."""
+        p, w, m = self.p, self.w, self.m
+        if m > 1:
+            x = self._restride(x, k, self.stride, k)
+        raw = (x & ((1 << (w * m * k)) - 1)).to_bytes(m * k * w // 8, "little")
         words = array(self.code, raw)
         if _BIG_ENDIAN:
             words.byteswap()
         return [c % p for c in words]
 
+    def pack(self, coeffs) -> int:
+        return self._stack(coeffs if self.m == 1 else self._split(coeffs), len(coeffs))
+
+    def unpack(self, x: int, k: int) -> list:
+        """The low k coefficients of x as element codes: each plane's
+        digits reduced mod p (_digits), then read in base p."""
+        digits = self._digits(x, k)
+        if self.m == 1:
+            return digits
+        out, pmul = digits[(self.m - 1) * k :], self.p.__mul__
+        for j in range(self.m - 2, -1, -1):
+            out = list(map(add, digits[j * k : j * k + k], map(pmul, out)))
+        return out
+
+    def fold(self, c: int) -> int:
+        """c's planes y^m .. y^(2m - 2), those of a product, added into
+        the low m through y^k mod f.modulus (ymod)."""
+        for at, terms in self.ymod:
+            top = c >> at
+            if top:
+                c &= (1 << at) - 1
+                for r, to in terms:
+                    c += r * top << to
+        return c
+
     def reduce(self, c: int, vr: int, k: int) -> int:
-        """c mod P by Barrett's product: the quotient of c's slots from n
-        up (at most k of them) is one product with vr = reversed_v(k), and
-        c + kn - quot * low holds c mod P in its low n slots, correct mod p
-        and with no borrow.  The slots from n up still hold c's, for the
-        caller to mask off."""
+        """c mod P, for c a product of two packed polynomials, by Barrett's
+        product: the quotient of each plane's slots from n up (at most k of
+        them) is one product with vr = reversed_v(k), whose digits are
+        reduced mod p before c + quot * nlow, which holds c mod P in the
+        low n slots of each plane, correct mod p and with no borrow.  The
+        slots from n up still hold c's, for the caller to mask off.  The
+        products are folded only over an extension field."""
         w, n = self.w, self.n
-        quot = self.pack(self.unpack((c >> (w * n)) * vr >> (w * k), k))
-        return c + self.kn - quot * self.low
+        if self.m == 1:
+            quot = (c >> (w * n)) * vr
+        else:
+            c = self.fold(c)
+            quot = self.fold(((c >> (w * n)) & self.high) * vr)
+        quot = self._stack(self._digits(quot >> (w * k), k), k) * self.nlow
+        return c + (quot if self.m == 1 else self.fold(quot))
 
     def mulmod(self, a: int, b: int) -> list:
-        """a * b mod P as n residues, for packed a and b with n reduced slots."""
+        """a * b mod P as n codes, for packed a and b with reduced digits."""
         return self.unpack(self.reduce(a * b, self.vr, self.n - 1), self.n)
 
     def frobenius_rows(self, xq) -> list:
-        """_frobenius_rows, packed.  For p >= n, row j is the Barrett product
-        of row j - 1 and xq = t^p mod P.  For p < n, t^p is a monomial, so
-        row j is row j - 1 shifted by p slots with only the top p slots
-        reduced; the rows' slots then stay unreduced but correct mod p, so
-        the rows are only good for products that unpack mod p after them."""
-        p, n, w = self.p, self.n, self.w
-        if p >= n:
+        """_frobenius_rows, packed.  For q >= n, row j is the Barrett
+        product of row j - 1 and xq = t^q mod P.  For q < n, t^q is a
+        monomial, so row j is row j - 1 shifted by q slots with only the
+        top q slots reduced; the rows' slots then stay unreduced but
+        correct mod p, so the rows are only good for products that reduce
+        mod p after them."""
+        n, w, q = self.n, self.w, self.p**self.m
+        if q >= n:
             x = self.pack(xq)
             rows = [1, x]
             for _ in range(2, n):
-                rows.append(self.pack(self.mulmod(rows[-1], x)))
+                c = self.reduce(rows[-1] * x, self.vr, n - 1)
+                rows.append(self._stack(self._digits(c, n), n))
             return rows
-        vr = self.reversed_v(p)
-        mask = (1 << (w * n)) - 1
+        vr = self.reversed_v(q)
+        low = self.low
+        over = ~low
         row, rows = 1, [1]
         for _ in range(1, n):
-            row <<= w * p
-            if row > mask:
-                row = self.reduce(row, vr, p) & mask
+            row <<= w * q
+            if row & over:
+                row = self.reduce(row, vr, q) & low
             rows.append(row)
         return rows
+
+    def frobenius(self, img, rows) -> list:
+        """img^q mod P as n codes, for img a list of codes and rows from
+        frobenius_rows: the sum of img_i * row_i, one sum of products per
+        digit plane of img."""
+        if self.m == 1:
+            return self.unpack(sum(map(mul, img, rows)), self.n)
+        c, bits = 0, self.w * self.stride
+        for j, d in enumerate(self.digit):
+            c += sum(map(mul, map(d.__getitem__, img), rows)) << (bits * j)
+        return self.unpack(self.fold(c), self.n)
 
 
 def _quotient_tables(f: Field, mod) -> tuple:

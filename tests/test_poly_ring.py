@@ -35,12 +35,15 @@ from residuemat.poly_ring import (
     _frobenius_rows,
     _gcd_raw,
     _inv_raw,
+    _minus_t,
     _pow_raw,
     _slots,
 )
 
 from conftest import get_field
 from naive import (
+    field_add_digits,
+    field_neg_digits,
     poly_divmod_lists,
     poly_mod_pow_lists,
     poly_mul_lists,
@@ -208,6 +211,24 @@ def test_ring_axioms(q, data):
     assert a * one(f) == a
     assert a + zero(f) == a
     assert (a * b).degree == a.degree + b.degree or (a * b).is_zero()
+
+
+@given(st.data())
+@settings(max_examples=60)
+@pytest.mark.parametrize("q", [2, 4, 5, 9])
+def test_add_sub_and_minus_t_match_digitwise(q, data):
+    # _add_raw inlines the field operation for prime fields and
+    # characteristic 2, and _minus_t is Ben-Or's t^(q^i) - t
+    f = get_field(q)
+    a, b = data.draw(coeff_lists(q)), data.draw(coeff_lists(q))
+    n = max(len(a), len(b), 2)
+    pa, pb = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    want_sum = [field_add_digits(f, x, y) for x, y in zip(pa, pb)]
+    want_diff = [field_add_digits(f, x, field_neg_digits(f, y)) for x, y in zip(pa, pb)]
+    assert Poly(f, _add_raw(f, a, b)) == Poly(f, want_sum)
+    assert Poly(f, _add_raw(f, a, b, True)) == Poly(f, want_diff)
+    want = pa[:1] + [field_add_digits(f, pa[1], field_neg_digits(f, 1))] + pa[2:]
+    assert Poly(f, _minus_t(f, a)) == Poly(f, want)
 
 
 @given(st.data())
@@ -443,8 +464,11 @@ def test_structured_reducibles_rejected_over_extension_fields(q):
             b = random_irreducible(rng, p, k)
         A, B = lift(a), lift(b)
         assert is_irreducible(A) and is_irreducible(B)
+        assert _routed_ben_or(f, list(A.coeffs)) and _routed_ben_or(f, list(B.coeffs))
         for P in (A * B, A * A, A * linear):
             assert not is_irreducible(P), (k, format_poly(P))
+            # the packed chain too, at every degree
+            assert not _routed_ben_or(f, list(P.coeffs)), (k, format_poly(P))
 
 
 @pytest.mark.parametrize("q", [2, 5, 13, 1021, 8, 9, 2187])
@@ -459,27 +483,29 @@ def test_frobenius_rows_match_naive_powers(q):
         xq = poly_mod_pow_lists(f, [0, 1], q, mod)
         expected = [poly_mod_pow_lists(f, [0, 1], j * q, mod) for j in range(n)]
         assert _frobenius_rows(f, xq, mod) == expected, n
-        if f.m == 1:
-            # packed rows, read through the kernel's own unpack mod p
-            ctx = _Packed(q, mod)
-            rows = [ctx.unpack(row, n) for row in ctx.frobenius_rows(xq)]
-            assert rows == [e + [0] * (n - len(e)) for e in expected], n
+        # packed rows, over extension fields one digit plane per base-p
+        # digit, read through the kernel's own unpack mod p
+        ctx = _Packed(f, mod)
+        rows = [ctx.unpack(row, n) for row in ctx.frobenius_rows(xq)]
+        assert rows == [e + [0] * (n - len(e)) for e in expected], n
 
 
 def _routed_ben_or(f, mod, packed=True) -> bool:
-    """_ben_or with the chain's route forced at every degree: its root test,
-    then _chain on a _Packed or, with packed=False, on lists, so that the
-    crossover hides no degree."""
+    """_ben_or with the chain's route forced at every degree, over any
+    field: its root test, then _chain on a _Packed or, with packed=False,
+    on lists, so that the crossover hides no degree."""
     n = len(mod) - 1
     xq = _pow_raw(f, [0, 1], f.q, mod)
     if n == 1:
         return True
-    if len(_gcd_raw(f, _add_raw(f, xq, [0, 1], True), mod)) > 1:
+    if len(_gcd_raw(f, _minus_t(f, xq), mod)) > 1:
         return False
-    return _chain(f, mod, xq, _Packed(f.p, mod) if packed else None)
+    return _chain(f, mod, xq, _Packed(f, mod) if packed else None)
 
 
-@pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 7), (5, 6), (7, 5)])
+@pytest.mark.parametrize(
+    "q,max_deg", [(2, 10), (3, 7), (5, 6), (7, 5), (4, 5), (8, 4), (9, 4)]
+)
 def test_packed_chain_matches_every_monic(q, max_deg):
     # trial division of every GF(5) sextic would take about 20 s, so the
     # oracle is its mirror image: the set of all products of two monics
@@ -556,24 +582,27 @@ def test_list_and_packed_chains_agree(q):
         assert _routed_ben_or(f, c) == want, c
 
 
-@pytest.mark.parametrize("p", [2, 5, 13, 1021, 65521])
-def test_packed_mulmod_matches_naive(p):
-    # the packed kernel reads only p, so it needs no field tables; the
-    # naive lists read p, m and q
-    f = SimpleNamespace(p=p, m=1, q=p)
-    rng = random.Random(p)
+@pytest.mark.parametrize("q", [2, 5, 13, 1021, 65521, 4, 9, 25])
+def test_packed_mulmod_matches_naive(q):
+    # over a prime field the packed kernel reads only p, m and the modulus
+    # of F_p = F_p[y]/(y), so it needs no field tables; the naive lists
+    # read p, m and q, and over an extension field the field's modulus
+    p = q if q in (2, 5, 13, 1021, 65521) else None
+    f = SimpleNamespace(p=p, m=1, q=p, modulus=(0, 1)) if p else get_field(q)
+    rng = random.Random(q)
     for n in (1, 2, 3, 7, 16, 33, 64, 129, 256, 300):
-        if not _slots(p, n)[1]:
+        if not _slots(f, n):
             # GF(65521) fills 64-bit slots at n = 256 and overflows them
             # from n = 257 on, where _ben_or keeps the lists
-            assert (p, n) == (65521, 300)
+            assert (q, n) == (65521, 300)
             continue
-        mod = [rng.randrange(p) for _ in range(n)] + [1]
-        ctx = _Packed(p, mod)
-        # random inputs, and all coefficients p - 1: the largest slots
+        mod = [rng.randrange(q) for _ in range(n)] + [1]
+        ctx = _Packed(f, mod)
+        # random inputs, and all coefficients q - 1, whose base-p digits
+        # are all p - 1: the largest slots
         for a, b in (
-            ([rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]),
-            ([p - 1] * n, [p - 1] * n),
+            ([rng.randrange(q) for _ in range(n)], [rng.randrange(q) for _ in range(n)]),
+            ([q - 1] * n, [q - 1] * n),
         ):
             got = ctx.mulmod(ctx.pack(a), ctx.pack(b))
             want = poly_divmod_lists(f, poly_mul_lists(f, a, b), mod)[1]
@@ -582,8 +611,9 @@ def test_packed_mulmod_matches_naive(p):
 
 def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
     # the packed chain runs for dense enough moduli of degree n with
-    # n * min(p, n) >= 64 whose slots fit a machine word; the verdict is
-    # the list chain's either way
+    # n * min(p, n) >= 64 over a prime field, and n * min(q, n) >=
+    # 112 (m - 1)^2 over GF(p^m) with p odd and q < 1024, whose slots fit a
+    # machine word; the verdict is the list chain's either way
     import residuemat.poly_ring as pr
 
     packed = []
@@ -601,13 +631,14 @@ def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
         while True:
             mod = [0] * (n + 1)
             for i in range(n // k):
-                mod[i * k] = rng.randrange(f.p)
+                mod[i * k] = rng.randrange(f.q)
             mod[n] = 1
             xq = _pow_raw(f, [0, 1], f.q, mod)
-            if len(_gcd_raw(f, _add_raw(f, xq, [0, 1], True), mod)) == 1:
+            if len(_gcd_raw(f, _minus_t(f, xq), mod)) == 1:
                 return mod
 
     f13, fbig = get_field(13), field_build(2**20 - 3)
+    f4, f9, f25, f2_16 = get_field(4), get_field(9), get_field(25), field_build(2, 16)
     irreducible = _sympy_oracle()[0]
     for f, mod, expect in (
         (f13, root_free(f13, 7), False),  # 7 * 7 < 64
@@ -617,10 +648,21 @@ def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
         (f13, root_free(f13, 64, 4), True),  # d = 16, d^2 >= 2n
         (f13, [11] + [0] * 255 + [1], False),  # the binomial t^256 + 11
         (fbig, root_free(fbig, 8), False),  # 64-bit slots overflow from n = 5
+        (f9, root_free(f9, 5), False),  # verify's degrees stay on lists
+        (f9, root_free(f9, 12), False),  # 12 * 9 < 112
+        (f9, root_free(f9, 13), True),
+        (f9, root_free(f9, 32), True),
+        (f9, root_free(f9, 24, 6), False),  # d = 4, d^2 < 2n
+        (f9, root_free(f9, 24, 2), True),  # d = 12, d^2 >= 2n
+        (f25, root_free(f25, 10), False),  # 10 * 10 < 112
+        (f25, root_free(f25, 11), True),
+        (f4, root_free(f4, 40), False),  # characteristic 2 keeps the lists
+        (f2_16, root_free(f2_16, 8), False),  # matrix-highdeg's GF(2^16)
     ):
         packed.clear()
-        assert _ben_or(f, mod) == irreducible(mod, f.p), mod
-        assert packed == ([len(mod) - 1] if expect else []), mod
+        want = irreducible(mod, f.p) if f.m == 1 else _routed_ben_or(f, mod, packed=False)
+        assert _ben_or(f, mod) == want, mod
+        assert packed == ([len(mod) - 1] if expect else []), (f, len(mod) - 1)
 
 
 def test_irreducibility_is_cached(f3):
