@@ -9,12 +9,12 @@ The field is given as --q for a prime, or --p/--m for a prime power
 q = p^m; the environment variable RESIDUEMAT_MAX_Q overrides the default
 field-size bound.  Polynomial arguments and realize's --max-degree above
 MAX_POLY_DEGREE are refused, since an irreducibility test costs about the
-cube of the degree (poly_ring.is_irreducible states its chain; a symbol
-costs only the square).  verify refuses a scan of more than
-VERIFY_MAX_PAIRS ordered pairs of irreducibles, the same cap equiv
-applies to its matrix count by default, and a structure check of more
-than VERIFY_MAX_PRODUCTS residue products; equiv refuses a --bound above
-EQUIV_MAX_MATRICES.
+cube of the degree (poly_ring.is_irreducible states its chain, _ben_or
+its routes; a symbol costs only the square).  verify refuses a scan of
+more than VERIFY_MAX_PAIRS ordered pairs of irreducibles, the same cap
+equiv applies to its matrix count by default, and a structure check of
+more than VERIFY_MAX_PRODUCTS residue products; equiv refuses a --bound
+above EQUIV_MAX_MATRICES.
 Matrices travel as text files in the matrix_class format; structured
 results are printed as JSON with sorted keys so output is stable for
 golden-file comparison.

@@ -204,6 +204,7 @@ class Field:
         return self.exp[(self.log[a] + self.half) % (self.q - 1)]
 
     def sub(self, a: int, b: int) -> int:
+        # direct paths: add(a, neg(b)) costs short list Ben-Or calls up to 1.02x (BENCH_forks.json)
         if self.m == 1:
             return (a - b) % self.p
         if self.p == 2:

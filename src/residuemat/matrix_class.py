@@ -54,7 +54,7 @@ class CycMatrix:
                     rows[i][j] = None
                 else:
                     v = rows[i][j]
-                    if not isinstance(v, int) or not 0 <= v < d:
+                    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < d:
                         raise ValueError(
                             f"entry ({i + 1},{j + 1}) = {v!r} not an index in [0, {d})"
                         )

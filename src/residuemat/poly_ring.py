@@ -8,8 +8,8 @@ deg(a * b) = deg a + deg b hold without special-casing.
 
 Irreducibility uses Ben-Or's test, cached on the instance since symbol
 evaluation revalidates its modulus on every call; is_irreducible states
-its Frobenius chain and the chain's two routes, on coefficient lists and
-on Kronecker-packed ints (_Packed).
+its Frobenius chain, which runs on coefficient lists or on
+Kronecker-packed ints (_Packed), and _ben_or when each route is taken.
 
 The same Ben-Or test finds field_core's GF(p^m) modulus, and
 _quotient_tables walks the exp/log tables of any quotient field
@@ -32,8 +32,9 @@ from .field_core import Field, _prime_factors
 
 NEG_INF = float("-inf")
 _BIG_ENDIAN = sys.byteorder == "big"
-# array typecodes by word width in bits, for packing slots of that width
-_WORDS = {array(code).itemsize * 8: code for code in "BHIQ"}
+# array typecodes by word width in bits, for packing slots of that width;
+# 8 bits hold no slot of a modulus that _ben_or packs
+_WORDS = {array(code).itemsize * 8: code for code in "HIQ"}
 
 
 def _trim(c: list) -> list:
@@ -51,7 +52,7 @@ class Poly:
         q = field.q
         cl = list(coeffs)
         for c in cl:
-            if not isinstance(c, int) or not 0 <= c < q:
+            if isinstance(c, bool) or not isinstance(c, int) or not 0 <= c < q:
                 raise ValueError(f"coefficient {c!r} out of range [0, {q})")
         self.field = field
         self.coeffs = tuple(_trim(cl))
@@ -171,9 +172,8 @@ def constant(field: Field, c: int) -> Poly:
 # loop per field arithmetic, chosen by (p, m) alone, with every field
 # operation inlined: prime fields add mod p, characteristic 2 XORs codes,
 # and odd extension fields add through the Zech table (see field_core).
-# The one exception is the packed route of Ben-Or's chain (is_irreducible),
-# over prime and extension fields alike, which comes back to lists only
-# for its gcds.
+# The one exception is the packed route of Ben-Or's chain (_ben_or states
+# when it is taken), which comes back to lists only for its gcds.
 
 
 def _mul_raw(f: Field, a, b, mod=None, rows=False) -> list:
@@ -414,12 +414,11 @@ def is_irreducible(P: Poly) -> bool:
     first nontrivial gcd of a block with the per-step verdict.  The steps
     i = 2 .. n/2 run in _chain on one of two routes.  On coefficient lists
     a block is one step, since a list mulmod costs more than the gcd it
-    saves.  Past a crossover in n that depends on (p, m) (_ben_or), the
-    rows, steps and block products run on packed ints (_Packed), one digit
-    plane per base-p digit of the coefficients, where a product mod P is
-    three int products, in blocks of isqrt(n/2) steps.  Extension fields of
-    characteristic 2, sparse P = g(t^k) with (n/k)^2 < 2n, such as
-    binomials t^n - c, and p too large for 64-bit slots keep the lists.
+    saves.  On the packed route the rows, steps and block products run on
+    packed ints (_Packed), one digit plane per base-p digit of the
+    coefficients, where a product mod P is three int products, in blocks
+    of isqrt(n/2) steps.  _ben_or states which moduli take it, and the
+    measurements behind that choice.
     """
     if P._irred is None:
         P._irred = len(P.coeffs) > 1 and _ben_or(P.field, P.monic().coeffs)
@@ -436,29 +435,23 @@ def _ben_or(f: Field, mod) -> bool:
         return False
     if n < 4:
         return True
-    # the chain's route (is_irreducible).  Over a prime field the list
-    # route spends n * min(p, n) coefficient operations per row (a shift
-    # and p reduction rows, or a dense product), the packed route a few int
-    # operations and a fixed set-up per call: packing pays from 64 on
-    # (BENCH_packed.json, ben_or_per_call).  Over GF(p^m) every list
-    # operation goes through the Zech table, while a packed step makes m
-    # sums over rows m planes wide and the set-up grows with m: for odd p
-    # packing pays from n * min(q, n) >= 112 (m - 1)^2 on (GF(9) from
-    # n = 13, GF(25) from 11, GF(27) from 22, GF(81) from 32;
-    # BENCH_ext_packed.json, per_call), measured for q < 1024.  In
-    # characteristic 2 the list loops add by XOR, and the reducibles that
-    # pass the root test stay faster on lists through n = 64, so those
-    # fields keep the lists.  When P = g(t^k),
-    # every row and image has at most d = n/k terms, and the list loops
-    # skip the zeros: packing then pays from d^2 >= 2n on (composed_moduli
-    # in BENCH_packed.json), which keeps binomials (d = 1) on lists.  Slots
-    # wider than a machine word stay on lists as well.
-    if f.m == 1:
-        packs = n * min(f.p, n) >= 64
-    else:
-        packs = f.p > 2 and f.q < 1024 and n * min(f.q, n) >= 112 * (f.m - 1) ** 2
+    # The chain's route, stated here once.  A list row costs n * min(q, n)
+    # coefficient operations (a shift and q reduction rows, or a dense
+    # product), through the Zech table over odd GF(p^m); the packed route
+    # costs a few int operations per row and a set-up that grows with m.
+    # Packing pays from n * min(q, n) >= 64 over a prime field
+    # (BENCH_packed.json, ben_or_per_call) and from 112 (m - 1)^2 over
+    # GF(p^m) with p odd and q < 1024, the fields measured: GF(9) from
+    # n = 13, GF(25) and GF(49) from 11, GF(27) from 22, GF(81) from 32
+    # (BENCH_ext_packed.json, per_call).  Characteristic 2 adds by XOR on
+    # lists, where the reducibles that pass the root test stay faster
+    # through n = 64.  For P = g(t^k) every row and image has at most
+    # d = n/k terms, and the list loops skip the zeros: packing pays from
+    # d^2 >= 2n (composed_moduli in BENCH_packed.json), which keeps
+    # binomials (d = 1) on lists.  So do slots wider than 64 bits.
+    p, m, q = f.p, f.m, f.q
     ctx = None
-    if packs:
+    if (m == 1 or p > 2 and q < 1024) and n * min(q, n) >= max(64, 112 * (m - 1) ** 2):
         d = n // _int_gcd(*(i for i, c in enumerate(mod) if c))
         if 2 * n <= d * d and _slots(f, n):
             ctx = _Packed(f, mod)
@@ -502,15 +495,11 @@ def _chain(f: Field, mod, xq, ctx) -> bool:
 
 
 def _ypowers(f) -> list:
-    """The digits of y^k mod f.modulus for k = m .. 2m - 2, where
-    F_q = F_p[y]/(f.modulus): what the planes y^k of a product fold into."""
-    p, m = f.p, f.m
-    ym = [-c % p for c in f.modulus[:m]]
-    out, r = [], ym
-    for _ in range(m - 1):
-        out.append(r)
-        r = [(a + r[-1] * b) % p for a, b in zip([0] + r[:-1], ym)]
-    return out
+    """The digits of y^k for k = m .. 2m - 2, where F_q = F_p[y]/(f.modulus)
+    and y has code p, read off the field's tables: what the planes y^k of a
+    product fold into.  Empty over a prime field."""
+    m, qm1 = f.m, f.q - 1
+    return [f.coeffs_of(f.exp[k * f.log[f.p] % qm1]) for k in range(m, 2 * m - 1)]
 
 
 def _slots(f, n: int) -> int:
@@ -520,7 +509,7 @@ def _slots(f, n: int) -> int:
     p, m = f.p, f.m
     top = p - 1  # the largest digit
     fold = 1  # a prime field's one plane
-    if m > 1:
+    if m > 1:  # the general rule costs m = 1 up to 1.07x per call (BENCH_forks.json)
         # plane k of a product sums at most pairs[k] plane products, and
         # fold adds digit j of y^k mod f.modulus times plane k to plane j
         pairs = [min(k, 2 * m - 2 - k) + 1 for k in range(2 * m - 1)]
@@ -554,7 +543,10 @@ class _Packed:
     ints whose 2m - 1 planes, each under 2n - 1 slots long, are its parts
     at y^0 .. y^(2m - 2); fold adds the planes from y^m up back into the
     low m through y^k mod f.modulus.  Over a prime field (m = 1) the one
-    plane is the coefficient list itself and there is nothing to fold.
+    plane is the coefficient list itself and there is nothing to fold:
+    pack, unpack, _stack, _digits, reduce and frobenius then skip the
+    digit tables, restriding and fold, which saves 1.2-1.4x per packed
+    prime-field call (BENCH_forks.json, kept_forks).
 
     Slots are never reduced inside an int: w is derived from the largest
     slot value any product here can hold (_slots, which must find a
@@ -587,7 +579,7 @@ class _Packed:
         bits = self.w * self.stride
         self.ymod = [
             (bits * k, [(c, bits * j) for j, c in enumerate(r) if c])
-            for k, r in enumerate(_ypowers(f) if m > 1 else (), m)
+            for k, r in enumerate(_ypowers(f), m)
         ][::-1]
         # every plane's slots below n, and those from n to 2n - 2
         planes = ((1 << (bits * m)) - 1) // ((1 << bits) - 1)
@@ -707,7 +699,8 @@ class _Packed:
         monomial, so row j is row j - 1 shifted by q slots with only the
         top q slots reduced; the rows' slots then stay unreduced but
         correct mod p, so the rows are only good for products that reduce
-        mod p after them."""
+        mod p after them.  Normalising them as well costs 1.1-1.4x per call,
+        and one loop for both routes about 1% (BENCH_forks.json)."""
         n, w, q = self.n, self.w, self.p**self.m
         if q >= n:
             x = self.pack(xq)

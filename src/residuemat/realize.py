@@ -134,27 +134,25 @@ def _json_value(x):
 
 
 def _choose_residue(ctx: SymbolContext, P: Poly, target_k: int, rng):
-    """(residue, trials) with symbol(residue, P) = target_k; rng=None scans."""
+    """(residue, trials) with symbol(residue, P) = target_k.  rng=None scans
+    the codes in order; otherwise max(1000, 200 d) seeded draws come first,
+    and past them the scan's residue is returned with the draws' count."""
     f = ctx.field
     size = norm(P)
     if rng is None:
-        for code in range(1, size):
-            u = from_code(f, code)
-            if symbol(ctx, u, P).k == target_k:
-                return u, code
+        codes = range(1, size)
+    else:
+        codes = (rng.randrange(1, size) for _ in range(max(1000, 200 * ctx.d)))
+    for trials, code in enumerate(codes, 1):
+        u = from_code(f, code)
+        if symbol(ctx, u, P).k == target_k:
+            return u, trials
+    if rng is None:
         raise RealizeError(
             "no residue with the requested symbol; surjectivity violated "
             "(implementation bug)"
         )
-    cutoff = max(1000, 200 * ctx.d)
-    trials = 0
-    while trials < cutoff:
-        trials += 1
-        u = from_code(f, rng.randrange(1, size))
-        if symbol(ctx, u, P).k == target_k:
-            return u, trials
-    u, _ = _choose_residue(ctx, P, target_k, None)
-    return u, trials
+    return _choose_residue(ctx, P, target_k, None)[0], trials
 
 
 def crt_combine(pairs):

@@ -102,6 +102,21 @@ def test_constructor_rejects():
         CycMatrix(2, 2, [[None, 0]])  # wrong shape
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[None, True], [1, None]],
+        [[None, 1], [False, None]],
+        [[None, False, 0], [0, None, True], [1, 0, None]],
+    ],
+)
+def test_constructor_rejects_bool_indices(rows):
+    # bool is an int subclass, but True is no index: format_matrix would
+    # print it as "True"
+    with pytest.raises(ValueError, match="not an index"):
+        CycMatrix(len(rows), 2, rows)
+
+
 def test_equality_and_hash():
     assert mat(2, 2, (None, 1), (1, None)) == mat(2, 2, (None, 1), (1, None))
     assert hash(SKEW22) == hash(mat(2, 4, (None, 1), (3, None)))

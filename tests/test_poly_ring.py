@@ -38,6 +38,7 @@ from residuemat.poly_ring import (
     _minus_t,
     _pow_raw,
     _slots,
+    _ypowers,
 )
 
 from conftest import get_field
@@ -140,6 +141,14 @@ def test_constructor_trims_and_validates(f3):
         Poly(f3, [3])
     with pytest.raises(ValueError):
         Poly(f3, [1.0])
+
+
+@pytest.mark.parametrize("coeffs", [[True, 1], [1, False], [False], [2, True]])
+def test_constructor_rejects_bool_coefficients(coeffs):
+    # bool is an int subclass, but True is no element code: it would print
+    # as "t + True"
+    with pytest.raises(ValueError, match="coefficient"):
+        Poly(get_field(5), coeffs)
 
 
 def test_degree_sentinel(f3):
@@ -613,7 +622,8 @@ def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
     # the packed chain runs for dense enough moduli of degree n with
     # n * min(p, n) >= 64 over a prime field, and n * min(q, n) >=
     # 112 (m - 1)^2 over GF(p^m) with p odd and q < 1024, whose slots fit a
-    # machine word; the verdict is the list chain's either way
+    # machine word (one predicate, in _ben_or); the verdict is the list
+    # chain's either way
     import residuemat.poly_ring as pr
 
     packed = []
@@ -639,6 +649,7 @@ def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
 
     f13, fbig = get_field(13), field_build(2**20 - 3)
     f4, f9, f25, f2_16 = get_field(4), get_field(9), get_field(25), field_build(2, 16)
+    f27, f2187 = field_build(3, 3), get_field(2187)
     irreducible = _sympy_oracle()[0]
     for f, mod, expect in (
         (f13, root_free(f13, 7), False),  # 7 * 7 < 64
@@ -656,6 +667,9 @@ def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
         (f9, root_free(f9, 24, 2), True),  # d = 12, d^2 >= 2n
         (f25, root_free(f25, 10), False),  # 10 * 10 < 112
         (f25, root_free(f25, 11), True),
+        (f27, root_free(f27, 21), False),  # 21 * 21 < 112 * 2^2
+        (f27, root_free(f27, 22), True),
+        (f2187, root_free(f2187, 64), False),  # q >= 1024 keeps the lists
         (f4, root_free(f4, 40), False),  # characteristic 2 keeps the lists
         (f2_16, root_free(f2_16, 8), False),  # matrix-highdeg's GF(2^16)
     ):
@@ -663,6 +677,19 @@ def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
         want = irreducible(mod, f.p) if f.m == 1 else _routed_ben_or(f, mod, packed=False)
         assert _ben_or(f, mod) == want, mod
         assert packed == ([len(mod) - 1] if expect else []), (f, len(mod) - 1)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (2, 16), (5, 1)])
+def test_ypowers_match_naive_reduction(p, m):
+    # y^k mod f.modulus for k = m .. 2m - 2 by long division over F_p,
+    # against the digits _ypowers reads off the field's tables
+    f, fp = field_build(p, m), get_field(p)
+    want = []
+    for k in range(m, 2 * m - 1):
+        r = poly_divmod_lists(fp, [0] * k + [1], list(f.modulus))[1]
+        want.append(tuple(r + [0] * (m - len(r))))
+    assert _ypowers(f) == want
+    assert len(want) == m - 1
 
 
 def test_irreducibility_is_cached(f3):

@@ -30,6 +30,7 @@ from residuemat import (
 from residuemat.realize import _choose_residue, _find_irreducible
 
 from conftest import get_context, get_field
+from naive import trial_division_irreducible
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -88,6 +89,32 @@ def test_choose_residue_rejection_rate():
     trials = [_choose_residue(ctx, t, i % 4, rng)[1] for i in range(1000)]
     mean = sum(trials) / len(trials)
     assert 2.0 < mean < 6.0
+
+
+def test_choose_residue_falls_back_to_the_scan_after_the_cutoff():
+    # an rng that draws only a residue of the wrong symbol: after
+    # max(1000, 200 d) draws the scan's residue comes back, with the draws
+    # counted as the trials
+    for q, d in ((5, 4), (9, 8)):
+        ctx = get_context(q, d)
+        f = ctx.field
+        P = parse_poly("t+1", f)
+        target = 1
+        wrong = next(c for c in range(1, q) if symbol(ctx, from_code(f, c), P).k != target)
+
+        class Stuck:
+            draws = 0
+
+            def randrange(self, lo, hi):
+                assert (lo, hi) == (1, q)
+                self.draws += 1
+                return wrong
+
+        rng = Stuck()
+        u, trials = _choose_residue(ctx, P, target, rng)
+        assert u == _choose_residue(ctx, P, target, None)[0]
+        assert symbol(ctx, u, P).k == target
+        assert trials == rng.draws == max(1000, 200 * d)
 
 
 # -- CRT -------------------------------------------------------------------
@@ -187,6 +214,17 @@ def test_find_irreducible_random_mode(f5):
     P, _ = _find_irreducible(u0, Q, 4, random.Random(11))
     assert P.degree == 4 and is_irreducible(P) and P % Q == u0
     assert _find_irreducible(u0, Q, 4, random.Random(11))[0] == P
+
+
+def test_find_irreducible_random_mode_above_two_to_the_sixteen_codes():
+    # 13^5 candidates h of degree 5 exceed 2^16, so the seeded search draws
+    # codes without replacement instead of shuffling them all
+    f13 = get_field(13)
+    Q, u0 = variable(f13), one(f13)
+    P, tested = _find_irreducible(u0, Q, 6, random.Random(5))
+    assert P.degree == 6 and P.is_monic() and P.coeffs[0] == 1  # P = 1 mod t
+    assert trial_division_irreducible(P)
+    assert _find_irreducible(u0, Q, 6, random.Random(5)) == (P, tested)
 
 
 # -- options ---------------------------------------------------------------
