@@ -689,7 +689,6 @@ def test_ypowers_match_naive_reduction(p, m):
         r = poly_divmod_lists(fp, [0] * k + [1], list(f.modulus))[1]
         want.append(tuple(r + [0] * (m - len(r))))
     assert _ypowers(f) == want
-    assert len(want) == m - 1
 
 
 def test_irreducibility_is_cached(f3):
