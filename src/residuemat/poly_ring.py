@@ -408,16 +408,17 @@ def is_irreducible(P: Poly) -> bool:
     monomial t^q, so each is a shift plus at most q reduction rows, and
     the whole basis costs about one square-and-multiply step.
 
-    The differences t^(q^i) - t are multiplied mod P in blocks, with one
-    gcd per block and one at the end: P is coprime to every difference of
-    a block iff it is coprime to their product, so the scan stops at the
-    first nontrivial gcd of a block with the per-step verdict.  The steps
-    i = 2 .. n/2 run in _chain on one of two routes.  On coefficient lists
-    a block is one step, since a list mulmod costs more than the gcd it
-    saves.  On the packed route the rows, steps and block products run on
-    packed ints (_Packed), one digit plane per base-p digit of the
-    coefficients, where a product mod P is three int products, in blocks
-    of isqrt(n/2) steps.  _ben_or states which moduli take it, and the
+    The steps i = 2 .. n/2 run in _chain on one of two routes.  On
+    coefficient lists each difference t^(q^i) - t gets its own gcd, since
+    a list mulmod costs more than the gcd it saves.  On the packed route
+    the rows, steps and products run on packed ints (_Packed), one digit
+    plane per base-p digit of the coefficients, where a product mod P is
+    three int products, and the differences are multiplied mod P with two
+    gcds in all: one after the first isqrt(n/2) steps, so that small
+    factors still exit early, and one over the product of the rest.  P is
+    coprime to every difference iff it is coprime to their product mod P
+    (a product that is 0 mod P has gcd P), so the verdict is the per-step
+    one.  _ben_or states which moduli take the packed route, and the
     measurements behind that choice.
     """
     if P._irred is None:
@@ -448,7 +449,11 @@ def _ben_or(f: Field, mod) -> bool:
     # through n = 64.  For P = g(t^k) every row and image has at most
     # d = n/k terms, and the list loops skip the zeros: packing pays from
     # d^2 >= 2n (composed_moduli in BENCH_packed.json), which keeps
-    # binomials (d = 1) on lists.  So do slots wider than 64 bits.
+    # binomials (d = 1) on lists.  So do slots wider than 64 bits.  The
+    # crossover was measured with one gcd per isqrt(n/2) packed steps; the
+    # two gcds per packed chain since then run 1.06-1.61x on irreducibles
+    # and 0.89-1.08x on reducibles that pass the root test
+    # (BENCH_euclid.json, ben_or), and move no modulus between routes.
     p, m, q = f.p, f.m, f.q
     ctx = None
     if (m == 1 or p > 2 and q < 1024) and n * min(q, n) >= max(64, 112 * (m - 1) ** 2):
@@ -473,13 +478,16 @@ def _chain(f: Field, mod, xq, ctx) -> bool:
     """Steps i = 2 .. n/2 of is_irreducible's chain, given xq = t^q mod P
     from the root test: on coefficient lists when ctx is None, else on the
     packed ints of ctx, a _Packed for P.  The routes differ only in how
-    rows, steps and block products are computed, and in the block."""
+    rows, steps and products are computed, and in where the gcds fall:
+    after every list step, or after the first isqrt(n/2) packed steps and
+    at the end."""
     n = len(mod) - 1
-    if ctx is None:
-        rows, block = _frobenius_rows(f, xq, mod), 1
-    else:
-        rows, block = ctx.frobenius_rows(xq), isqrt(n // 2)
     steps = n // 2 - 1
+    # a gcd is taken after step i when i + 1 is in cuts
+    if ctx is None:
+        rows, cuts = _frobenius_rows(f, xq, mod), range(1, steps + 1)
+    else:
+        rows, cuts = ctx.frobenius_rows(xq), (isqrt(n // 2), steps)
     img = xq
     for i in range(steps):
         if ctx is None:
@@ -487,10 +495,12 @@ def _chain(f: Field, mod, xq, ctx) -> bool:
         else:
             img = ctx.frobenius(img, rows)
         diff = _minus_t(f, img)
-        acc = diff if i % block == 0 else ctx.mulmod(ctx.pack(acc), ctx.pack(diff))
-        if (i + 1) % block == 0 or i + 1 == steps:
-            if len(_gcd_raw(f, acc, mod)) > 1:
-                return False
+        if i == 0 or i in cuts:
+            acc = diff
+        else:
+            acc = ctx.mulmod(ctx.pack(acc), ctx.pack(diff))
+        if i + 1 in cuts and len(_gcd_raw(f, acc, mod)) > 1:
+            return False
     return True
 
 

@@ -15,8 +15,11 @@ monic modulus b coprime to a:
 * a constant c = g^l has (c/b) = zeta^(l deg b);
 * for monic coprime a and b, (a/b) - (b/a) = reciprocity_index(deg a, deg b).
 
-Reducing, stripping the leading coefficient and swapping is Euclid's
-algorithm on (a, P), so a symbol costs O(deg(P)^2) field operations.
+Reducing and swapping is Euclid's algorithm on (a, P), so a symbol costs
+O(deg(P)^2) field operations.  The remainders are never made monic:
+dividing by c*b leaves the same remainder as dividing by b, so only the
+leading coefficient of each new numerator enters the index, once per
+swap.
 
 The route assumes the reciprocity law, so it cannot be what checks that
 law.  verify_reciprocity() therefore computes every symbol by the
@@ -53,7 +56,6 @@ from .field_core import Field, RootIndex, _check_d, _odd_law, _zech, root_index_
 from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
-    _mul_raw,
     _quotient_tables,
     _rem_raw,
     format_poly,
@@ -104,7 +106,8 @@ def symbol(ctx: SymbolContext, a: Poly, P: Poly) -> RootIndex:
 
 def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
     """Index of the Jacobi symbol (a/b)_d for monic b coprime to a, by
-    Euclid's algorithm and the reciprocity law."""
+    Euclid's algorithm and the reciprocity law.  From the second step on
+    the modulus rb stands for the monic rb / lead(rb)."""
     f, d = ctx.field, ctx.d
     log = f.log
     # the reciprocity sign is d/2 on two odd degrees (reciprocity_index)
@@ -118,10 +121,11 @@ def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
         k += log[lead] * deg_b
         if len(ra) == 1:
             break
-        if lead != 1:
-            ra = _mul_raw(f, [f.inv(lead)], ra)
         if signed and deg_b % 2 and (len(ra) - 1) % 2:
             k += d // 2
+        # the law swaps the monic sides, but the next numerator is rb
+        # itself: take out (lead(rb)/ra), the index log lead(rb) * deg ra
+        k -= log[rb[-1]] * (len(ra) - 1)
         ra, rb = list(rb), ra
     return k % d
 
@@ -241,7 +245,11 @@ def reciprocity_index(ctx: SymbolContext, deg_p: int, deg_q: int) -> RootIndex:
 
 
 def residue_matrix(ctx: SymbolContext, polys) -> CycMatrix:
-    """CycMatrix with entry (i, j) = symbol(P_i, P_j) for i != j."""
+    """CycMatrix with entry (i, j) = symbol(P_i, P_j) for i != j.
+
+    One symbol is computed per unordered pair: entry (j, i) follows from
+    (i, j) by the reciprocity law, since the transposed Euclid run would
+    repeat the same remainders from its second step on."""
     polys = list(polys)
     if not polys:
         raise ValueError("at least one polynomial required")
@@ -249,13 +257,15 @@ def residue_matrix(ctx: SymbolContext, polys) -> CycMatrix:
         raise ValueError("duplicate polynomials in residue matrix input")
     for P in polys:
         _check_modulus(ctx, P)
-    n = len(polys)
+    n, d = len(polys), ctx.d
     entries = [[None] * n for _ in range(n)]
-    for j, Pj in enumerate(polys):
-        for i, Pi in enumerate(polys):
-            if i != j:
-                entries[i][j] = symbol(ctx, Pi, Pj).k
-    return CycMatrix(n, ctx.d, entries)
+    for i, Pi in enumerate(polys):
+        for j in range(i + 1, n):
+            Pj = polys[j]
+            k = symbol(ctx, Pi, Pj).k
+            entries[i][j] = k
+            entries[j][i] = (k - reciprocity_index(ctx, Pi.degree, Pj.degree).k) % d
+    return CycMatrix(n, d, entries)
 
 
 # -- exhaustive self-checks (the verification front ends) ---------------------

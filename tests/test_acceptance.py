@@ -3,8 +3,9 @@ line under pytest -v) per criterion.
 
 1. reciprocity law, exhaustive over pairs of irreducibles of degree <= 3;
 2. multiplicativity + surjectivity of the symbol, exhaustive at degree <= 2;
-3. random 4-tuples: symmetric matrices on the even branch, classify
-   recovering s = #odd-degree polynomials on the odd branch;
+3. random 4-tuples, their matrices built from symbol() on every ordered
+   pair: symmetric on the even branch, classify recovering
+   s = #odd-degree polynomials on the odd branch;
 4. brute-force equivalence of the block-form and diagonal criteria, with
    independently derived admissible counts;
 5. constructive realization round-trips exactly (all 2x2, sampled 3x3);
@@ -21,6 +22,7 @@ from pathlib import Path
 
 from residuemat import (
     ODD_LAW,
+    CycMatrix,
     classify,
     count_monic_irreducibles,
     criteria_equiv_bruteforce,
@@ -28,6 +30,7 @@ from residuemat import (
     monic_irreducibles,
     realize,
     residue_matrix,
+    symbol,
     verify_reciprocity,
     verify_symbol_structure,
 )
@@ -78,13 +81,25 @@ def _random_tuples(field, rng, count, size=4, max_deg=3):
         yield chosen
 
 
+def _symbol_matrix(ctx, polys):
+    """The residue matrix from symbol() on every ordered pair, so that no
+    entry is filled in by a law; residue_matrix must equal it."""
+    n = len(polys)
+    M = CycMatrix(n, ctx.d, [
+        [None if i == j else symbol(ctx, polys[i], polys[j]).k for j in range(n)]
+        for i in range(n)
+    ])
+    assert residue_matrix(ctx, polys) == M, polys
+    return M
+
+
 def test_criterion_3_random_tuples_obey_the_two_laws():
     rng = random.Random(20250819)
     for q, d in ((5, 2), (9, 4), (7, 3)):
         assert ((q - 1) // d) % 2 == 0
         ctx = get_context(q, d)
         for polys in _random_tuples(ctx.field, rng, 200):
-            M = residue_matrix(ctx, polys)
+            M = _symbol_matrix(ctx, polys)
             for i in range(M.n):
                 for j in range(i + 1, M.n):
                     assert M.entries[i][j] == M.entries[j][i], (q, d, polys)
@@ -92,7 +107,7 @@ def test_criterion_3_random_tuples_obey_the_two_laws():
         assert q % 2 == 1 and ((q - 1) // d) % 2 == 1
         ctx = get_context(q, d)
         for polys in _random_tuples(ctx.field, rng, 200):
-            M = residue_matrix(ctx, polys)
+            M = _symbol_matrix(ctx, polys)
             res = classify(M, q)
             assert res.realizable and res.branch == ODD_LAW, (q, d, polys)
             odd_count = sum(P.degree % 2 for P in polys)

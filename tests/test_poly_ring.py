@@ -550,12 +550,13 @@ def test_packed_chain_matches_sympy(q):
 
 def _structured_reducibles(rng, q, n=24):
     """(k, A * B) with deg A = k, for k = 2 .. n/2 and A, B distinct random
-    irreducibles over F_q.  At n = 24 the packed chain runs steps
-    i = 2 .. 12 in gcd blocks of isqrt(12) = 3, the last one partial
-    (i = 11, 12); a smallest factor of degree k is first seen at step
-    i = k, so k lands at every position of every block.  k = 12 is A * B
-    with deg A = deg B: there t^(q^12) = t mod P, and the difference itself
-    is zero."""
+    irreducibles over F_q.  The packed chain runs steps i = 2 .. n/2 with
+    two gcds: one after the first isqrt(n/2) steps (i = 2 .. 4 at n = 24,
+    2 .. 5 at n = 40) and one over the product of the rest, at the end.  A
+    smallest factor of degree k is first seen at step i = k, so k lands at
+    every position of the first block and of the tail.  k = n/2 is A * B
+    with deg A = deg B: there t^(q^(n/2)) = t mod P, and the difference
+    itself is zero."""
     irreducible, mul, random_irreducible = _sympy_oracle()
     for k in range(2, n // 2 + 1):
         A = random_irreducible(rng, q, k)
@@ -572,7 +573,8 @@ def test_list_and_packed_chains_agree(q):
     # the same dense moduli through both routes of _chain, whatever the
     # crossover would pick: random ones of degree 16 .. 64 (about 1/n of
     # them irreducible), one irreducible per degree, and the structured
-    # reducibles that put a smallest factor at every gcd-block position
+    # reducibles at n = 24 and 40 that put a smallest factor at every
+    # position of the packed route's first gcd block and of its tail
     irreducible = _sympy_oracle()[0]
     f = get_field(q)
     rng = random.Random(16 * q)
@@ -583,7 +585,8 @@ def test_list_and_packed_chains_agree(q):
         while not _routed_ben_or(f, c, packed=False):
             c = [rng.randrange(q) for _ in range(n)] + [1]
         cases.append(c)
-    cases += [c for _, c in _structured_reducibles(rng, q)]
+    for n in (24, 40):
+        cases += [c for _, c in _structured_reducibles(rng, q, n)]
     verdicts = [irreducible(c, q) for c in cases]
     assert 0 < sum(verdicts) < len(cases)
     for c, want in zip(cases, verdicts):

@@ -404,6 +404,47 @@ def test_residue_matrix_larger():
                 assert M.entry(i, j) == symbol(ctx, polys[i], polys[j]).k
 
 
+@pytest.mark.parametrize("q,d", [(5, 4), (7, 6), (9, 8), (13, 4), (5, 2), (4, 3)])
+def test_residue_matrix_matches_defining_exponentiation(q, d):
+    # both triangles, entry by entry, against a^((|P|-1)/d) mod P, which
+    # uses no reciprocity: the odd law over (5, 4) .. (13, 4), the
+    # symmetric one over (5, 2) and (4, 3).  Each degree tuple holds pairs
+    # of equal degree, odd x odd pairs and pairs with deg P_i > deg P_j for
+    # i < j, the triangle that residue_matrix computes.
+    ctx = get_context(q, d)
+    f = ctx.field
+    rng = random.Random(8 * q + d)
+    for degs in ((3, 3, 1, 5, 2), (7, 4, 4, 1, 9, 6), (21, 2, 11, 1)):
+        polys = []
+        for n in degs:
+            P = None
+            while P is None or P in polys or not is_irreducible(P):
+                P = Poly(f, [rng.randrange(q) for _ in range(n)] + [1])
+            polys.append(P)
+        M = residue_matrix(ctx, polys)
+        for i, Pi in enumerate(polys):
+            for j, Pj in enumerate(polys):
+                if i != j:
+                    assert M.entry(i, j) == naive_symbol_index(ctx, Pi, Pj), (degs, i, j)
+
+
+def test_residue_matrix_computes_one_symbol_per_pair(monkeypatch):
+    ctx = get_context(5, 4)
+    polys = [P for deg in (1, 2) for P in monic_irreducibles(ctx.field, deg)]
+    calls = []
+    real = residue_symbol.symbol
+
+    def spy(c, a, P):
+        calls.append(frozenset((a, P)))
+        return real(c, a, P)
+
+    monkeypatch.setattr(residue_symbol, "symbol", spy)
+    for n in range(1, 8):
+        calls.clear()
+        residue_matrix(ctx, polys[:n])
+        assert len(calls) == len(set(calls)) == n * (n - 1) // 2
+
+
 def test_residue_matrix_errors(f3):
     ctx = get_context(3, 2)
     t = variable(f3)
