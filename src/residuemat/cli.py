@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--max-degree",
         type=int,
-        default=40,
+        default=RealizeOptions.max_degree,
         help=f"degree cutoff (at most {MAX_POLY_DEGREE})",
     )
     sp.add_argument(

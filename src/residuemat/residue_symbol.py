@@ -31,10 +31,11 @@ F_q, so it carries a^((|Q| - 1)/d) mod Q to a(beta)^((q^n - 1)/d).  With
 exp/log tables of the smallest generator gamma of K_n^*, walked by
 poly_ring._quotient_tables (which builds every GF(p^m) too), that is
 zeta^(s * log a(beta)) where zeta^s = gamma^((q^n - 1)/d).  One pass over
-the Frobenius orbits {k q^i} of size n finds log beta for every Q (the
-orbit's minimal polynomial names Q), and a(beta) is one Horner pass in
-logarithms and Zech logarithms, O(deg a) table steps per symbol.  Nothing here uses
-reciprocity.
+the Frobenius orbits {k q^i} of size n lists the Q's themselves: each
+orbit's minimal polynomial is one Q, and its k is log beta.  So the
+check takes its moduli from the orbits, not from the irreducibility
+test, and a(beta) is one Horner pass in logarithms and Zech logarithms,
+O(deg a) table steps per symbol.  Nothing here uses reciprocity.
 
 verify_symbol_structure() does call symbol(), on every unit residue mod
 every monic irreducible P up to its degree, since those symbols are what
@@ -58,6 +59,7 @@ from .poly_ring import (
     Poly,
     _quotient_tables,
     _rem_raw,
+    count_monic_irreducibles,
     format_poly,
     from_code,
     is_irreducible,
@@ -133,27 +135,29 @@ def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
 # -- the defining exponentiation, kept as the reciprocity oracle --------------
 
 
-def _exponent_oracle(ctx: SymbolContext, polys):
-    """index(a, Q): the index of a^((|Q| - 1)/d) mod Q for Q in polys
-    (distinct monic irreducibles) and a not divisible by Q, by discrete
-    logarithms in one copy K_n of GF(q^n) per degree n; no reciprocity.
-    The tables live as long as the returned function."""
+def _exponent_oracle(ctx: SymbolContext, max_deg: int):
+    """(polys, index): polys is every monic irreducible of degree <= max_deg
+    in enumerate_monic order, read off the Frobenius orbits of one copy K_n
+    of GF(q^n) per degree n; index(a, Q) is the index of a^((|Q| - 1)/d)
+    mod Q for Q in polys and a not divisible by Q, by discrete logarithms
+    in K_n; no reciprocity.  The tables live as long as index."""
     f, d = ctx.field, ctx.d
-    by_deg = {}
-    for Q in polys:
-        by_deg.setdefault(Q.degree, []).append(Q)
+    polys = []
     fields = {}
     roots = {}
-    for n, Qs in by_deg.items():
-        _, exp, log = _quotient_tables(f, Qs[0].coeffs)
+    for n in range(1, max_deg + 1):
+        _, exp, log = _quotient_tables(f, next(monic_irreducibles(f, n)).coeffs)
         zech = _zech(f.p, exp, log)
         M = len(exp)
         # gamma^((q^n - 1)/d) lies in F_q: it is zeta^s
         s = root_index_of(f, d, exp[M // d % M]).k
         fields[n] = (log, zech, M, s)
-        roots.update(_root_logs(f, n, Qs, exp, log, zech))
-    if len(roots) != len(polys):
-        raise ArithmeticError("a modulus has no root in its extension field")
+        found = _root_logs(f, n, exp, log, zech)
+        if len(found) != count_monic_irreducibles(f, n):
+            raise ArithmeticError(f"the orbits of K_{n} missed an irreducible")
+        roots.update(found)
+        # the constant coefficient is the most significant (monic_from_code)
+        polys += [Poly._make(f, list(c)) for c in sorted(found)]
 
     def index(a, Q):
         log, zech, M, s = fields[len(Q.coeffs) - 1]
@@ -178,27 +182,21 @@ def _exponent_oracle(ctx: SymbolContext, polys):
         # d divides M, so lv needs no reduction mod M first
         return s * lv % d
 
-    return index
+    return polys, index
 
 
-def _root_logs(f: Field, n: int, Qs, exp, log, zech):
-    """Map the coefficients of each Q in Qs (monic irreducibles of degree n)
-    to log_gamma of one of its roots in K_n, or None for Q = t (root 0).
+def _root_logs(f: Field, n: int, exp, log, zech):
+    """Map the coefficients of every monic irreducible Q of degree n to
+    log_gamma of one of its roots in K_n, with t -> None (root 0) at n = 1.
 
     The roots of a degree-n irreducible are one Frobenius orbit
     gamma^(k q^i), i < n, of exact size n; its minimal polynomial
-    prod (X - gamma^(k q^i)) has coefficients in F_q and names the Q."""
+    prod (X - gamma^(k q^i)) has coefficients in F_q and is that Q."""
     q, M = f.q, len(exp)
     lneg = log[f.neg(1)]
-    want = {Q.coeffs for Q in Qs}
-    out = {}
-    if (0, 1) in want:
-        want.remove((0, 1))
-        out[(0, 1)] = None
+    out = {(0, 1): None} if n == 1 else {}
     seen = bytearray(M)
     for k in range(M):
-        if not want:
-            break
         if seen[k]:
             continue
         orbit = [k]
@@ -226,10 +224,7 @@ def _root_logs(f: Field, n: int, Qs, exp, log, zech):
                     z = zech[(x - y) % M]
                     nxt[i] = y + z if z >= 0 else None
             c = nxt
-        key = tuple(0 if lc is None else exp[lc % M] for lc in c)
-        if key in want:
-            want.remove(key)
-            out[key] = k
+        out[tuple(0 if lc is None else exp[lc % M] for lc in c)] = k
     return out
 
 
@@ -288,13 +283,15 @@ class ReciprocityReport:
 
 
 def verify_reciprocity(ctx: SymbolContext, max_deg: int) -> ReciprocityReport:
+    """Check symbol(P, Q) - symbol(Q, P) = reciprocity_index(deg P, deg Q)
+    on every ordered pair of distinct monic irreducibles of degree <=
+    max_deg, in enumerate_monic order.  Never calls symbol(): each side is
+    the defining exponentiation, by logarithms in GF(q^deg Q), and the
+    irreducibles are the minimal polynomials of its Frobenius orbits."""
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
     f, d = ctx.field, ctx.d
-    polys = [
-        P for deg in range(1, max_deg + 1) for P in monic_irreducibles(f, deg)
-    ]
-    index = _exponent_oracle(ctx, polys)
+    polys, index = _exponent_oracle(ctx, max_deg)
     # the law's right side depends only on the two degrees
     sign = {
         (a, b): reciprocity_index(ctx, a, b).k
@@ -340,6 +337,10 @@ class SymbolStructureReport:
 
 
 def verify_symbol_structure(ctx: SymbolContext, max_deg: int = 2) -> SymbolStructureReport:
+    """Check, for every monic irreducible P of degree <= max_deg, that
+    symbol(., P) is multiplicative on every unordered pair of unit residues
+    and takes all d values.  Unlike verify_reciprocity, this calls symbol()
+    on each of the |P| - 1 units, since those symbols are what it checks."""
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
     f, d = ctx.field, ctx.d

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from residuemat import DEFAULT_MAX_Q, cli
+from residuemat import DEFAULT_MAX_Q, RealizeOptions, cli
 from residuemat.cli import (
     EQUIV_MAX_MATRICES,
     MAX_POLY_DEGREE,
@@ -219,6 +219,11 @@ def test_realize_max_degree_exhaustion(capsys, tmp_path):
     )
     assert code == 1
     assert "max_degree" in err
+
+
+def test_realize_max_degree_default_is_the_library_default():
+    args = cli.build_parser().parse_args(["realize", "--q", "5", "--matrix", "m"])
+    assert args.max_degree == RealizeOptions.max_degree
 
 
 def test_realize_max_degree_bound(capsys, tmp_path, monkeypatch):

@@ -8,6 +8,8 @@ from residuemat import (
     RootIndex,
     SymbolContext,
     constant,
+    count_monic_irreducibles,
+    enumerate_monic,
     from_code,
     index_to_element,
     is_irreducible,
@@ -24,7 +26,7 @@ from residuemat import (
     verify_symbol_structure,
     zero,
 )
-from residuemat import residue_symbol
+from residuemat import poly_ring, residue_symbol
 
 from conftest import get_context, get_field
 from naive import naive_symbol_index, structure_failures
@@ -282,12 +284,54 @@ def test_reciprocity_oracle_matches_naive_exponentiation(q, d, max_deg, monkeypa
         monkeypatch.setattr(residue_symbol, name, refuse)
     ctx = get_context(q, d)
     f = ctx.field
-    polys = [P for k in range(1, max_deg + 1) for P in monic_irreducibles(f, k)]
-    index = residue_symbol._exponent_oracle(ctx, polys)
+    polys, index = residue_symbol._exponent_oracle(ctx, max_deg)
+    assert polys == [P for k in range(1, max_deg + 1) for P in monic_irreducibles(f, k)]
     for P in polys:
         for Q in polys:
             if P != Q:
                 assert index(P, Q) == naive_symbol_index(ctx, P, Q), (P, Q)
+
+
+@pytest.mark.parametrize(
+    "q,max_deg", [(2, 12), (3, 6), (4, 4), (5, 4), (8, 3), (9, 3)]
+)
+def test_reciprocity_oracle_lists_every_irreducible(q, max_deg):
+    # the Frobenius orbits of K_n give exactly the degree-n irreducibles,
+    # in enumeration order, t included at n = 1
+    f = get_field(q)
+    polys, _ = residue_symbol._exponent_oracle(get_context(q, 1), max_deg)
+    by_deg = [list(monic_irreducibles(f, n)) for n in range(1, max_deg + 1)]
+    assert polys == [P for Ps in by_deg for P in Ps]
+    assert [len(Ps) for Ps in by_deg] == [
+        count_monic_irreducibles(f, n) for n in range(1, max_deg + 1)
+    ]
+
+
+def test_verify_reciprocity_tests_one_modulus_per_degree(monkeypatch):
+    # the irreducibles come from the orbits; Ben-Or only finds each K_n's
+    # modulus, the first irreducible of its degree (past the monics with
+    # constant coefficient 0, which come first), instead of scanning all
+    # 5 + 25 + 125 + 625 monics
+    ctx = get_context(5, 4)
+    f = ctx.field
+    expected = []
+    for n in range(1, 5):
+        first = next(monic_irreducibles(f, n))
+        for P in enumerate_monic(f, n):
+            expected.append(P.coeffs)
+            if P == first:
+                break
+    real = poly_ring._ben_or
+    seen = []
+
+    def spy(field, mod):
+        seen.append(tuple(mod))
+        return real(field, mod)
+
+    monkeypatch.setattr(poly_ring, "_ben_or", spy)
+    rep = verify_reciprocity(ctx, 4)
+    assert rep.ok
+    assert seen == expected
 
 
 def test_verify_reciprocity_reports_a_wrong_law(monkeypatch):
@@ -304,8 +348,15 @@ def test_verify_reciprocity_reports_a_wrong_law(monkeypatch):
     rep = verify_reciprocity(ctx, 2)
     assert not rep.ok
     polys = [P for k in (1, 2) for P in monic_irreducibles(ctx.field, k)]
-    odd = {(P, Q) for P in polys for Q in polys if P != Q and P.degree * Q.degree % 2}
-    assert {(P, Q) for P, Q, _, _ in rep.failures} == odd
+    # exactly the odd-degree pairs, in enumeration order: (P, Q) before (Q, P)
+    odd = [
+        pair
+        for i, P in enumerate(polys)
+        for Q in polys[i + 1 :]
+        if P.degree * Q.degree % 2
+        for pair in ((P, Q), (Q, P))
+    ]
+    assert [(P, Q) for P, Q, _, _ in rep.failures] == odd
     for P, Q, got, expected in rep.failures:
         assert got == (naive_symbol_index(ctx, P, Q) - naive_symbol_index(ctx, Q, P)) % 4
         assert expected == (true_index(ctx, P.degree, Q.degree).k + 1) % 4
