@@ -2,11 +2,11 @@
 
 A field GF(p^m) with m > 1 is the quotient ring F_p[t]/(modulus) over the
 prime field GF(p), built deterministically: the modulus is the first monic
-irreducible polynomial of degree m over GF(p) in the lexicographic order of
-coefficient vectors (constant coefficient most significant), found by
-poly_ring's Ben-Or test, and the multiplicative generator g is the smallest
-element of order q - 1.  The generator and the exp/log tables come from
-poly_ring._quotient_tables, which builds verify's copies of GF(q^n) too.
+irreducible of degree m over GF(p) that poly_ring.monic_irreducibles lists
+(its docstring states the order and the candidates it skips), and the
+multiplicative generator g is the smallest element of order q - 1.  The
+generator and the exp/log tables come from poly_ring._quotient_tables,
+which builds verify's copies of GF(q^n) too.
 For m = 1 the modulus is the degree-1 identity polynomial and the field is
 the plain prime field, with its own generator search and walk.
 
@@ -87,6 +87,8 @@ def _is_prime_power(q: int) -> bool:
     root of q for the largest k that has one, so only that root is tested.
     Roots are Newton's floor(q^(1/k)) for k < log2 q, where trial division
     would take sqrt(q) steps."""
+    if q < 2:
+        return False
     for k in range(q.bit_length() - 1, 0, -1):
         r = 1 << -(-q.bit_length() // k)
         while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
@@ -169,16 +171,11 @@ class Field:
                 y = y * g % p
         else:
             # GF(p^m) is F_p[t]/(modulus); poly_ring imports this module
-            from .poly_ring import _ben_or, _quotient_tables, monic_from_code
+            from .poly_ring import _quotient_tables, monic_irreducibles
 
             base = Field(p, 1, max_q)
-            # codes below p^(m-1) have constant term 0, so t divides them
-            for code in range(p ** (m - 1), p**m):
-                cand = monic_from_code(base, m, code).coeffs
-                if _ben_or(base, cand):
-                    break
-            self.modulus = cand
-            g, exp, log = _quotient_tables(base, cand)
+            self.modulus = next(monic_irreducibles(base, m)).coeffs
+            g, exp, log = _quotient_tables(base, self.modulus)
         self.g, self.exp, self.log = g, exp, log
         self.half = 0 if p == 2 else (q - 1) // 2
         self.zech = _zech(p, exp, log) if p != 2 and m > 1 else None

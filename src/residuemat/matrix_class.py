@@ -97,9 +97,14 @@ def parse_matrix(text: str) -> CycMatrix:
     if not lines:
         raise ValueError("empty matrix text")
     head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"header must be 'n d', got {lines[0]!r}")
-    n, d = int(head[0]), int(head[1])
+    try:
+        n, d = map(int, head)
+    except ValueError:
+        raise ValueError(
+            f"header must be two integers 'n d', got {lines[0]!r}"
+        ) from None
+    if n < 1:
+        raise ValueError(f"matrix size n must be >= 1, got {n}")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} matrix rows, got {len(lines) - 1}")
     entries = []
@@ -118,7 +123,12 @@ def parse_matrix(text: str) -> CycMatrix:
                     raise ValueError(
                         f"off-diagonal entry ({i + 1},{j + 1}) must be an integer"
                     )
-                row.append(int(tok))
+                try:
+                    row.append(int(tok))
+                except ValueError:
+                    raise ValueError(
+                        f"entry ({i + 1},{j + 1}) = {tok!r} is not an integer"
+                    ) from None
         entries.append(row)
     return CycMatrix(n, d, entries)
 

@@ -11,7 +11,7 @@ evaluation revalidates its modulus on every call; is_irreducible states
 its Frobenius chain, which runs on coefficient lists or on
 Kronecker-packed ints (_Packed), and _ben_or when each route is taken.
 
-The same Ben-Or test finds field_core's GF(p^m) modulus, and
+monic_irreducibles finds field_core's GF(p^m) modulus, and
 _quotient_tables walks the exp/log tables of any quotient field
 F_q[t]/(P): GF(p^m) over GF(p), and verify's copies of GF(q^n).
 
@@ -777,6 +777,8 @@ def _quotient_tables(f: Field, mod) -> tuple:
     log = [-1] * size
     y = 1
     if p == 2:
+        # XOR never carries; the base-4 walk below takes 1.7-2.1x as long
+        # on GF(2^16) and GF(2^20) (BENCH_first_irreducible.json, xor_walk)
         for i in range(M):
             exp[i] = y
             log[y] = i
@@ -828,16 +830,21 @@ def monic_from_code(field: Field, degree: int, code: int) -> Poly:
 
 def enumerate_monic(field: Field, degree: int) -> Iterator[Poly]:
     """All q^degree monic polynomials of exactly this degree, in
-    monic_from_code order (the order the field modulus search uses too)."""
-    for code in range(field.q**degree):
-        yield monic_from_code(field, degree, code)
+    monic_from_code order."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return (monic_from_code(field, degree, c) for c in range(field.q**degree))
 
 
 def monic_irreducibles(field: Field, degree: int) -> Iterator[Poly]:
-    """All monic irreducibles of exactly this degree, in enumerate_monic order."""
-    for P in enumerate_monic(field, degree):
-        if is_irreducible(P):
-            yield P
+    """All monic irreducibles of exactly this degree, in enumerate_monic
+    order; the first is field_core's GF(p^m) modulus and verify's GF(q^n).
+    Codes below q^(degree - 1) have constant term 0, so past degree 1,
+    where t divides them and they are reducible, the scan skips them."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    codes = range(field.q ** (degree - 1) if degree > 1 else 0, field.q**degree)
+    return filter(is_irreducible, (monic_from_code(field, degree, c) for c in codes))
 
 
 def count_monic_irreducibles(field: Field, degree: int) -> int:
@@ -967,7 +974,12 @@ def _parse_coeff(token: str, field: Field) -> int:
         if field.m == 1:
             raise ValueError("digit-vector coefficients need an extension field")
         inner = token[1:-1].strip()
-        digits = [int(x) for x in inner.split(",")] if inner else []
+        try:
+            digits = [int(x) for x in inner.split(",")] if inner else []
+        except ValueError:
+            raise ValueError(
+                f"digit vector {token!r} is not a comma-separated list of integers"
+            ) from None
         if not digits:
             raise ValueError("empty coefficient digit vector")
         return field.element_from_coeffs(digits)

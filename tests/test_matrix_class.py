@@ -74,6 +74,22 @@ def test_parse_matrix_rejects(bad):
         parse_matrix(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("2 x\n. 1\n1 .", r"header must be two integers 'n d', got '2 x'"),
+        ("2 4 1\n. 1\n1 .", r"header must be two integers 'n d', got '2 4 1'"),
+        ("-1 2\n", r"matrix size n must be >= 1, got -1"),
+        ("0 2\n", r"matrix size n must be >= 1, got 0"),
+        ("2 4\n. a\n1 .", r"entry \(1,2\) = 'a' is not an integer"),
+        ("2 4\n. 1\n1.5 .", r"entry \(2,1\) = '1.5' is not an integer"),
+    ],
+)
+def test_parse_matrix_names_the_bad_token(bad, message):
+    with pytest.raises(ValueError, match=message):
+        parse_matrix(bad)
+
+
 # -- CycMatrix basics ----------------------------------------------------
 
 
@@ -182,6 +198,10 @@ def test_classify_rejects_q_not_a_prime_power():
     for q, d in ((6, 5), (10, 3), (12, 11), (15, 2), (big, 2)):
         with pytest.raises(ValueError, match="prime power"):
             classify(mat(2, d, (None, 1), (d - 1, None)), q)
+    # below 2, where Newton's root iteration would reach 0
+    for q in (-9, -8, -1, 0, 1):
+        with pytest.raises(ValueError, match="prime power"):
+            classify(mat(2, 2, (None, 1), (1, None)), q)
     for q, d in ((4, 3), (8, 7), (9, 8), (2**61 - 1, 2), ((2**31 - 1) ** 2, 2)):
         assert classify(mat(2, d, (None, 1), (1, None)), q).realizable
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -108,6 +109,13 @@ def test_parse_coefficient_range_errors(f3, f4):
         parse_poly("3*t", f4)  # bare 3 is outside the prime subfield of F_4
     with pytest.raises(ValueError):
         parse_poly("{}*t", f4)
+
+
+@pytest.mark.parametrize("vector", ["{1,}", "{,1}", "{1,,2}", "{1 2}"])
+def test_parse_names_a_bad_digit_vector(vector, f9):
+    message = f"digit vector '{re.escape(vector)}' is not a comma-separated list"
+    with pytest.raises(ValueError, match=message):
+        parse_poly(f"t^2 + {vector}*t + 1", f9)
 
 
 def test_format_prime_field(f3):
@@ -749,6 +757,45 @@ def test_monic_irreducibles_order_and_membership(f3):
     assert [format_poly(P) for P in got[:2]] == ["t^2 + 1", "t^2 + t + 2"]
     assert all(is_irreducible(P) and P.degree == 2 for P in got)
     assert len(got) == 3
+    assert list(monic_irreducibles(f3, 0)) == []
+
+
+def test_monic_irreducibles_skips_the_multiples_of_t(monkeypatch):
+    # past degree 1 Ben-Or sees every monic with a nonzero constant term and
+    # no multiple of t; at degree 1 it sees all q monics, t first
+    import residuemat.poly_ring as poly_ring
+
+    real = poly_ring._ben_or
+    seen = []
+
+    def spy(field, mod):
+        seen.append(tuple(mod))
+        return real(field, mod)
+
+    monkeypatch.setattr(poly_ring, "_ben_or", spy)
+    for q, top in ((2, 8), (3, 5), (4, 3), (9, 3)):
+        f = get_field(q)
+        for n in range(1, top + 1):
+            seen.clear()
+            list(monic_irreducibles(f, n))
+            want = [P.coeffs for P in enumerate_monic(f, n) if n == 1 or P.coeffs[0]]
+            assert seen == want
+
+
+@pytest.mark.parametrize(
+    "q, top", [(2, 10), (3, 6), (4, 4), (5, 4), (8, 3), (9, 3)]
+)
+def test_monic_irreducibles_is_enumerate_monic_filtered_by_trial_division(q, top):
+    f = get_field(q)
+    for n in range(top + 1):
+        want = [P for P in enumerate_monic(f, n) if trial_division_irreducible(P)]
+        assert list(monic_irreducibles(f, n)) == want
+
+
+@pytest.mark.parametrize("enumerate_fn", [enumerate_monic, monic_irreducibles])
+def test_negative_degree_is_refused(enumerate_fn, f3):
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        enumerate_fn(f3, -1)
 
 
 @pytest.mark.parametrize("q", [3, 9])

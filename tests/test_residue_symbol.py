@@ -9,11 +9,11 @@ from residuemat import (
     SymbolContext,
     constant,
     count_monic_irreducibles,
-    enumerate_monic,
     from_code,
     index_to_element,
     is_irreducible,
     mod_pow,
+    monic_from_code,
     monic_irreducibles,
     norm,
     one,
@@ -309,15 +309,16 @@ def test_reciprocity_oracle_lists_every_irreducible(q, max_deg):
 
 def test_verify_reciprocity_tests_one_modulus_per_degree(monkeypatch):
     # the irreducibles come from the orbits; Ben-Or only finds each K_n's
-    # modulus, the first irreducible of its degree (past the monics with
-    # constant coefficient 0, which come first), instead of scanning all
-    # 5 + 25 + 125 + 625 monics
+    # modulus, the first irreducible of its degree, scanning from t at n = 1
+    # and from code 5^(n-1) past the multiples of t after that, instead of
+    # scanning all 5 + 25 + 125 + 625 monics
     ctx = get_context(5, 4)
     f = ctx.field
     expected = []
     for n in range(1, 5):
         first = next(monic_irreducibles(f, n))
-        for P in enumerate_monic(f, n):
+        for code in range(5 ** (n - 1) if n > 1 else 0, 5**n):
+            P = monic_from_code(f, n, code)
             expected.append(P.coeffs)
             if P == first:
                 break
@@ -332,6 +333,7 @@ def test_verify_reciprocity_tests_one_modulus_per_degree(monkeypatch):
     rep = verify_reciprocity(ctx, 4)
     assert rep.ok
     assert seen == expected
+    assert len(seen) == 12
 
 
 def test_verify_reciprocity_reports_a_wrong_law(monkeypatch):

@@ -8,9 +8,11 @@ must be used or listed in __all__.
 """
 
 import ast
+import shlex
 from pathlib import Path
 
 from residuemat import RootIndex, format_poly
+from residuemat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "residuemat"
@@ -83,3 +85,21 @@ def test_readme_quick_start_runs_as_documented():
     assert symbol_value == RootIndex(k=3, d=4)
     assert classification.realizable
     assert [format_poly(P) for P in polys] == ["t", "t^3 + 2*t^2 + 3"]
+
+
+def test_readme_cli_block_prints_what_it_shows(capsys):
+    # each command that README follows with its output; the commented ones
+    # (classify, realize) name a file instead
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    ran = []
+    for group in block.strip().split("\n\n"):
+        command, *output = group.splitlines()
+        if "#" in command:
+            continue
+        argv = shlex.split(command)
+        assert argv[0] == "residuemat"
+        assert main(argv[1:]) == 0
+        assert capsys.readouterr().out == "\n".join(output) + "\n"
+        ran.append(argv[1])
+    assert ran == ["symbol", "matrix", "verify", "equiv"]
