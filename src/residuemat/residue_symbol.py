@@ -34,8 +34,12 @@ zeta^(s * log a(beta)) where zeta^s = gamma^((q^n - 1)/d).  One pass over
 the Frobenius orbits {k q^i} of size n lists the Q's themselves: each
 orbit's minimal polynomial is one Q, and its k is log beta.  So the
 check takes its moduli from the orbits, not from the irreducibility
-test, and a(beta) is one Horner pass in logarithms and Zech logarithms,
-O(deg a) table steps per symbol.  Nothing here uses reciprocity.
+test.  Each Q gets one evaluation table at its root: log v(beta) for
+every monic v of degree below max_deg, level by level, one Zech
+logarithm step per entry, then at the top-degree irreducibles only.
+That is sum_{j<max_deg} q^j + N table steps per modulus for the N
+irreducibles, and one lookup per ordered pair.  Nothing here uses
+reciprocity.
 
 verify_symbol_structure() does call symbol(), on every unit residue mod
 every monic irreducible P up to its degree, since those symbols are what
@@ -51,12 +55,22 @@ taken in F_q.  In characteristic 2 that value is 1, so the law is
 symmetric no matter the parity of the exponent.
 """
 
+from array import array
 from dataclasses import dataclass
 
-from .field_core import Field, RootIndex, _check_d, _odd_law, _zech, root_index_of
+from .field_core import (
+    DEFAULT_MAX_Q,
+    Field,
+    RootIndex,
+    _check_d,
+    _odd_law,
+    _zech,
+    root_index_of,
+)
 from .matrix_class import CycMatrix
 from .poly_ring import (
     Poly,
+    _code_raw,
     _quotient_tables,
     _rem_raw,
     count_monic_irreducibles,
@@ -136,53 +150,85 @@ def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
 
 
 def _exponent_oracle(ctx: SymbolContext, max_deg: int):
-    """(polys, index): polys is every monic irreducible of degree <= max_deg
+    """(polys, cols): polys is every monic irreducible of degree <= max_deg
     in enumerate_monic order, read off the Frobenius orbits of one copy K_n
-    of GF(q^n) per degree n; index(a, Q) is the index of a^((|Q| - 1)/d)
-    mod Q for Q in polys and a not divisible by Q, by discrete logarithms
-    in K_n; no reciprocity.  The tables live as long as index."""
-    f, d = ctx.field, ctx.d
-    polys = []
+    of GF(q^n) per degree n; cols[j][i] is the index of
+    P_i^((|P_j| - 1)/d) mod P_j for i != j (0 for i = j), by discrete
+    logarithms in K_n; no reciprocity.
+
+    Column j is one evaluation table at a root beta of P_j.  Level l holds
+    log v(beta) for every monic v of degree l < max_deg, in monic_from_code
+    order, where v = t*u + c sits at c*q^(l-1) + code(u): so each level
+    comes from the one below by one Zech step per entry, log(beta*u(beta)
+    + c).  The top degree is evaluated only at its irreducibles.  A column
+    costs sum_{l<max_deg} q^l + N table steps for the N irreducibles, and
+    a pair one lookup; each column is an array of indices mod d."""
+    f, d, q = ctx.field, ctx.d, ctx.field.q
+    polys, roots, codes = [], [], []
     fields = {}
-    roots = {}
     for n in range(1, max_deg + 1):
         _, exp, log = _quotient_tables(f, next(monic_irreducibles(f, n)).coeffs)
         zech = _zech(f.p, exp, log)
         M = len(exp)
         # gamma^((q^n - 1)/d) lies in F_q: it is zeta^s
         s = root_index_of(f, d, exp[M // d % M]).k
-        fields[n] = (log, zech, M, s)
+        # the constant c of F_q has code c in K_n
+        fields[n] = (*_step_tables(M, zech), log[1:q], M, s)
         found = _root_logs(f, n, exp, log, zech)
         if len(found) != count_monic_irreducibles(f, n):
             raise ArithmeticError(f"the orbits of K_{n} missed an irreducible")
-        roots.update(found)
+        if n == 1:
+            log1 = log
         # the constant coefficient is the most significant (monic_from_code)
-        polys += [Poly._make(f, list(c)) for c in sorted(found)]
-
-    def index(a, Q):
-        log, zech, M, s = fields[len(Q.coeffs) - 1]
-        lb = roots[Q.coeffs]
-        cs = a.coeffs
+        ordered = sorted(found)
+        polys += [Poly._make(f, list(c)) for c in ordered]
+        roots += [(n, found[c]) for c in ordered]
+        codes.append([_code_raw(q, c[-2::-1]) for c in ordered])
+    # the top degree's irreducibles t*u + c, as code(u), grouped by c
+    top = [[] for _ in range(q)]
+    for code in codes.pop():
+        c, r = divmod(code, q ** (max_deg - 1))
+        top[c].append(r)
+    typecode = "B" if d <= 1 << 8 else "H" if d <= 1 << 16 else "L"
+    cols = []
+    for pos, (n, lb) in enumerate(roots):
+        T, R, lcs, M, s = fields[n]
         if lb is None:
-            # Q = t, whose root is 0: a(0) is the constant coefficient
-            lv = log[cs[0]] if cs[0] else None
+            # Q = t, whose root is 0: v(0) is the constant coefficient
+            col = [log1[P.coeffs[0]] for P in polys]
         else:
-            # Horner's rule for a(beta) in logarithms; None stands for 0
-            lv = log[cs[-1]]
-            for c in cs[-2::-1]:
-                if lv is None:
-                    lv = log[c] if c else None
-                    continue
-                lv += lb
-                if c:
-                    z = zech[(log[c] - lv) % M]
-                    lv = lv + z if z >= 0 else None
-        if lv is None:
+            shifts = [(lc, (lb - lc) % M) for lc in lcs]
+            level = [0]
+            col = []
+            # codes now holds the irreducibles below the top degree
+            for low in codes:
+                nxt = [R[x + lb] for x in level]
+                for lc, sh in shifts:
+                    nxt += [lc + T[x + sh] for x in level]
+                level = nxt
+                col += [level[r] for r in low]
+            col += [R[level[r] + lb] for r in top[0]]
+            for (lc, sh), rs in zip(shifts, top[1:]):
+                col += [lc + T[level[r] + sh] for r in rs]
+        # P_pos vanishes at its own root, and no other irreducible may
+        col[pos] = 0
+        if min(col) < 0:
             raise ValueError("symbol undefined: a divisible by Q")
-        # d divides M, so lv needs no reduction mod M first
-        return s * lv % d
+        # d divides M, so the logs need no reduction mod M first
+        cols.append(array(typecode, [s * x % d for x in col]))
+    return polys, cols
 
-    return polys, index
+
+def _step_tables(M: int, zech):
+    """(T, R) for one K_n with M = q^n - 1 units.  A log x lies in
+    [0, 2M - 1), and 0 is coded by any x in [-2M, -M), which Python's
+    negative indexing sends to the tails.  Then with lb = log beta,
+    R[x + lb] is log(beta * v) and, for c != 0 with lc = log c,
+    lc + T[x + (lb - lc) % M] is log(beta * v + c), for x = log v."""
+    zero = -2 * M
+    T = [z if z >= 0 else zero for z in zech] * 3 + [0] * (2 * M)
+    R = list(range(M)) * 3 + [zero] * (2 * M)
+    return T, R
 
 
 def _root_logs(f: Field, n: int, exp, log, zech):
@@ -285,36 +331,52 @@ class ReciprocityReport:
 def verify_reciprocity(ctx: SymbolContext, max_deg: int) -> ReciprocityReport:
     """Check symbol(P, Q) - symbol(Q, P) = reciprocity_index(deg P, deg Q)
     on every ordered pair of distinct monic irreducibles of degree <=
-    max_deg, in enumerate_monic order.  Never calls symbol(): each side is
-    the defining exponentiation, by logarithms in GF(q^deg Q), and the
-    irreducibles are the minimal polynomials of its Frobenius orbits."""
+    max_deg, reported in enumerate_monic order.  Never calls symbol(): each
+    side is the defining exponentiation, by logarithms in GF(q^deg Q), and
+    the irreducibles are the minimal polynomials of its Frobenius orbits.
+    Each modulus costs one evaluation table at one of its roots, and each
+    ordered pair one lookup in it (_exponent_oracle)."""
+    _check_max_deg(ctx.field, max_deg)
+    f, d = ctx.field, ctx.d
+    polys, cols = _exponent_oracle(ctx, max_deg)
+    degs = [len(P.coeffs) - 1 for P in polys]
+    # the law's right side depends only on the two degrees: one row per degree
+    signs = {}
+    for a in range(1, max_deg + 1):
+        by_deg = [reciprocity_index(ctx, a, b).k for b in range(1, max_deg + 1)]
+        signs[a] = [by_deg[b - 1] for b in degs]
+    found = []
+    # row i minus column i: symbol(P_i, P_j) - symbol(P_j, P_i) for every j
+    for i, (row, col) in enumerate(zip(zip(*cols), cols)):
+        want = signs[degs[i]]
+        got = [(a - b) % d for a, b in zip(row, col)]
+        got[i] = want[i]
+        if got != want:
+            found += [(i, j, g, w) for j, (g, w) in enumerate(zip(got, want)) if g != w]
+    # each unordered pair once, in order, (P, Q) before (Q, P)
+    found.sort(key=lambda e: (min(e[:2]), max(e[:2]), e[0] > e[1]))
+    n = len(polys)
+    return ReciprocityReport(
+        q=f.q,
+        d=d,
+        max_deg=max_deg,
+        pairs=n * (n - 1),
+        failures=tuple((polys[i], polys[j], g, w) for i, j, g, w in found),
+    )
+
+
+def _check_max_deg(f: Field, max_deg: int) -> None:
+    """Refuse, before any table is built, a max_deg below 1 or with
+    q^max_deg above DEFAULT_MAX_Q: the verify checks build tables of
+    q^max_deg entries, and no Field is larger."""
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
-    f, d = ctx.field, ctx.d
-    polys, index = _exponent_oracle(ctx, max_deg)
-    # the law's right side depends only on the two degrees
-    sign = {
-        (a, b): reciprocity_index(ctx, a, b).k
-        for a in range(1, max_deg + 1)
-        for b in range(1, max_deg + 1)
-    }
-    degs = [len(P.coeffs) - 1 for P in polys]
-    pairs = 0
-    failures = []
-    for i, P in enumerate(polys):
-        dp = degs[i]
-        for Q, dq in zip(polys[i + 1 :], degs[i + 1 :]):
-            expected = sign[dp, dq]
-            s_pq = index(P, Q)
-            s_qp = index(Q, P)
-            pairs += 2
-            if (s_pq - s_qp) % d != expected:
-                failures.append((P, Q, (s_pq - s_qp) % d, expected))
-            if (s_qp - s_pq) % d != expected:
-                failures.append((Q, P, (s_qp - s_pq) % d, expected))
-    return ReciprocityReport(
-        q=f.q, d=d, max_deg=max_deg, pairs=pairs, failures=tuple(failures)
-    )
+    # q >= 2, so 2^max_deg alone passes the bound from its bit length on
+    if max_deg >= DEFAULT_MAX_Q.bit_length() or f.q**max_deg > DEFAULT_MAX_Q:
+        raise ValueError(
+            f"max_deg {max_deg} needs tables of q^max_deg = {f.q}^{max_deg} "
+            f"entries, above the bound DEFAULT_MAX_Q = {DEFAULT_MAX_Q}"
+        )
 
 
 @dataclass(frozen=True)
@@ -341,8 +403,7 @@ def verify_symbol_structure(ctx: SymbolContext, max_deg: int = 2) -> SymbolStruc
     symbol(., P) is multiplicative on every unordered pair of unit residues
     and takes all d values.  Unlike verify_reciprocity, this calls symbol()
     on each of the |P| - 1 units, since those symbols are what it checks."""
-    if max_deg < 1:
-        raise ValueError("max_deg must be >= 1")
+    _check_max_deg(ctx.field, max_deg)
     f, d = ctx.field, ctx.d
     moduli = residues = products = 0
     mult_failures = []

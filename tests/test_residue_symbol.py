@@ -3,6 +3,7 @@ import random
 import pytest
 
 from residuemat import (
+    DEFAULT_MAX_Q,
     CycMatrix,
     Poly,
     RootIndex,
@@ -272,11 +273,22 @@ def test_verify_reciprocity_edge_fields(q, d, max_deg, count):
 
 @pytest.mark.parametrize(
     "q,d,max_deg",
-    [(3, 2, 3), (5, 4, 3), (7, 6, 2), (4, 3, 3), (8, 7, 2), (9, 8, 2)],
+    [
+        (3, 2, 3),
+        (5, 4, 3),
+        (7, 6, 2),
+        (4, 3, 3),
+        (8, 7, 2),
+        (9, 8, 2),
+        (3, 2, 5),
+        (13, 4, 2),
+    ],
 )
 def test_reciprocity_oracle_matches_naive_exponentiation(q, d, max_deg, monkeypatch):
     # every ordered pair of distinct irreducibles, entry by entry against the
-    # digit-arithmetic power map, with every reciprocity-based route refused
+    # digit-arithmetic power map, with every reciprocity-based route refused;
+    # (3, 2, 5) reaches four levels below the top degree, (13, 4, 2) has
+    # twelve Zech steps per level
     def refuse(*args):
         raise AssertionError("the oracle reached a reciprocity-based route")
 
@@ -284,12 +296,30 @@ def test_reciprocity_oracle_matches_naive_exponentiation(q, d, max_deg, monkeypa
         monkeypatch.setattr(residue_symbol, name, refuse)
     ctx = get_context(q, d)
     f = ctx.field
-    polys, index = residue_symbol._exponent_oracle(ctx, max_deg)
+    polys, cols = residue_symbol._exponent_oracle(ctx, max_deg)
     assert polys == [P for k in range(1, max_deg + 1) for P in monic_irreducibles(f, k)]
-    for P in polys:
-        for Q in polys:
-            if P != Q:
-                assert index(P, Q) == naive_symbol_index(ctx, P, Q), (P, Q)
+    assert len(cols) == len(polys)
+    for j, Q in enumerate(polys):
+        assert len(cols[j]) == len(polys)
+        for i, P in enumerate(polys):
+            if i != j:
+                assert cols[j][i] == naive_symbol_index(ctx, P, Q), (P, Q)
+
+
+def test_reciprocity_oracle_matches_naive_exponentiation_sampled():
+    # GF(263) with d = 262: indices past 256, and the column of Q = t,
+    # whose root is 0, on a seeded sample of ordered pairs
+    ctx = get_context(263, 262)
+    polys, cols = residue_symbol._exponent_oracle(ctx, 1)
+    n = len(polys)
+    assert n == 263 and polys[0] == variable(ctx.field)
+    rng = random.Random(263)
+    sample = rng.sample([(i, j) for i in range(n) for j in range(n) if i != j], 2000)
+    assert any(j == 0 for _, j in sample)
+    got = [cols[j][i] for i, j in sample]
+    assert max(got) > 256
+    for (i, j), k in zip(sample, got):
+        assert k == naive_symbol_index(ctx, polys[i], polys[j]), (i, j)
 
 
 @pytest.mark.parametrize(
@@ -362,6 +392,49 @@ def test_verify_reciprocity_reports_a_wrong_law(monkeypatch):
     for P, Q, got, expected in rep.failures:
         assert got == (naive_symbol_index(ctx, P, Q) - naive_symbol_index(ctx, Q, P)) % 4
         assert expected == (true_index(ctx, P.degree, Q.degree).k + 1) % 4
+
+
+def test_verify_reciprocity_reports_a_skew_on_one_degree_pair(monkeypatch):
+    # off by one on degrees (1, 2) and (2, 1) only: the failing rows also
+    # hold passing pairs of degree 1 or 3, and exactly the (1, 2) pairs are
+    # reported, in enumeration order, (P, Q) before (Q, P)
+    true_index = residue_symbol.reciprocity_index
+
+    def skewed(ctx, deg_p, deg_q):
+        k = true_index(ctx, deg_p, deg_q).k + ({deg_p, deg_q} == {1, 2})
+        return RootIndex(k % ctx.d, ctx.d)
+
+    monkeypatch.setattr(residue_symbol, "reciprocity_index", skewed)
+    ctx = get_context(5, 4)
+    rep = verify_reciprocity(ctx, 3)
+    polys = [P for k in (1, 2, 3) for P in monic_irreducibles(ctx.field, k)]
+    n = len(polys)
+    assert rep.pairs == n * (n - 1)
+    skew = [
+        pair
+        for i, P in enumerate(polys)
+        for Q in polys[i + 1 :]
+        if {P.degree, Q.degree} == {1, 2}
+        for pair in ((P, Q), (Q, P))
+    ]
+    assert len(skew) == 2 * 5 * 10
+    assert [(P, Q) for P, Q, _, _ in rep.failures] == skew
+    for P, Q, got, expected in rep.failures:
+        assert got == (naive_symbol_index(ctx, P, Q) - naive_symbol_index(ctx, Q, P)) % 4
+        assert expected == (true_index(ctx, P.degree, Q.degree).k + 1) % 4
+
+
+@pytest.mark.parametrize("q,d,max_deg", [(2, 1, 21), (2, 1, 30), (1021, 4, 3)])
+def test_verify_checks_refuse_a_max_deg_past_the_field_bound(q, d, max_deg, monkeypatch):
+    # q^max_deg > DEFAULT_MAX_Q is refused before any table is built
+    def refuse(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(residue_symbol, "_quotient_tables", refuse)
+    ctx = get_context(q, d)
+    for check in (verify_reciprocity, verify_symbol_structure):
+        with pytest.raises(ValueError, match=f"DEFAULT_MAX_Q = {DEFAULT_MAX_Q}"):
+            check(ctx, max_deg)
 
 
 def test_verify_symbol_structure_counts():
