@@ -33,6 +33,9 @@ from .field_core import _is_prime_power, _odd_law
 
 SYMMETRIC_LAW = "symmetric"
 ODD_LAW = "odd"
+# criteria_equiv_bruteforce walks each matrix once; 2^20 admits (5, 2),
+# about 19 s on a 2-vCPU Xeon
+EQUIV_MAX_MATRICES = 2**20
 
 
 class CycMatrix:
@@ -296,8 +299,13 @@ def criteria_equiv_bruteforce(n: int, d: int, bound: int = 1_000_000) -> EquivRe
     matrix (its lower entries follow from the upper ones), and its index in
     iter_all_matrices order is marked.  Then every matrix is walked once
     and its mark compared with _odd_law_decision.  Work is capped by
-    `bound` on the number of matrices.
+    `bound` on the number of matrices, and `bound` by EQUIV_MAX_MATRICES.
     """
+    if bound > EQUIV_MAX_MATRICES:
+        raise ValueError(
+            f"bound {bound} exceeds the matrix-count ceiling "
+            f"EQUIV_MAX_MATRICES = {EQUIV_MAX_MATRICES}"
+        )
     if n < 1:
         raise ValueError(f"matrix size must be >= 1, got n = {n}")
     if d < 2 or d % 2 != 0:

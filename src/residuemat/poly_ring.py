@@ -31,6 +31,9 @@ from typing import Iterator
 from .field_core import Field, _prime_factors
 
 NEG_INF = float("-inf")
+# the degree bound on polynomial text and realize's search: an irreducibility
+# test costs about the cube of the degree (a symbol only the square)
+MAX_POLY_DEGREE = 256
 _BIG_ENDIAN = sys.byteorder == "big"
 # array typecodes by word width in bits, for packing slots of that width;
 # 8 bits hold no slot of a modulus that _ben_or packs

@@ -33,6 +33,7 @@ from typing import Optional
 
 from .matrix_class import ODD_LAW, CycMatrix, classify
 from .poly_ring import (
+    MAX_POLY_DEGREE,
     Poly,
     _inv_raw,
     format_poly,
@@ -76,6 +77,10 @@ class RealizeOptions:
     def __post_init__(self):
         if self.max_degree < 2:
             raise ValueError("max_degree must be >= 2")
+        if self.max_degree > MAX_POLY_DEGREE:
+            raise ValueError(
+                f"max_degree {self.max_degree} exceeds the degree bound {MAX_POLY_DEGREE}"
+            )
 
 
 @dataclass(frozen=True)

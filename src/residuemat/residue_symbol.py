@@ -48,6 +48,11 @@ _quotient_tables, so the product of g^i and g^j is g^((i + j) mod
 (|P| - 1)): each product is an index sum, and every unordered pair of
 units is still compared, one row of pairs per list comparison.
 
+Before building any table, verify_reciprocity refuses more than
+VERIFY_MAX_PAIRS ordered pairs and verify_symbol_structure more than
+VERIFY_MAX_PRODUCTS residue products, so the largest K_n is GF(2^12).
+verify() checks both caps, then runs both checks.
+
 The reciprocity law: for distinct monic irreducibles P and Q,
 symbol(P, Q) - symbol(Q, P) = reciprocity_index(deg P, deg Q) mod d,
 where the right side is the image of (-1)^((q-1) deg P deg Q / d) with -1
@@ -59,7 +64,6 @@ from array import array
 from dataclasses import dataclass
 
 from .field_core import (
-    DEFAULT_MAX_Q,
     Field,
     RootIndex,
     _check_d,
@@ -311,6 +315,40 @@ def residue_matrix(ctx: SymbolContext, polys) -> CycMatrix:
 
 # -- exhaustive self-checks (the verification front ends) ---------------------
 
+VERIFY_MAX_PAIRS = 1_000_000
+VERIFY_MAX_PRODUCTS = 10_000_000
+
+
+def _check_pairs(f: Field, max_deg: int) -> None:
+    """Refuse max_deg < 1, or N(N - 1) > VERIFY_MAX_PAIRS for the N monic
+    irreducibles of degree <= max_deg, counting only until past the cap."""
+    if max_deg < 1:
+        raise ValueError("max_deg must be >= 1")
+    n = 0
+    for k in range(1, max_deg + 1):
+        n += count_monic_irreducibles(f, k)
+        if n * (n - 1) > VERIFY_MAX_PAIRS:
+            raise ValueError(
+                f"reciprocity check to max_deg {max_deg} needs at least "
+                f"{n * (n - 1)} ordered pairs, above the bound {VERIFY_MAX_PAIRS}"
+            )
+
+
+def _check_products(f: Field, max_deg: int) -> None:
+    """Refuse max_deg < 1, or more than VERIFY_MAX_PRODUCTS residue products,
+    |P|(|P| - 1)/2 per monic irreducible P of degree <= max_deg, likewise."""
+    if max_deg < 1:
+        raise ValueError("max_deg must be >= 1")
+    total = 0
+    for k in range(1, max_deg + 1):
+        size = f.q**k
+        total += count_monic_irreducibles(f, k) * size * (size - 1) // 2
+        if total > VERIFY_MAX_PRODUCTS:
+            raise ValueError(
+                f"structure check to max_deg {max_deg} needs at least {total} "
+                f"residue products, above the bound {VERIFY_MAX_PRODUCTS}"
+            )
+
 
 @dataclass(frozen=True)
 class ReciprocityReport:
@@ -335,8 +373,9 @@ def verify_reciprocity(ctx: SymbolContext, max_deg: int) -> ReciprocityReport:
     side is the defining exponentiation, by logarithms in GF(q^deg Q), and
     the irreducibles are the minimal polynomials of its Frobenius orbits.
     Each modulus costs one evaluation table at one of its roots, and each
-    ordered pair one lookup in it (_exponent_oracle)."""
-    _check_max_deg(ctx.field, max_deg)
+    ordered pair one lookup in it (_exponent_oracle).  Capped by
+    VERIFY_MAX_PAIRS."""
+    _check_pairs(ctx.field, max_deg)
     f, d = ctx.field, ctx.d
     polys, cols = _exponent_oracle(ctx, max_deg)
     degs = [len(P.coeffs) - 1 for P in polys]
@@ -365,20 +404,6 @@ def verify_reciprocity(ctx: SymbolContext, max_deg: int) -> ReciprocityReport:
     )
 
 
-def _check_max_deg(f: Field, max_deg: int) -> None:
-    """Refuse, before any table is built, a max_deg below 1 or with
-    q^max_deg above DEFAULT_MAX_Q: the verify checks build tables of
-    q^max_deg entries, and no Field is larger."""
-    if max_deg < 1:
-        raise ValueError("max_deg must be >= 1")
-    # q >= 2, so 2^max_deg alone passes the bound from its bit length on
-    if max_deg >= DEFAULT_MAX_Q.bit_length() or f.q**max_deg > DEFAULT_MAX_Q:
-        raise ValueError(
-            f"max_deg {max_deg} needs tables of q^max_deg = {f.q}^{max_deg} "
-            f"entries, above the bound DEFAULT_MAX_Q = {DEFAULT_MAX_Q}"
-        )
-
-
 @dataclass(frozen=True)
 class SymbolStructureReport:
     """Exhaustive multiplicativity + surjectivity check of the symbol map on
@@ -402,8 +427,9 @@ def verify_symbol_structure(ctx: SymbolContext, max_deg: int = 2) -> SymbolStruc
     """Check, for every monic irreducible P of degree <= max_deg, that
     symbol(., P) is multiplicative on every unordered pair of unit residues
     and takes all d values.  Unlike verify_reciprocity, this calls symbol()
-    on each of the |P| - 1 units, since those symbols are what it checks."""
-    _check_max_deg(ctx.field, max_deg)
+    on each of the |P| - 1 units, since those symbols are what it checks.
+    Capped by VERIFY_MAX_PRODUCTS."""
+    _check_products(ctx.field, max_deg)
     f, d = ctx.field, ctx.d
     moduli = residues = products = 0
     mult_failures = []
@@ -440,3 +466,11 @@ def verify_symbol_structure(ctx: SymbolContext, max_deg: int = 2) -> SymbolStruc
         mult_failures=tuple(mult_failures),
         surjectivity_failures=tuple(surj_failures),
     )
+
+
+def verify(ctx: SymbolContext, max_deg: int):
+    """(verify_reciprocity(ctx, max_deg), verify_symbol_structure(ctx,
+    min(max_deg, 2))), both caps checked before either check runs."""
+    _check_pairs(ctx.field, max_deg)
+    _check_products(ctx.field, min(max_deg, 2))
+    return verify_reciprocity(ctx, max_deg), verify_symbol_structure(ctx, min(max_deg, 2))

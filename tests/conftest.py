@@ -12,6 +12,7 @@ _FIELD_PARAMS = {
     9: (3, 2),
     13: (13, 1),
     263: (263, 1),
+    997: (997, 1),
     1021: (1021, 1),
     25: (5, 2),
     256: (2, 8),

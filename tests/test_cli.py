@@ -1,3 +1,4 @@
+import importlib
 import json
 import subprocess
 import sys
@@ -5,14 +6,14 @@ import time
 
 import pytest
 
-from residuemat import DEFAULT_MAX_Q, RealizeOptions, cli
-from residuemat.cli import (
-    EQUIV_MAX_MATRICES,
-    MAX_POLY_DEGREE,
-    VERIFY_MAX_PAIRS,
-    VERIFY_MAX_PRODUCTS,
-    main,
-)
+from residuemat import DEFAULT_MAX_Q, RealizeOptions, cli, matrix_class, residue_symbol
+from residuemat.cli import main
+from residuemat.matrix_class import EQUIV_MAX_MATRICES
+from residuemat.poly_ring import MAX_POLY_DEGREE
+from residuemat.residue_symbol import VERIFY_MAX_PAIRS, VERIFY_MAX_PRODUCTS
+
+# the package exports the function realize under the module's name
+realize_mod = importlib.import_module("residuemat.realize")
 
 
 def run(capsys, *argv):
@@ -102,6 +103,28 @@ def test_max_q_env_override(capsys, monkeypatch):
     code, _, err = run(capsys, "symbol", "--q", "13", "--d", "2", "--a", "t", "--P", "t+1")
     assert code == 1
     assert "exceeds the configured bound 8" in err
+
+
+def test_max_q_env_may_only_lower_the_bound(capsys, monkeypatch):
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "field_build", no_field)
+        for value in (str(DEFAULT_MAX_Q + 1), str(2**40)):
+            m.setenv("RESIDUEMAT_MAX_Q", value)
+            code, out, err = run(
+                capsys, "symbol", "--p", "2", "--m", "40", "--d", "3", "--a", "t", "--P", "t+1"
+            )
+            assert (code, out) == (2, "")
+            assert err == (
+                f"usage error: RESIDUEMAT_MAX_Q {value} may only lower the bound "
+                f"DEFAULT_MAX_Q = {DEFAULT_MAX_Q}\n"
+            )
+    # the default bound itself is allowed
+    monkeypatch.setenv("RESIDUEMAT_MAX_Q", str(DEFAULT_MAX_Q))
+    code, out, _ = run(capsys, "symbol", "--q", "3", "--d", "2", "--a", "t", "--P", "t+1")
+    assert (code, out) == (0, "index=1 zeta_power=1/2\n")
 
 
 def test_max_q_bound_for_huge_m(capsys):
@@ -233,14 +256,14 @@ def test_realize_max_degree_bound(capsys, tmp_path, monkeypatch):
         raise AssertionError("realize must not start above the degree bound")
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "realize", no_search)
+        m.setattr(realize_mod, "classify", no_search)
         code, out, err = run(
             capsys, "realize", "--q", "5", "--matrix", path,
             "--max-degree", str(MAX_POLY_DEGREE + 1),
         )
     assert code == 1 and out == ""
     assert err == (
-        f"error: --max-degree {MAX_POLY_DEGREE + 1} exceeds the degree bound "
+        f"error: max_degree {MAX_POLY_DEGREE + 1} exceeds the degree bound "
         f"{MAX_POLY_DEGREE}\n"
     )
     # the bound itself is allowed
@@ -275,7 +298,7 @@ def test_verify_pair_bound(capsys):
     code, out, err = run(capsys, "verify", "--q", "13", "--d", "4", "--max-deg", "4")
     assert code == 1 and out == ""
     assert err == (
-        "error: verify --max-deg 4 needs at least 62670972 ordered pairs, "
+        "error: reciprocity check to max_deg 4 needs at least 62670972 ordered pairs, "
         "above the bound 1000000\n"
     )
     # the count stops at degree 8 (1318 irreducibles over GF(3)), so a huge
@@ -283,21 +306,22 @@ def test_verify_pair_bound(capsys):
     code, out, err = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "1000000000")
     assert code == 1 and out == ""
     assert err == (
-        "error: verify --max-deg 1000000000 needs at least 1735806 ordered pairs, "
+        "error: reciprocity check to max_deg 1000000000 needs at least 1735806 ordered pairs, "
         "above the bound 1000000\n"
     )
 
 
 def test_verify_pair_bound_is_inclusive(capsys, monkeypatch):
     # 3 + 3 irreducibles of degree <= 2 over GF(3): 30 ordered pairs
-    monkeypatch.setattr(cli, "VERIFY_MAX_PAIRS", 30)
+    monkeypatch.setattr(residue_symbol, "VERIFY_MAX_PAIRS", 30)
     code, out, _ = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "2")
     assert code == 0 and out.startswith("reciprocity: pairs=30,")
-    monkeypatch.setattr(cli, "VERIFY_MAX_PAIRS", 29)
+    monkeypatch.setattr(residue_symbol, "VERIFY_MAX_PAIRS", 29)
     code, out, err = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "2")
     assert code == 1 and out == ""
     assert err == (
-        "error: verify --max-deg 2 needs at least 30 ordered pairs, above the bound 29\n"
+        "error: reciprocity check to max_deg 2 needs at least 30 ordered pairs, "
+        "above the bound 29\n"
     )
 
 
@@ -310,13 +334,13 @@ def test_verify_product_bound(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("verify started work above the bound")
 
-    monkeypatch.setattr(cli, "verify_reciprocity", no_work)
-    monkeypatch.setattr(cli, "verify_symbol_structure", no_work)
+    monkeypatch.setattr(residue_symbol, "verify_reciprocity", no_work)
+    monkeypatch.setattr(residue_symbol, "verify_symbol_structure", no_work)
     code, out, err = run(capsys, "verify", "--q", "997", "--d", "2", "--max-deg", "1")
     assert code == 1 and out == ""
     assert err == (
-        "error: verify needs 495016482 residue products for the structure check "
-        "to degree 1, above the bound 10000000\n"
+        "error: structure check to max_deg 1 needs at least 495016482 residue products, "
+        "above the bound 10000000\n"
     )
 
 
@@ -331,15 +355,15 @@ def test_verify_below_product_bound_runs(capsys):
 
 
 def test_verify_product_bound_is_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "VERIFY_MAX_PRODUCTS", 117)
+    monkeypatch.setattr(residue_symbol, "VERIFY_MAX_PRODUCTS", 117)
     code, out, _ = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "3")
     assert code == 0 and "products=117," in out
-    monkeypatch.setattr(cli, "VERIFY_MAX_PRODUCTS", 116)
+    monkeypatch.setattr(residue_symbol, "VERIFY_MAX_PRODUCTS", 116)
     code, out, err = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "3")
     assert code == 1 and out == ""
     assert err == (
-        "error: verify needs 117 residue products for the structure check "
-        "to degree 2, above the bound 116\n"
+        "error: structure check to max_deg 2 needs at least 117 residue products, "
+        "above the bound 116\n"
     )
 
 # -- equiv --------------------------------------------------------------------
@@ -373,14 +397,15 @@ def test_equiv_bound_ceiling(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("equiv started work above the ceiling")
 
-    monkeypatch.setattr(cli, "criteria_equiv_bruteforce", no_work)
+    # the first allocation of matrix_class.criteria_equiv_bruteforce
+    monkeypatch.setattr(matrix_class, "bytearray", no_work, raising=False)
     for n, bound in (("5", "2000000"), ("6", str(10**10)), ("2", str(2**20 + 1))):
         start = time.perf_counter()
         code, out, err = run(capsys, "equiv", "--n", n, "--d", "2", "--bound", bound)
         assert time.perf_counter() - start < 0.1
         assert (code, out) == (1, "")
         assert err == (
-            f"error: --bound {bound} exceeds the matrix-count ceiling "
+            f"error: bound {bound} exceeds the matrix-count ceiling "
             "EQUIV_MAX_MATRICES = 1048576\n"
         )
     monkeypatch.undo()

@@ -467,3 +467,21 @@ def test_criteria_equivalence_guards():
     with pytest.raises(ValueError, match="2\\^9999900000 matrices exceed the bound 1000000"):
         criteria_equiv_bruteforce(10**5, 2)
     assert time.perf_counter() - start < 0.1
+
+
+def test_criteria_equivalence_refuses_a_bound_above_the_ceiling(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the matrix table was allocated")
+
+    assert matrix_class.EQUIV_MAX_MATRICES == 2**20
+    with monkeypatch.context() as m:
+        m.setattr(matrix_class, "bytearray", no_table, raising=False)
+        start = time.perf_counter()
+        with pytest.raises(
+            ValueError,
+            match="bound 10000000000 exceeds the matrix-count ceiling EQUIV_MAX_MATRICES = 1048576",
+        ):
+            criteria_equiv_bruteforce(6, 2, bound=10**10)
+        assert time.perf_counter() - start < 0.1
+    # the ceiling itself is allowed
+    assert criteria_equiv_bruteforce(2, 4, bound=2**20).total == 16

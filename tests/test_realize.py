@@ -27,6 +27,7 @@ from residuemat import (
     variable,
     zero,
 )
+from residuemat.poly_ring import MAX_POLY_DEGREE
 from residuemat.realize import _choose_residue, _find_irreducible
 
 from conftest import get_context, get_field
@@ -234,6 +235,10 @@ def test_realize_options_validation():
     RealizeOptions(seed=5, max_degree=10)
     with pytest.raises(ValueError):
         RealizeOptions(max_degree=1)
+    # the search's degree cutoff obeys the polynomial degree bound
+    assert RealizeOptions(max_degree=MAX_POLY_DEGREE).max_degree == 256
+    with pytest.raises(ValueError, match="max_degree 257 exceeds the degree bound 256"):
+        RealizeOptions(max_degree=MAX_POLY_DEGREE + 1)
 
 
 # -- realize ----------------------------------------------------------------

@@ -23,6 +23,7 @@ from residuemat import (
     residue_matrix,
     symbol,
     variable,
+    verify,
     verify_reciprocity,
     verify_symbol_structure,
     zero,
@@ -424,17 +425,68 @@ def test_verify_reciprocity_reports_a_skew_on_one_degree_pair(monkeypatch):
         assert expected == (true_index(ctx, P.degree, Q.degree).k + 1) % 4
 
 
+PAIRS_REFUSED = "ordered pairs, above the bound 1000000"
+PRODUCTS_REFUSED = "residue products, above the bound 10000000"
+
+
 @pytest.mark.parametrize("q,d,max_deg", [(2, 1, 21), (2, 1, 30), (1021, 4, 3)])
 def test_verify_checks_refuse_a_max_deg_past_the_field_bound(q, d, max_deg, monkeypatch):
-    # q^max_deg > DEFAULT_MAX_Q is refused before any table is built
+    # q^max_deg > DEFAULT_MAX_Q is past both work caps: refused before any table is built
+    assert q**max_deg > DEFAULT_MAX_Q
+
     def refuse(*args):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(residue_symbol, "_quotient_tables", refuse)
     ctx = get_context(q, d)
-    for check in (verify_reciprocity, verify_symbol_structure):
-        with pytest.raises(ValueError, match=f"DEFAULT_MAX_Q = {DEFAULT_MAX_Q}"):
-            check(ctx, max_deg)
+    with pytest.raises(ValueError, match=PAIRS_REFUSED):
+        verify_reciprocity(ctx, max_deg)
+    with pytest.raises(ValueError, match=PRODUCTS_REFUSED):
+        verify_symbol_structure(ctx, max_deg)
+
+
+@pytest.mark.parametrize("max_deg", [20, 10**9])
+def test_verify_checks_refuse_past_their_work_caps(max_deg, monkeypatch):
+    # GF(2^20) is a field, but the 111,013 irreducibles of degree <= 20 are
+    # not a sweep: each count stops once past its cap, before any is listed
+    def refuse(*args):
+        raise AssertionError("the check started work")
+
+    monkeypatch.setattr(residue_symbol, "_quotient_tables", refuse)
+    monkeypatch.setattr(residue_symbol, "monic_irreducibles", refuse)
+    ctx = get_context(2, 1)
+    with pytest.raises(
+        ValueError, match=f"to max_deg {max_deg} needs at least 1894752 {PAIRS_REFUSED}"
+    ):
+        verify_reciprocity(ctx, max_deg)
+    with pytest.raises(
+        ValueError, match=f"to max_deg {max_deg} needs at least 60326568 {PRODUCTS_REFUSED}"
+    ):
+        verify_symbol_structure(ctx, max_deg)
+
+
+@pytest.mark.parametrize(
+    "q,d,max_deg,refused",
+    [(13, 4, 4, PAIRS_REFUSED), (997, 2, 1, PRODUCTS_REFUSED), (2, 1, 20, PAIRS_REFUSED)],
+)
+def test_verify_refuses_on_either_cap_before_either_check(q, d, max_deg, refused, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(residue_symbol, "verify_reciprocity", refuse)
+    monkeypatch.setattr(residue_symbol, "verify_symbol_structure", refuse)
+    with pytest.raises(ValueError, match=refused):
+        verify(get_context(q, d), max_deg)
+
+
+def test_verify_runs_both_checks_structure_to_degree_two():
+    ctx = get_context(3, 2)
+    rec, struct = verify(ctx, 3)
+    assert rec == verify_reciprocity(ctx, 3)
+    assert struct == verify_symbol_structure(ctx, 2)
+    assert (rec.pairs, struct.products) == (182, 117)
+    with pytest.raises(ValueError, match="max_deg must be >= 1"):
+        verify(ctx, 0)
 
 
 def test_verify_symbol_structure_counts():
