@@ -1,29 +1,27 @@
 """Command-line interface: thin adapters from flags to library calls.
 
-No arithmetic lives here, and the CLI holds no bound of its own.  Every
-subcommand parses its arguments, builds the field context, calls one
-library entry point, and formats the result; each cap on work is enforced
-by the library call that spends it (README lists them), so a refusal
-reads the same from the CLI and from Python.
+No arithmetic and no bound lives here.  Every subcommand parses its
+arguments, builds the field context, calls one library entry point, and
+formats the result.  Each cap on work is a library constant, enforced by
+the library call that spends it (README lists them), so a refusal reads
+the same from the CLI and from Python; a flag whose default the library
+also states (realize --max-degree, equiv --bound) reads it from there.
 Exit codes: 0 on success, 1 on a domain error (some precondition violated;
 the message names it), 2 on a usage error.
 
 The field is given as --q for a prime, or --p/--m for a prime power
-q = p^m; the environment variable RESIDUEMAT_MAX_Q may lower the default
-field-size bound DEFAULT_MAX_Q, never raise it.  Polynomial text is
-parsed with poly_ring.MAX_POLY_DEGREE as its degree bound.
-Matrices travel as text files in the matrix_class format; structured
-results are printed as JSON with sorted keys so output is stable for
-golden-file comparison.
+q = p^m.  Matrices travel as text files in the matrix_class format;
+structured results are printed as JSON with sorted keys so output is
+stable for golden-file comparison.
 """
 
 import argparse
 import json
-import os
 import sys
 
-from .field_core import DEFAULT_MAX_Q, field_build, is_prime
+from .field_core import field_build, is_prime
 from .matrix_class import (
+    EQUIV_DEFAULT_BOUND,
     EQUIV_MAX_MATRICES,
     classify,
     criteria_equiv_bruteforce,
@@ -32,28 +30,20 @@ from .matrix_class import (
 )
 from .poly_ring import MAX_POLY_DEGREE, parse_poly
 from .realize import RealizeError, RealizeOptions, realize
-from .residue_symbol import SymbolContext, residue_matrix, symbol, verify
+from .residue_symbol import (
+    VERIFY_STRUCTURE_DEG,
+    SymbolContext,
+    residue_matrix,
+    symbol,
+    verify,
+)
 
 
 class UsageError(Exception):
     """Bad flag combinations (exit code 2)."""
 
 
-def _max_q() -> int:
-    raw = os.environ.get("RESIDUEMAT_MAX_Q", str(DEFAULT_MAX_Q))
-    try:
-        max_q = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"RESIDUEMAT_MAX_Q must be an integer, got {raw!r}") from exc
-    if max_q > DEFAULT_MAX_Q:
-        raise UsageError(
-            f"RESIDUEMAT_MAX_Q {raw} may only lower the bound DEFAULT_MAX_Q = {DEFAULT_MAX_Q}"
-        )
-    return max_q
-
-
 def _build_field(args):
-    max_q = _max_q()
     if args.q is not None:
         if args.p is not None or args.m is not None:
             raise UsageError("give either --q or --p/--m, not both")
@@ -61,10 +51,10 @@ def _build_field(args):
             raise ValueError(
                 f"--q {args.q} is not prime; prime powers must be given as --p/--m"
             )
-        return field_build(args.q, 1, max_q=max_q)
+        return field_build(args.q)
     if args.p is None:
         raise UsageError("a field is required: --q for primes, --p/--m otherwise")
-    return field_build(args.p, args.m if args.m is not None else 1, max_q=max_q)
+    return field_build(args.p, args.m if args.m is not None else 1)
 
 
 def _context(args, d: int) -> SymbolContext:
@@ -97,8 +87,8 @@ def _print_json(obj) -> None:
 
 def cmd_symbol(args) -> int:
     ctx = _context(args, _require_d(args))
-    a = parse_poly(args.a, ctx.field, max_degree=MAX_POLY_DEGREE)
-    P = parse_poly(args.P, ctx.field, max_degree=MAX_POLY_DEGREE)
+    a = parse_poly(args.a, ctx.field)
+    P = parse_poly(args.P, ctx.field)
     ri = symbol(ctx, a, P)
     print(f"index={ri.k} zeta_power={ri.k}/{ri.d}")
     return 0
@@ -106,7 +96,7 @@ def cmd_symbol(args) -> int:
 
 def cmd_matrix(args) -> int:
     ctx = _context(args, _require_d(args))
-    polys = [parse_poly(s, ctx.field, max_degree=MAX_POLY_DEGREE) for s in args.polys]
+    polys = [parse_poly(s, ctx.field) for s in args.polys]
     sys.stdout.write(format_matrix(residue_matrix(ctx, polys)))
     return 0
 
@@ -215,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-deg",
         type=int,
         default=3,
-        help="degree bound for the reciprocity scan (structure is capped at 2)",
+        help="degree bound for the reciprocity scan "
+        f"(structure is capped at {VERIFY_STRUCTURE_DEG})",
     )
     sp.set_defaults(func=cmd_verify)
 
@@ -225,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--bound",
         type=int,
-        default=1_000_000,
+        default=EQUIV_DEFAULT_BOUND,
         help=f"matrix-count cap (at most {EQUIV_MAX_MATRICES})",
     )
     sp.set_defaults(func=cmd_equiv)

@@ -137,20 +137,18 @@ class Field:
     safe to share across threads once constructed.
     """
 
-    def __init__(self, p: int, m: int, max_q: int | None = None):
-        if max_q is None:
-            max_q = DEFAULT_MAX_Q
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        # at most log2(max_q) + 1 products: p^m itself may have millions of digits
+        # at most log2(DEFAULT_MAX_Q) + 1 products: p^m itself may have millions of digits
         q = 1
         for _ in range(m):
             q *= p
-            if q > max_q:
+            if q > DEFAULT_MAX_Q:
                 raise ValueError(
-                    f"q = p^m = {p}^{m} exceeds the configured bound {max_q}"
+                    f"q = p^m = {p}^{m} exceeds the configured bound {DEFAULT_MAX_Q}"
                 )
         self.p = p
         self.m = m
@@ -173,7 +171,7 @@ class Field:
             # GF(p^m) is F_p[t]/(modulus); poly_ring imports this module
             from .poly_ring import _quotient_tables, monic_irreducibles
 
-            base = Field(p, 1, max_q)
+            base = Field(p, 1)
             self.modulus = next(monic_irreducibles(base, m)).coeffs
             g, exp, log = _quotient_tables(base, self.modulus)
         self.g, self.exp, self.log = g, exp, log
@@ -251,9 +249,10 @@ class Field:
         return f"Field(GF({self.p}^{self.m}))"
 
 
-def field_build(p: int, m: int = 1, max_q: int | None = None) -> Field:
-    """Construct GF(p^m) deterministically; same inputs give the same field."""
-    return Field(p, m, max_q=max_q)
+def field_build(p: int, m: int = 1) -> Field:
+    """Construct GF(p^m) deterministically; same inputs give the same field.
+    A q above DEFAULT_MAX_Q is refused before any table is built."""
+    return Field(p, m)
 
 
 def root_index_of(field: Field, d: int, x: int) -> RootIndex:

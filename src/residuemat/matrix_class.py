@@ -36,6 +36,8 @@ ODD_LAW = "odd"
 # criteria_equiv_bruteforce walks each matrix once; 2^20 admits (5, 2),
 # about 19 s on a 2-vCPU Xeon
 EQUIV_MAX_MATRICES = 2**20
+# criteria_equiv_bruteforce's default bound, which equiv --bound reads too
+EQUIV_DEFAULT_BOUND = 1_000_000
 
 
 class CycMatrix:
@@ -290,7 +292,7 @@ class EquivReport:
         return not self.mismatches
 
 
-def criteria_equiv_bruteforce(n: int, d: int, bound: int = 1_000_000) -> EquivReport:
+def criteria_equiv_bruteforce(n: int, d: int, bound: int = EQUIV_DEFAULT_BOUND) -> EquivReport:
     """Check (block form exists) == (diagonal criterion) over every matrix.
 
     The left side is the definition, independent of the shortcut in

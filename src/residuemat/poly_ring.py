@@ -915,9 +915,10 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_poly(text: str, field: Field, max_degree=None) -> Poly:
+def parse_poly(text: str, field: Field) -> Poly:
     """Parse the exact text format; inverse of format_poly up to term order.
-    A term above max_degree (if given) is refused before any allocation."""
+    A term above t^MAX_POLY_DEGREE is refused before any allocation, even
+    one that cancels (t^300 - t^300)."""
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
@@ -963,8 +964,8 @@ def parse_poly(text: str, field: Field, max_degree=None) -> Poly:
             c = field.neg(c)
         coeffs[power] = field.add(coeffs.get(power, 0), c)
     top = max(coeffs, default=-1)
-    if max_degree is not None and top > max_degree:
-        raise ValueError(f"term t^{top} exceeds the degree bound {max_degree}")
+    if top > MAX_POLY_DEGREE:
+        raise ValueError(f"term t^{top} exceeds the degree bound {MAX_POLY_DEGREE}")
     out = [0] * (top + 1)
     for power, c in coeffs.items():
         out[power] = c

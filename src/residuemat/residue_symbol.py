@@ -317,6 +317,8 @@ def residue_matrix(ctx: SymbolContext, polys) -> CycMatrix:
 
 VERIFY_MAX_PAIRS = 1_000_000
 VERIFY_MAX_PRODUCTS = 10_000_000
+# verify() runs the structure check to at most this degree
+VERIFY_STRUCTURE_DEG = 2
 
 
 def _check_pairs(f: Field, max_deg: int) -> None:
@@ -423,7 +425,9 @@ class SymbolStructureReport:
         return not self.mult_failures and not self.surjectivity_failures
 
 
-def verify_symbol_structure(ctx: SymbolContext, max_deg: int = 2) -> SymbolStructureReport:
+def verify_symbol_structure(
+    ctx: SymbolContext, max_deg: int = VERIFY_STRUCTURE_DEG
+) -> SymbolStructureReport:
     """Check, for every monic irreducible P of degree <= max_deg, that
     symbol(., P) is multiplicative on every unordered pair of unit residues
     and takes all d values.  Unlike verify_reciprocity, this calls symbol()
@@ -469,8 +473,9 @@ def verify_symbol_structure(ctx: SymbolContext, max_deg: int = 2) -> SymbolStruc
 
 
 def verify(ctx: SymbolContext, max_deg: int):
-    """(verify_reciprocity(ctx, max_deg), verify_symbol_structure(ctx,
-    min(max_deg, 2))), both caps checked before either check runs."""
+    """verify_reciprocity to max_deg and verify_symbol_structure to
+    min(max_deg, VERIFY_STRUCTURE_DEG), both caps checked before either runs."""
+    struct_deg = min(max_deg, VERIFY_STRUCTURE_DEG)
     _check_pairs(ctx.field, max_deg)
-    _check_products(ctx.field, min(max_deg, 2))
-    return verify_reciprocity(ctx, max_deg), verify_symbol_structure(ctx, min(max_deg, 2))
+    _check_products(ctx.field, struct_deg)
+    return verify_reciprocity(ctx, max_deg), verify_symbol_structure(ctx, struct_deg)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -98,35 +99,6 @@ def test_field_required(capsys):
     assert "a field is required" in err
 
 
-def test_max_q_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("RESIDUEMAT_MAX_Q", "8")
-    code, _, err = run(capsys, "symbol", "--q", "13", "--d", "2", "--a", "t", "--P", "t+1")
-    assert code == 1
-    assert "exceeds the configured bound 8" in err
-
-
-def test_max_q_env_may_only_lower_the_bound(capsys, monkeypatch):
-    def no_field(*args, **kwargs):
-        raise AssertionError("a field was built")
-
-    with monkeypatch.context() as m:
-        m.setattr(cli, "field_build", no_field)
-        for value in (str(DEFAULT_MAX_Q + 1), str(2**40)):
-            m.setenv("RESIDUEMAT_MAX_Q", value)
-            code, out, err = run(
-                capsys, "symbol", "--p", "2", "--m", "40", "--d", "3", "--a", "t", "--P", "t+1"
-            )
-            assert (code, out) == (2, "")
-            assert err == (
-                f"usage error: RESIDUEMAT_MAX_Q {value} may only lower the bound "
-                f"DEFAULT_MAX_Q = {DEFAULT_MAX_Q}\n"
-            )
-    # the default bound itself is allowed
-    monkeypatch.setenv("RESIDUEMAT_MAX_Q", str(DEFAULT_MAX_Q))
-    code, out, _ = run(capsys, "symbol", "--q", "3", "--d", "2", "--a", "t", "--P", "t+1")
-    assert (code, out) == (0, "index=1 zeta_power=1/2\n")
-
-
 def test_max_q_bound_for_huge_m(capsys):
     # p^m here has about 30,000 digits, more than Python converts to a string
     code, _, err = run(
@@ -134,13 +106,6 @@ def test_max_q_bound_for_huge_m(capsys):
     )
     assert code == 1
     assert f"exceeds the configured bound {DEFAULT_MAX_Q}" in err
-
-
-def test_max_q_env_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("RESIDUEMAT_MAX_Q", "lots")
-    code, _, err = run(capsys, "symbol", "--q", "3", "--d", "2", "--a", "t", "--P", "t+1")
-    assert code == 2
-    assert "RESIDUEMAT_MAX_Q" in err
 
 
 # -- matrix -------------------------------------------------------------------
@@ -387,6 +352,12 @@ def test_equiv_bound(capsys):
         code, out, err = run(capsys, "equiv", "--n", "2", "--d", d)
         assert (code, out) == (1, "")
         assert "d even" in err
+
+
+def test_equiv_bound_default_is_the_library_default():
+    args = cli.build_parser().parse_args(["equiv", "--n", "3", "--d", "2"])
+    library = inspect.signature(matrix_class.criteria_equiv_bruteforce).parameters["bound"]
+    assert args.bound == library.default == matrix_class.EQUIV_DEFAULT_BOUND == 1_000_000
 
 
 def test_equiv_bound_ceiling(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from residuemat import (
+    DEFAULT_MAX_Q,
     CycMatrix,
     RootIndex,
     SymbolContext,
@@ -168,12 +169,12 @@ def test_field_construction_errors():
         field_build(6)
     with pytest.raises(ValueError):
         field_build(2, 0)
-    with pytest.raises(ValueError):
-        field_build(2, 30, max_q=1 << 20)
-    # the bound is adjustable
-    field_build(2, 5, max_q=32)
-    with pytest.raises(ValueError):
-        field_build(2, 5, max_q=31)
+    # q <= DEFAULT_MAX_Q = 2^20, with the bound in the message
+    assert DEFAULT_MAX_Q == 1 << 20
+    with pytest.raises(ValueError, match="2\\^21 exceeds the configured bound 1048576$"):
+        field_build(2, 21)
+    with pytest.raises(ValueError, match="1048583\\^1 exceeds the configured bound 1048576$"):
+        field_build(1048583)
     # the bound is decided without computing p^m in full
     start = time.perf_counter()
     with pytest.raises(ValueError, match="2\\^1000000000 exceeds the configured bound"):

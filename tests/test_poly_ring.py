@@ -29,6 +29,7 @@ from residuemat import (
 )
 
 from residuemat.poly_ring import (
+    MAX_POLY_DEGREE,
     _Packed,
     _add_raw,
     _ben_or,
@@ -97,9 +98,19 @@ def test_parse_rejects_garbage(bad, f3):
 
 
 def test_parse_degree_bound(f3):
-    assert parse_poly("t^4 + 1", f3, max_degree=4).degree == 4
-    with pytest.raises(ValueError, match="t\\^5 exceeds the degree bound 4"):
-        parse_poly("t^5 - t^5 + 1", f3, max_degree=4)
+    # every call refuses a term above MAX_POLY_DEGREE before it allocates,
+    # even one that cancels; t^10000000000 would ask for 10^10 coefficients
+    assert MAX_POLY_DEGREE == 256
+    assert parse_poly("t^256", f3).degree == parse_poly("t^256 + 1", f3).degree == 256
+    for text, top in (
+        ("t^257", 257),
+        ("t^257 - t^257 + 1", 257),
+        ("t^1000000 + 1", 10**6),
+        ("t^10000000000", 10**10),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_poly(text, f3)
+        assert str(exc.value) == f"term t^{top} exceeds the degree bound 256"
 
 
 def test_parse_coefficient_range_errors(f3, f4):
