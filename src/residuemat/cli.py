@@ -126,8 +126,7 @@ def cmd_verify(args) -> int:
     print(f"reciprocity: pairs={rec.pairs}, failures={len(rec.failures)}")
     print(
         f"structure: moduli={struct.moduli}, residues={struct.residues}, "
-        f"products={struct.products}, failures="
-        f"{len(struct.mult_failures) + len(struct.surjectivity_failures)}"
+        f"products={struct.products}, failures={len(struct.failures)}"
     )
     return 0 if rec.ok and struct.ok else 1
 

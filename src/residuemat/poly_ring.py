@@ -918,7 +918,7 @@ _TERM_RE = re.compile(
 def parse_poly(text: str, field: Field) -> Poly:
     """Parse the exact text format; inverse of format_poly up to term order.
     A term above t^MAX_POLY_DEGREE is refused before any allocation, even
-    one that cancels (t^300 - t^300)."""
+    one that cancels (t^300 - t^300), and a long exponent before int()."""
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial text")
@@ -951,15 +951,13 @@ def parse_poly(text: str, field: Field) -> Poly:
             raise ValueError("dangling sign at end of polynomial")
     coeffs: dict = {}
     for sign, m in terms:
-        if m.group("tv2") is not None:
-            power = int(m.group("pow2")) if m.group("pow2") else 1
-            c = 1
-        else:
-            c = _parse_coeff(m.group("coeff"), field)
-            if m.group("tv1") is not None:
-                power = int(m.group("pow1")) if m.group("pow1") else 1
-            else:
-                power = 0
+        c = 1 if m.group("coeff") is None else _parse_coeff(m.group("coeff"), field)
+        # an exponent is refused by its digit count, before int() reads it
+        t_term = m.group("tv1") or m.group("tv2")
+        digits = (m.group("pow1") or m.group("pow2") or "1").lstrip("0") if t_term else ""
+        if len(digits) > len(str(MAX_POLY_DEGREE)):
+            raise ValueError(f"term t^{digits} exceeds the degree bound {MAX_POLY_DEGREE}")
+        power = int(digits or "0")
         if sign < 0:
             c = field.neg(c)
         coeffs[power] = field.add(coeffs.get(power, 0), c)

@@ -41,12 +41,12 @@ That is sum_{j<max_deg} q^j + N table steps per modulus for the N
 irreducibles, and one lookup per ordered pair.  Nothing here uses
 reciprocity.
 
-verify_symbol_structure() does call symbol(), on every unit residue mod
-every monic irreducible P up to its degree, since those symbols are what
-it checks.  It takes the exp/log tables of F_q[t]/(P) from the same
-_quotient_tables, so the product of g^i and g^j is g^((i + j) mod
-(|P| - 1)): each product is an index sum, and every unordered pair of
-units is still compared, one row of pairs per list comparison.
+verify_symbol_structure() does call symbol(), once on every unit g^i mod
+every monic irreducible P up to its degree, g the generator of
+_quotient_tables, and checks the definition: symbol(g^i, P) = i*s mod d,
+where zeta^s = g^((|P| - 1)/d) in F_q.  As s is a unit mod d, agreement
+makes symbol(., P) a homomorphism onto Z/d, so it covers every product of
+two units without forming one.
 
 Before building any table, verify_reciprocity refuses more than
 VERIFY_MAX_PAIRS ordered pairs and verify_symbol_structure more than
@@ -337,8 +337,8 @@ def _check_pairs(f: Field, max_deg: int) -> None:
 
 
 def _check_products(f: Field, max_deg: int) -> None:
-    """Refuse max_deg < 1, or more than VERIFY_MAX_PRODUCTS residue products,
-    |P|(|P| - 1)/2 per monic irreducible P of degree <= max_deg, likewise."""
+    """Refuse max_deg < 1, or more than VERIFY_MAX_PRODUCTS residue products
+    (unit pairs), |P|(|P| - 1)/2 per monic irreducible P of degree <= max_deg."""
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
     total = 0
@@ -408,8 +408,10 @@ def verify_reciprocity(ctx: SymbolContext, max_deg: int) -> ReciprocityReport:
 
 @dataclass(frozen=True)
 class SymbolStructureReport:
-    """Exhaustive multiplicativity + surjectivity check of the symbol map on
-    the unit residues mod every monic irreducible of degree <= max_deg."""
+    """Exhaustive check of the symbol against its definition at the unit
+    residues mod every monic irreducible of degree <= max_deg.  products
+    counts the unordered unit pairs it covers, |P|(|P| - 1)/2 per modulus;
+    failures hold (P, a, got, expected)."""
 
     q: int
     d: int
@@ -417,49 +419,38 @@ class SymbolStructureReport:
     moduli: int
     residues: int
     products: int
-    mult_failures: tuple
-    surjectivity_failures: tuple
+    failures: tuple
 
     @property
     def ok(self) -> bool:
-        return not self.mult_failures and not self.surjectivity_failures
+        return not self.failures
 
 
 def verify_symbol_structure(
     ctx: SymbolContext, max_deg: int = VERIFY_STRUCTURE_DEG
 ) -> SymbolStructureReport:
-    """Check, for every monic irreducible P of degree <= max_deg, that
-    symbol(., P) is multiplicative on every unordered pair of unit residues
-    and takes all d values.  Unlike verify_reciprocity, this calls symbol()
-    on each of the |P| - 1 units, since those symbols are what it checks.
-    Capped by VERIFY_MAX_PRODUCTS."""
+    """Check the definition symbol(g^i, P) = i*s mod d (module docstring) at
+    every unit g^i mod every monic irreducible P of degree <= max_deg, one
+    symbol() call per unit.  Failures are in enumeration order of P, then by
+    residue code of a.  Capped by VERIFY_MAX_PRODUCTS."""
     _check_products(ctx.field, max_deg)
     f, d = ctx.field, ctx.d
     moduli = residues = products = 0
-    mult_failures = []
-    surj_failures = []
+    failures = []
     for deg in range(1, max_deg + 1):
         for P in monic_irreducibles(f, deg):
-            moduli += 1
-            # the units are exp[i] = g^i, and g^i * g^j = g^((i + j) mod M)
             _, exp, _ = _quotient_tables(f, P.coeffs)
             M = len(exp)
-            kl = [symbol(ctx, from_code(f, code), P).k for code in exp]
+            moduli += 1
             residues += M
-            if set(kl) != set(range(d)):
-                surj_failures.append(P)
-            # row i compares every unordered pair {g^i, g^j}, j >= i, at once
-            kk = kl + kl
-            found = []
-            for i, ki in enumerate(kl):
-                products += M - i
-                if kk[2 * i : i + M] == [(ki + x) % d for x in kl[i:]]:
-                    continue
-                for j in range(i, M):
-                    if kk[i + j] != (ki + kl[j]) % d:
-                        a, b = exp[i], exp[j]
-                        found.append((min(a, b), max(a, b)))
-            mult_failures += [(P, ca, cb) for ca, cb in sorted(found)]
+            products += M * (M + 1) // 2
+            # g^(M/d) lies in F_q: it is zeta^s
+            s = root_index_of(f, d, exp[M // d % M]).k
+            kl = [symbol(ctx, from_code(f, code), P).k for code in exp]
+            found = sorted(
+                (exp[i], k, i * s % d) for i, k in enumerate(kl) if k != i * s % d
+            )
+            failures += [(P, from_code(f, c), k, w) for c, k, w in found]
     return SymbolStructureReport(
         q=f.q,
         d=d,
@@ -467,8 +458,7 @@ def verify_symbol_structure(
         moduli=moduli,
         residues=residues,
         products=products,
-        mult_failures=tuple(mult_failures),
-        surjectivity_failures=tuple(surj_failures),
+        failures=tuple(failures),
     )
 
 

@@ -1,7 +1,8 @@
 """Slow, definition-level reference implementations used to cross-check the
 library's fast paths.  Every product, sum and division here is digit
-arithmetic written out in this file; no library kernel runs.  What the
-oracles take from the library is its conventions:
+arithmetic written out in this file; no library kernel runs.  Products in
+GF(p^m) are memoized on (p, m, modulus, a, b), since the oracles repeat
+the same few.  What the oracles take from the library is its conventions:
 
 * the element encoding: a code's base-p digits are the coefficients of
   the element, constant digit first (Field.p, .m and .q);
@@ -9,15 +10,19 @@ oracles take from the library is its conventions:
   generator g, which naive_symbol_index takes discrete logarithms to;
 * enumerate_monic, which trial_division_irreducible uses only to list
   every candidate divisor and reducible_monics every factor pair, so its
-  order does not matter, and which
-  structure_failures uses to list moduli in the library's report order;
+  order does not matter, and which structure_failures and
+  definition_failures use to list moduli in the library's report order;
 * Poly as a container: only .field, .coeffs and .degree are read;
 * CycMatrix as a container: only .n, .d and .entries are read, by
   mmbar_reference, classify_reference and the invariance operations at
   the end of this file, which also build their results as CycMatrix;
-* residue_symbol.symbol, read at call time, in structure_failures: the
-  symbols are what that check tests, so only its products are rebuilt."""
+* residue_symbol.symbol, read at call time, in structure_failures and
+  definition_failures: the symbols are what those checks test.
+  structure_failures rebuilds every product of two units and tests the
+  symbol pairwise, which no homomorphism onto Z/d fails;
+  definition_failures compares each symbol with naive_symbol_index."""
 
+import functools
 import math
 
 from residuemat import CycMatrix, Poly, residue_symbol
@@ -26,16 +31,21 @@ from residuemat import CycMatrix, Poly, residue_symbol
 def field_mul_digits(f, a: int, b: int) -> int:
     """Product in GF(p^m) by digit convolution and long reduction, bypassing
     the exp/log tables entirely."""
-    p, m = f.p, f.m
-    if m == 1:
-        return a * b % p
+    if f.m == 1:
+        return a * b % f.p
+    return _mul_digits(f.p, f.m, tuple(f.modulus), a, b)
+
+
+@functools.lru_cache(maxsize=1 << 20)
+def _mul_digits(p: int, m: int, mod: tuple, a: int, b: int) -> int:
+    """field_mul_digits over GF(p^m) = F_p[y]/(mod), memoized: the oracles
+    multiply the same few field elements many times over."""
     da = [(a // p**i) % p for i in range(m)]
     db = [(b // p**i) % p for i in range(m)]
     prod = [0] * (2 * m - 1)
     for i in range(m):
         for j in range(m):
             prod[i + j] = (prod[i + j] + da[i] * db[j]) % p
-    mod = f.modulus
     for pos in range(2 * m - 2, m - 1, -1):
         c = prod[pos]
         for i in range(m + 1):
@@ -205,6 +215,29 @@ def structure_failures(ctx, max_deg: int):
                     if ks[code] != (ks[ca] + ks[cb]) % d:
                         mult.append((P, ca, cb))
     return moduli, residues, products, tuple(mult), tuple(surj)
+
+
+def definition_failures(ctx, max_deg: int):
+    """The failures of verify_symbol_structure, by the definition: (P, a,
+    got, expected) wherever residue_symbol.symbol(a, P) differs from
+    naive_symbol_index(a, P), over every unit residue a (by code) mod every
+    monic irreducible P of degree <= max_deg (by trial division, in
+    enumerate_monic order)."""
+    from residuemat import enumerate_monic
+
+    f, q = ctx.field, ctx.field.q
+    out = []
+    for deg in range(1, max_deg + 1):
+        units = [Poly(f, [c // q**i % q for i in range(deg)]) for c in range(1, q**deg)]
+        for P in enumerate_monic(f, deg):
+            if not trial_division_irreducible(P):
+                continue
+            for a in units:
+                got = residue_symbol.symbol(ctx, a, P).k
+                want = naive_symbol_index(ctx, a, P)
+                if got != want:
+                    out.append((P, a, got, want))
+    return tuple(out)
 
 
 def mmbar_reference(M):

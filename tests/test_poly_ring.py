@@ -102,11 +102,16 @@ def test_parse_degree_bound(f3):
     # even one that cancels; t^10000000000 would ask for 10^10 coefficients
     assert MAX_POLY_DEGREE == 256
     assert parse_poly("t^256", f3).degree == parse_poly("t^256 + 1", f3).degree == 256
+    # an exponent is refused by its digit count before int() reads it, so
+    # one past Python's 4300-digit conversion limit gets the same message,
+    # and leading zeros do not count
+    assert parse_poly("t^" + "0" * 5000 + "256", f3).degree == 256
     for text, top in (
         ("t^257", 257),
         ("t^257 - t^257 + 1", 257),
         ("t^1000000 + 1", 10**6),
         ("t^10000000000", 10**10),
+        ("t^" + "9" * 5000, "9" * 5000),
     ):
         with pytest.raises(ValueError) as exc:
             parse_poly(text, f3)

@@ -29,9 +29,10 @@ from residuemat import (
     zero,
 )
 from residuemat import poly_ring, residue_symbol
+from residuemat.cli import main
 
 from conftest import get_context, get_field
-from naive import naive_symbol_index, structure_failures
+from naive import definition_failures, naive_symbol_index, structure_failures
 
 
 def test_context_validates_d(f5):
@@ -492,7 +493,7 @@ def test_verify_runs_both_checks_structure_to_degree_two():
 def test_verify_symbol_structure_counts():
     rep = verify_symbol_structure(get_context(3, 2), 2)
     assert (rep.moduli, rep.residues, rep.products) == (6, 30, 117)
-    assert rep.mult_failures == () and rep.surjectivity_failures == ()
+    assert rep.failures == ()
     assert rep.ok
     with pytest.raises(ValueError):
         verify_symbol_structure(get_context(3, 2), 0)
@@ -503,23 +504,16 @@ def test_verify_symbol_structure_ok(q, d):
     assert verify_symbol_structure(get_context(q, d), 2).ok
 
 
-def _structure_fields(ctx, max_deg):
-    rep = verify_symbol_structure(ctx, max_deg)
-    return (
-        rep.moduli,
-        rep.residues,
-        rep.products,
-        rep.mult_failures,
-        rep.surjectivity_failures,
-    )
-
-
 @pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 4)])
 def test_verify_symbol_structure_matches_naive(q, d):
+    # the counts are those of the pairwise oracle, which finds the symbol
+    # multiplicative and onto; no unit's symbol differs from the definition
     ctx = get_context(q, d)
     want = structure_failures(ctx, 2)
     assert want[3:] == ((), ())
-    assert _structure_fields(ctx, 2) == want
+    rep = verify_symbol_structure(ctx, 2)
+    assert (rep.moduli, rep.residues, rep.products) == want[:3]
+    assert rep.failures == definition_failures(ctx, 2) == ()
 
 
 @pytest.mark.parametrize(
@@ -529,8 +523,8 @@ def test_verify_symbol_structure_matches_naive(q, d):
 def test_verify_symbol_structure_reports_a_wrong_residue(
     q, d, max_deg, modulus, residue, monkeypatch
 ):
-    # a symbol off by one at a single residue code of a single modulus:
-    # every pair it breaks is reported, exactly as the pairwise oracle finds
+    # a symbol off by one at a single residue code of a single modulus is
+    # one failure, exactly as the definition finds it
     ctx = get_context(q, d)
     f = ctx.field
     bad_P, bad_a = parse_poly(modulus, f), from_code(f, residue)
@@ -543,18 +537,44 @@ def test_verify_symbol_structure_reports_a_wrong_residue(
         return k
 
     monkeypatch.setattr(residue_symbol, "symbol", mutant)
-    want = structure_failures(ctx, max_deg)
-    assert want[3] and all(P == bad_P for P, _, _ in want[3])
-    assert _structure_fields(ctx, max_deg) == want
+    want = definition_failures(ctx, max_deg)
+    assert [(P, a) for P, a, _, _ in want] == [(bad_P, bad_a)]
+    assert verify_symbol_structure(ctx, max_deg).failures == want
 
 
 def test_verify_symbol_structure_reports_a_constant_symbol(monkeypatch):
-    # a constant symbol is multiplicative but onto nothing: every modulus fails
+    # a constant symbol is multiplicative but onto nothing: it fails at every
+    # unit whose defining index is nonzero
     ctx = get_context(5, 4)
     monkeypatch.setattr(residue_symbol, "symbol", lambda ctx, a, P: RootIndex(0, ctx.d))
-    want = structure_failures(ctx, 2)
-    assert want[3] == () and len(want[4]) == want[0] == 15
-    assert _structure_fields(ctx, 2) == want
+    want = definition_failures(ctx, 2)
+    rep = verify_symbol_structure(ctx, 2)
+    assert len({P for P, _, _, _ in want}) == rep.moduli == 15
+    assert all(got == 0 != expected for _, _, got, expected in want)
+    assert rep.failures == want
+
+
+@pytest.mark.parametrize("q,d,u", [(5, 4, 3), (7, 6, 5), (9, 8, 3), (9, 8, 5), (9, 8, 7)])
+def test_verify_reports_a_unit_multiple_of_the_symbol(q, d, u, capsys, monkeypatch):
+    # u * symbol is a homomorphism onto Z/d for every unit u of Z/d, so no
+    # pairwise test can tell it from the symbol; u = d - 1 negates it.  It
+    # differs from the definition wherever (u - 1) * symbol is not 0 mod d
+    ctx = get_context(q, d)
+    f = ctx.field
+    true_symbol = residue_symbol.symbol
+
+    def mutant(ctx, a, P):
+        return RootIndex(u * true_symbol(ctx, a, P).k % d, d)
+
+    monkeypatch.setattr(residue_symbol, "symbol", mutant)
+    assert structure_failures(ctx, 1)[3:] == ((), ())
+    want = definition_failures(ctx, 2)
+    assert want and all(got == u * expected % d for _, _, got, expected in want)
+    rec, struct = verify(ctx, 2)
+    assert rec.ok and struct.failures == want
+    argv = ["verify", "--p", str(f.p), "--m", str(f.m), "--d", str(d), "--max-deg", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.endswith(f", failures={len(want)}\n")
 
 
 def test_residue_matrix_entries():
