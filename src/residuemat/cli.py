@@ -4,8 +4,8 @@ No arithmetic and no bound lives here.  Every subcommand parses its
 arguments, builds the field context, calls one library entry point, and
 formats the result.  Each cap on work is a library constant, enforced by
 the library call that spends it (README lists them), so a refusal reads
-the same from the CLI and from Python; a flag whose default the library
-also states (realize --max-degree, equiv --bound) reads it from there.
+the same from the CLI and from Python; realize --max-degree, the one flag
+whose default the library also states, reads it from there.
 Exit codes: 0 on success, 1 on a domain error (some precondition violated;
 the message names it), 2 on a usage error.
 
@@ -20,14 +20,7 @@ import json
 import sys
 
 from .field_core import field_build, is_prime
-from .matrix_class import (
-    EQUIV_DEFAULT_BOUND,
-    EQUIV_MAX_MATRICES,
-    classify,
-    criteria_equiv_bruteforce,
-    format_matrix,
-    parse_matrix,
-)
+from .matrix_class import classify, criteria_equiv_bruteforce, format_matrix, parse_matrix
 from .poly_ring import MAX_POLY_DEGREE, parse_poly
 from .realize import RealizeError, RealizeOptions, realize
 from .residue_symbol import (
@@ -113,7 +106,7 @@ def cmd_realize(args) -> int:
     opts = RealizeOptions(
         seed=args.seed if args.seed is not None else 0,
         max_degree=args.max_degree,
-        deterministic=args.deterministic or args.seed is None,
+        deterministic=args.seed is None,
     )
     M = _matrix_from_file(args.matrix)
     ctx = _context(args, _resolve_d(args, M))
@@ -132,7 +125,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    rep = criteria_equiv_bruteforce(args.n, args.d, bound=args.bound)
+    rep = criteria_equiv_bruteforce(args.n, args.d)
     verdict = "yes" if rep.equivalent else "no"
     print(
         f"n={rep.n}, d={rep.d}: total={rep.total}, admissible={rep.admissible}, "
@@ -184,17 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("realize", help="construct a realizing tuple")
     _add_field_flags(sp, d_required=False)
     sp.add_argument("--matrix", required=True, help="matrix text file")
-    sp.add_argument("--seed", type=int, help="sample residues/candidates randomly")
+    sp.add_argument(
+        "--seed", type=int, help="sample residues/candidates randomly (else scan in order)"
+    )
     sp.add_argument(
         "--max-degree",
         type=int,
         default=RealizeOptions.max_degree,
         help=f"degree cutoff (at most {MAX_POLY_DEGREE})",
-    )
-    sp.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="force enumeration order (default unless --seed is given)",
     )
     sp.set_defaults(func=cmd_realize)
 
@@ -212,12 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("equiv", help="brute-force block-form vs diagonal criteria")
     sp.add_argument("--n", type=int, required=True, help="matrix size")
     sp.add_argument("--d", type=int, required=True, help="root order (even)")
-    sp.add_argument(
-        "--bound",
-        type=int,
-        default=EQUIV_DEFAULT_BOUND,
-        help=f"matrix-count cap (at most {EQUIV_MAX_MATRICES})",
-    )
     sp.set_defaults(func=cmd_equiv)
 
     return parser

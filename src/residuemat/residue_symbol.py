@@ -49,8 +49,8 @@ makes symbol(., P) a homomorphism onto Z/d, so it covers every product of
 two units without forming one.
 
 Before building any table, verify_reciprocity refuses more than
-VERIFY_MAX_PAIRS ordered pairs and verify_symbol_structure more than
-VERIFY_MAX_PRODUCTS residue products, so the largest K_n is GF(2^12).
+VERIFY_MAX_PAIRS ordered pairs, so the largest K_n is GF(2^12), and
+verify_symbol_structure more than VERIFY_MAX_SYMBOLS symbol calls.
 verify() checks both caps, then runs both checks.
 
 The reciprocity law: for distinct monic irreducibles P and Q,
@@ -316,7 +316,9 @@ def residue_matrix(ctx: SymbolContext, polys) -> CycMatrix:
 # -- exhaustive self-checks (the verification front ends) ---------------------
 
 VERIFY_MAX_PAIRS = 1_000_000
-VERIFY_MAX_PRODUCTS = 10_000_000
+# the structure check makes one symbol() call per unit; its slowest run
+# under 10^5 is GF(3)/2 to degree 6 (97,742 calls), 1.5-1.9 s on a 2-vCPU Xeon
+VERIFY_MAX_SYMBOLS = 100_000
 # verify() runs the structure check to at most this degree
 VERIFY_STRUCTURE_DEG = 2
 
@@ -336,19 +338,18 @@ def _check_pairs(f: Field, max_deg: int) -> None:
             )
 
 
-def _check_products(f: Field, max_deg: int) -> None:
-    """Refuse max_deg < 1, or more than VERIFY_MAX_PRODUCTS residue products
-    (unit pairs), |P|(|P| - 1)/2 per monic irreducible P of degree <= max_deg."""
+def _check_symbols(f: Field, max_deg: int) -> None:
+    """Refuse max_deg < 1, or more than VERIFY_MAX_SYMBOLS symbol calls,
+    |P| - 1 per monic irreducible P of degree <= max_deg."""
     if max_deg < 1:
         raise ValueError("max_deg must be >= 1")
     total = 0
     for k in range(1, max_deg + 1):
-        size = f.q**k
-        total += count_monic_irreducibles(f, k) * size * (size - 1) // 2
-        if total > VERIFY_MAX_PRODUCTS:
+        total += count_monic_irreducibles(f, k) * (f.q**k - 1)
+        if total > VERIFY_MAX_SYMBOLS:
             raise ValueError(
                 f"structure check to max_deg {max_deg} needs at least {total} "
-                f"residue products, above the bound {VERIFY_MAX_PRODUCTS}"
+                f"symbol calls, above the bound {VERIFY_MAX_SYMBOLS}"
             )
 
 
@@ -432,8 +433,8 @@ def verify_symbol_structure(
     """Check the definition symbol(g^i, P) = i*s mod d (module docstring) at
     every unit g^i mod every monic irreducible P of degree <= max_deg, one
     symbol() call per unit.  Failures are in enumeration order of P, then by
-    residue code of a.  Capped by VERIFY_MAX_PRODUCTS."""
-    _check_products(ctx.field, max_deg)
+    residue code of a.  Capped by VERIFY_MAX_SYMBOLS."""
+    _check_symbols(ctx.field, max_deg)
     f, d = ctx.field, ctx.d
     moduli = residues = products = 0
     failures = []
@@ -467,5 +468,5 @@ def verify(ctx: SymbolContext, max_deg: int):
     min(max_deg, VERIFY_STRUCTURE_DEG), both caps checked before either runs."""
     struct_deg = min(max_deg, VERIFY_STRUCTURE_DEG)
     _check_pairs(ctx.field, max_deg)
-    _check_products(ctx.field, struct_deg)
+    _check_symbols(ctx.field, struct_deg)
     return verify_reciprocity(ctx, max_deg), verify_symbol_structure(ctx, struct_deg)

@@ -199,7 +199,7 @@ def test_criterion_8_deterministic_realize_is_byte_stable(capsys):
         golden = (FIXTURES / "golden" / f"{name}.json").read_text(encoding="utf-8")
         runs = []
         for _ in range(2):
-            code = main(["realize", *field, "--matrix", matrix, "--deterministic"])
+            code = main(["realize", *field, "--matrix", matrix])
             captured = capsys.readouterr()
             assert code == 0 and captured.err == ""
             runs.append(captured.out)

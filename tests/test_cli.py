@@ -1,17 +1,15 @@
 import importlib
-import inspect
 import json
 import subprocess
 import sys
-import time
 
 import pytest
 
-from residuemat import DEFAULT_MAX_Q, RealizeOptions, cli, matrix_class, residue_symbol
+from residuemat import DEFAULT_MAX_Q, RealizeOptions, cli, residue_symbol
 from residuemat.cli import main
 from residuemat.matrix_class import EQUIV_MAX_MATRICES
 from residuemat.poly_ring import MAX_POLY_DEGREE
-from residuemat.residue_symbol import VERIFY_MAX_PAIRS, VERIFY_MAX_PRODUCTS
+from residuemat.residue_symbol import VERIFY_MAX_PAIRS, VERIFY_MAX_SYMBOLS
 
 # the package exports the function realize under the module's name
 realize_mod = importlib.import_module("residuemat.realize")
@@ -292,9 +290,9 @@ def test_verify_pair_bound_is_inclusive(capsys, monkeypatch):
 
 
 def test_verify_product_bound(capsys, monkeypatch):
-    # 997 * 996 = 993012 pairs pass the pair bound, but each of the 997
-    # degree-1 moduli has 997 * 996 / 2 residue products
-    assert VERIFY_MAX_PRODUCTS == 10_000_000
+    # 997 * 996 = 993012 pairs pass the pair bound, but so many symbol calls
+    # (996 per degree-1 modulus) do not pass the symbol bound
+    assert VERIFY_MAX_SYMBOLS == 100_000
 
     def no_work(*args):
         raise AssertionError("verify started work above the bound")
@@ -304,13 +302,38 @@ def test_verify_product_bound(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--q", "997", "--d", "2", "--max-deg", "1")
     assert code == 1 and out == ""
     assert err == (
-        "error: structure check to max_deg 1 needs at least 495016482 residue products, "
-        "above the bound 10000000\n"
+        "error: structure check to max_deg 1 needs at least 993012 symbol calls, "
+        "above the bound 100000\n"
+    )
+
+
+def test_verify_symbol_bound_admits_its_largest_prime(capsys):
+    # 313 * 312 = 97656 symbol calls, the most of any degree-1 check under
+    # the bound; the products it covers are 313 * 312 * 313 / 2
+    code, out, err = run(capsys, "verify", "--q", "313", "--d", "4", "--max-deg", "1")
+    assert (code, err) == (0, "")
+    assert out == (
+        "reciprocity: pairs=97656, failures=0\n"
+        "structure: moduli=313, residues=97656, products=15283164, failures=0\n"
+    )
+
+
+def test_verify_symbol_bound_refuses_the_next_prime(capsys, monkeypatch):
+    # 317 * 316 = 100172 symbol calls, refused before any table is built
+    def no_tables(*args):
+        raise AssertionError("verify built a table above the bound")
+
+    monkeypatch.setattr(residue_symbol, "_quotient_tables", no_tables)
+    code, out, err = run(capsys, "verify", "--q", "317", "--d", "4", "--max-deg", "1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: structure check to max_deg 1 needs at least 100172 symbol calls, "
+        "above the bound 100000\n"
     )
 
 
 def test_verify_below_product_bound_runs(capsys):
-    # 13 + 78 irreducibles of degree <= 2 over GF(13): 1108302 products
+    # 13 + 78 irreducibles of degree <= 2 over GF(13): 13260 symbol calls
     code, out, _ = run(capsys, "verify", "--q", "13", "--d", "4", "--max-deg", "2")
     assert code == 0
     assert out == (
@@ -320,16 +343,18 @@ def test_verify_below_product_bound_runs(capsys):
 
 
 def test_verify_product_bound_is_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(residue_symbol, "VERIFY_MAX_PRODUCTS", 117)
+    # 3 * 2 + 3 * 8 = 30 symbol calls to degree 2 over GF(3)
+    monkeypatch.setattr(residue_symbol, "VERIFY_MAX_SYMBOLS", 30)
     code, out, _ = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "3")
-    assert code == 0 and "products=117," in out
-    monkeypatch.setattr(residue_symbol, "VERIFY_MAX_PRODUCTS", 116)
+    assert code == 0 and "residues=30," in out
+    monkeypatch.setattr(residue_symbol, "VERIFY_MAX_SYMBOLS", 29)
     code, out, err = run(capsys, "verify", "--q", "3", "--d", "2", "--max-deg", "3")
     assert code == 1 and out == ""
     assert err == (
-        "error: structure check to max_deg 2 needs at least 117 residue products, "
-        "above the bound 116\n"
+        "error: structure check to max_deg 2 needs at least 30 symbol calls, "
+        "above the bound 29\n"
     )
+
 
 # -- equiv --------------------------------------------------------------------
 
@@ -341,9 +366,7 @@ def test_equiv_output(capsys):
 
 
 def test_equiv_bound(capsys):
-    code, _, err = run(capsys, "equiv", "--n", "3", "--d", "4", "--bound", "100")
-    assert code == 1
-    assert "exceed" in err
+    assert EQUIV_MAX_MATRICES == 1_000_000
     # 2^14520 has more decimal digits than int-to-str conversion allows
     code, out, err = run(capsys, "equiv", "--n", "121", "--d", "2")
     assert (code, out) == (1, "")
@@ -352,37 +375,6 @@ def test_equiv_bound(capsys):
         code, out, err = run(capsys, "equiv", "--n", "2", "--d", d)
         assert (code, out) == (1, "")
         assert "d even" in err
-
-
-def test_equiv_bound_default_is_the_library_default():
-    args = cli.build_parser().parse_args(["equiv", "--n", "3", "--d", "2"])
-    library = inspect.signature(matrix_class.criteria_equiv_bruteforce).parameters["bound"]
-    assert args.bound == library.default == matrix_class.EQUIV_DEFAULT_BOUND == 1_000_000
-
-
-def test_equiv_bound_ceiling(capsys, monkeypatch):
-    # a user bound above the ceiling is refused before any matrix is counted,
-    # even where the matrices themselves would fit under the default bound
-    assert EQUIV_MAX_MATRICES == 2**20
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("equiv started work above the ceiling")
-
-    # the first allocation of matrix_class.criteria_equiv_bruteforce
-    monkeypatch.setattr(matrix_class, "bytearray", no_work, raising=False)
-    for n, bound in (("5", "2000000"), ("6", str(10**10)), ("2", str(2**20 + 1))):
-        start = time.perf_counter()
-        code, out, err = run(capsys, "equiv", "--n", n, "--d", "2", "--bound", bound)
-        assert time.perf_counter() - start < 0.1
-        assert (code, out) == (1, "")
-        assert err == (
-            f"error: bound {bound} exceeds the matrix-count ceiling "
-            "EQUIV_MAX_MATRICES = 1048576\n"
-        )
-    monkeypatch.undo()
-    # the ceiling itself is allowed
-    code, out, _ = run(capsys, "equiv", "--n", "2", "--d", "4", "--bound", str(2**20))
-    assert code == 0 and out == "n=2, d=4: total=16, admissible=8, equivalent=yes\n"
 
 
 # -- parser-level behavior ---------------------------------------------------

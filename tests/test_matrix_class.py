@@ -453,8 +453,6 @@ def test_criteria_equivalence_reports_one_flipped_verdict(n, d, k, monkeypatch):
 def test_criteria_equivalence_guards():
     with pytest.raises(ValueError):
         criteria_equiv_bruteforce(2, 3)
-    with pytest.raises(ValueError):
-        criteria_equiv_bruteforce(3, 4, bound=100)
     # no check is run, so none may be reported
     for d in (0, -2):
         with pytest.raises(ValueError, match="d even"):
@@ -469,19 +467,11 @@ def test_criteria_equivalence_guards():
     assert time.perf_counter() - start < 0.1
 
 
-def test_criteria_equivalence_refuses_a_bound_above_the_ceiling(monkeypatch):
-    def no_table(*args):
-        raise AssertionError("the matrix table was allocated")
-
-    assert matrix_class.EQUIV_MAX_MATRICES == 2**20
-    with monkeypatch.context() as m:
-        m.setattr(matrix_class, "bytearray", no_table, raising=False)
-        start = time.perf_counter()
-        with pytest.raises(
-            ValueError,
-            match="bound 10000000000 exceeds the matrix-count ceiling EQUIV_MAX_MATRICES = 1048576",
-        ):
-            criteria_equiv_bruteforce(6, 2, bound=10**10)
-        assert time.perf_counter() - start < 0.1
-    # the ceiling itself is allowed
-    assert criteria_equiv_bruteforce(2, 4, bound=2**20).total == 16
+def test_criteria_equivalence_cap_is_inclusive(monkeypatch):
+    # EQUIV_MAX_MATRICES is the only limit: 4^6 = 4096 matrices for (3, 4)
+    assert matrix_class.EQUIV_MAX_MATRICES == 1_000_000
+    monkeypatch.setattr(matrix_class, "EQUIV_MAX_MATRICES", 4096)
+    assert criteria_equiv_bruteforce(3, 4).total == 4096
+    monkeypatch.setattr(matrix_class, "EQUIV_MAX_MATRICES", 4095)
+    with pytest.raises(ValueError, match="^4\\^6 matrices exceed the bound 4095$"):
+        criteria_equiv_bruteforce(3, 4)

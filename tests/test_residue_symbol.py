@@ -427,7 +427,7 @@ def test_verify_reciprocity_reports_a_skew_on_one_degree_pair(monkeypatch):
 
 
 PAIRS_REFUSED = "ordered pairs, above the bound 1000000"
-PRODUCTS_REFUSED = "residue products, above the bound 10000000"
+SYMBOLS_REFUSED = "symbol calls, above the bound 100000"
 
 
 @pytest.mark.parametrize("q,d,max_deg", [(2, 1, 21), (2, 1, 30), (1021, 4, 3)])
@@ -442,7 +442,7 @@ def test_verify_checks_refuse_a_max_deg_past_the_field_bound(q, d, max_deg, monk
     ctx = get_context(q, d)
     with pytest.raises(ValueError, match=PAIRS_REFUSED):
         verify_reciprocity(ctx, max_deg)
-    with pytest.raises(ValueError, match=PRODUCTS_REFUSED):
+    with pytest.raises(ValueError, match=SYMBOLS_REFUSED):
         verify_symbol_structure(ctx, max_deg)
 
 
@@ -461,14 +461,14 @@ def test_verify_checks_refuse_past_their_work_caps(max_deg, monkeypatch):
     ):
         verify_reciprocity(ctx, max_deg)
     with pytest.raises(
-        ValueError, match=f"to max_deg {max_deg} needs at least 60326568 {PRODUCTS_REFUSED}"
+        ValueError, match=f"to max_deg {max_deg} needs at least 140646 {SYMBOLS_REFUSED}"
     ):
         verify_symbol_structure(ctx, max_deg)
 
 
 @pytest.mark.parametrize(
     "q,d,max_deg,refused",
-    [(13, 4, 4, PAIRS_REFUSED), (997, 2, 1, PRODUCTS_REFUSED), (2, 1, 20, PAIRS_REFUSED)],
+    [(13, 4, 4, PAIRS_REFUSED), (997, 2, 1, SYMBOLS_REFUSED), (2, 1, 20, PAIRS_REFUSED)],
 )
 def test_verify_refuses_on_either_cap_before_either_check(q, d, max_deg, refused, monkeypatch):
     def refuse(*args):
