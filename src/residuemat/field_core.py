@@ -1,12 +1,11 @@
 """Finite field construction and the exponent-index encoding of roots of unity.
 
 A field GF(p^m) with m > 1 is the quotient ring F_p[t]/(modulus) over the
-prime field GF(p), built deterministically: the modulus is the first monic
+prime field GF(p), built deterministically by poly_ring._quotient_tables,
+which builds verify's copies of GF(q^n) too: the modulus is the first monic
 irreducible of degree m over GF(p) that poly_ring.monic_irreducibles lists
 (its docstring states the order and the candidates it skips), and the
-multiplicative generator g is the smallest element of order q - 1.  The
-generator and the exp/log tables come from poly_ring._quotient_tables,
-which builds verify's copies of GF(q^n) too.
+multiplicative generator g is the smallest element of order q - 1.
 For m = 1 the modulus is the degree-1 identity polynomial and the field is
 the plain prime field, with its own generator search and walk.
 
@@ -169,11 +168,9 @@ class Field:
                 y = y * g % p
         else:
             # GF(p^m) is F_p[t]/(modulus); poly_ring imports this module
-            from .poly_ring import _quotient_tables, monic_irreducibles
+            from .poly_ring import _quotient_tables
 
-            base = Field(p, 1)
-            self.modulus = next(monic_irreducibles(base, m)).coeffs
-            g, exp, log = _quotient_tables(base, self.modulus)
+            self.modulus, g, exp, log = _quotient_tables(Field(p, 1), m)
         self.g, self.exp, self.log = g, exp, log
         self.half = 0 if p == 2 else (q - 1) // 2
         self.zech = _zech(p, exp, log) if p != 2 and m > 1 else None

@@ -11,9 +11,9 @@ evaluation revalidates its modulus on every call; is_irreducible states
 its Frobenius chain, which runs on coefficient lists or on
 Kronecker-packed ints (_Packed), and _ben_or when each route is taken.
 
-monic_irreducibles finds field_core's GF(p^m) modulus, and
-_quotient_tables walks the exp/log tables of any quotient field
-F_q[t]/(P): GF(p^m) over GF(p), and verify's copies of GF(q^n).
+_quotient_tables(f, n) walks the exp/log tables of F_q[t]/(P), P the
+first monic irreducible of degree n (monic_irreducibles): field_core's
+GF(p^m) over GF(p), and verify's copies of GF(q^n).
 
 The text format is exact and round-trips: terms joined by '+' or '-',
 descending powers preferred on output, prime coefficients as decimal
@@ -745,12 +745,12 @@ class _Packed:
         return self.unpack(self.fold(c), self.n)
 
 
-def _quotient_tables(f: Field, mod) -> tuple:
-    """(g, exp, log) for K = F_q[t]/(mod), mod a monic irreducible of degree
-    n: g is the smallest code of full order q^n - 1, exp[i] = g^i and
-    log[0] = -1.  Elements are coded by their base-q digits, constant digit
-    least significant (from_code), so each code is also the base-p digit
-    string of its m*n coefficients over F_p.
+def _quotient_tables(f: Field, n: int) -> tuple:
+    """(mod, g, exp, log) for K = F_q[t]/(mod), mod the first monic
+    irreducible of degree n: g is the smallest code of full order q^n - 1,
+    exp[i] = g^i and log[0] = -1.  Elements are coded by their base-q
+    digits, constant digit least significant (from_code), so each code is
+    also the base-p digit string of its m*n coefficients over F_p.
 
     Multiplication by g is F_p-linear, so the walk splits each code at a
     power of p into low and high digits, y = l + h*split, and adds the two
@@ -760,14 +760,15 @@ def _quotient_tables(f: Field, mod) -> tuple:
     never carries: it splits at the same digit into two halves, and one
     table lookup each reduces a half's digits mod p back to a code."""
     q, p = f.q, f.p
-    size = q ** (len(mod) - 1)
+    mod = next(monic_irreducibles(f, n)).coeffs
+    size = q**n
     M = size - 1
     factors = _prime_factors(M)
     for g in range(1, size):
         gd = _digits_raw(q, g)
         if all(_pow_raw(f, gd, M // r, mod) != [1] for r in factors):
             break
-    digits = f.m * (len(mod) - 1)
+    digits = f.m * n
     split = p ** (digits // 2)
     lo = [
         _code_raw(q, _mul_raw(f, _digits_raw(q, c), gd, mod)) for c in range(split)
@@ -803,7 +804,7 @@ def _quotient_tables(f: Field, mod) -> tuple:
         y = l + h * split
     if y != 1:
         raise AssertionError("generator order mismatch")  # unreachable
-    return g, exp, log
+    return mod, g, exp, log
 
 
 def _fold_table(p: int, k: int) -> list:
@@ -841,7 +842,7 @@ def enumerate_monic(field: Field, degree: int) -> Iterator[Poly]:
 
 def monic_irreducibles(field: Field, degree: int) -> Iterator[Poly]:
     """All monic irreducibles of exactly this degree, in enumerate_monic
-    order; the first is field_core's GF(p^m) modulus and verify's GF(q^n).
+    order; the first is _quotient_tables' modulus.
     Codes below q^(degree - 1) have constant term 0, so past degree 1,
     where t divides them and they are reducible, the scan skips them."""
     if degree < 0:

@@ -24,29 +24,29 @@ swap.
 The route assumes the reciprocity law, so it cannot be what checks that
 law.  verify_reciprocity() therefore computes every symbol by the
 defining exponentiation instead, carried into one copy
-K_n = F_q[t]/(Q_n) of GF(q^n) per degree n, where Q_n is the first
-irreducible of degree n.  For a monic irreducible Q of degree n with a
-root beta in K_n, t -> beta is an isomorphism F_q[t]/(Q) -> K_n fixing
-F_q, so it carries a^((|Q| - 1)/d) mod Q to a(beta)^((q^n - 1)/d).  With
-exp/log tables of the smallest generator gamma of K_n^*, walked by
-poly_ring._quotient_tables (which builds every GF(p^m) too), that is
-zeta^(s * log a(beta)) where zeta^s = gamma^((q^n - 1)/d).  One pass over
-the Frobenius orbits {k q^i} of size n lists the Q's themselves: each
-orbit's minimal polynomial is one Q, and its k is log beta.  So the
-check takes its moduli from the orbits, not from the irreducibility
-test.  Each Q gets one evaluation table at its root: log v(beta) for
-every monic v of degree below max_deg, level by level, one Zech
-logarithm step per entry, then at the top-degree irreducibles only.
-That is sum_{j<max_deg} q^j + N table steps per modulus for the N
-irreducibles, and one lookup per ordered pair.  Nothing here uses
-reciprocity.
+K_n = F_q[t]/(Q_n) of GF(q^n) per degree n, built by
+poly_ring._quotient_tables with Q_n the first irreducible of degree n.
+For a monic irreducible Q of degree n with a root beta in K_n,
+t -> beta is an isomorphism F_q[t]/(Q) -> K_n fixing F_q, so it carries
+a^((|Q| - 1)/d) mod Q to a(beta)^((q^n - 1)/d).  With exp/log tables of
+the smallest generator gamma of K_n^*, that is zeta^(s * log a(beta))
+where zeta^s = gamma^((q^n - 1)/d).  One pass over the Frobenius orbits
+{k q^i} of size n lists the Q's themselves: each orbit's minimal
+polynomial is one Q, and its k is log beta.  So the check takes its
+moduli from the orbits, not from the irreducibility test.  Each Q gets
+one evaluation table at its root: log v(beta) for every monic v of
+degree below max_deg, level by level, one Zech logarithm step per entry,
+then at the top-degree irreducibles only.  That is
+sum_{j<max_deg} q^j + N table steps per modulus for the N irreducibles,
+and one lookup per ordered pair.  Nothing here uses reciprocity.
 
-verify_symbol_structure() does call symbol(), once on every unit g^i mod
-every monic irreducible P up to its degree, g the generator of
-_quotient_tables, and checks the definition: symbol(g^i, P) = i*s mod d,
-where zeta^s = g^((|P| - 1)/d) in F_q.  As s is a unit mod d, agreement
-makes symbol(., P) a homomorphism onto Z/d, so it covers every product of
-two units without forming one.
+verify_symbol_structure() does call symbol(), once on every unit a mod
+every such Q of degree <= its max_deg, and checks it against the same
+definition in the same K_n (_orbit_moduli): symbol(a, Q) = s * log a(beta)
+mod d, where log a(beta) for a = t*h + c is one Zech step from
+log h(beta).  Every root of Q gives the same index, as q = 1 mod d.  As s
+is a unit mod d, agreement makes symbol(., Q) a homomorphism onto Z/d, so
+it covers every product of two units without forming one.
 
 Before building any table, verify_reciprocity refuses more than
 VERIFY_MAX_PAIRS ordered pairs, so the largest K_n is GF(2^12), and
@@ -81,7 +81,6 @@ from .poly_ring import (
     format_poly,
     from_code,
     is_irreducible,
-    monic_irreducibles,
 )
 
 
@@ -150,13 +149,36 @@ def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
     return k % d
 
 
-# -- the defining exponentiation, kept as the reciprocity oracle --------------
+# -- the defining exponentiation, the oracle of both verify checks ------------
+
+
+def _orbit_moduli(ctx: SymbolContext, max_deg: int):
+    """(polys, roots, fields) for both verify checks: polys is every monic
+    irreducible of degree <= max_deg in enumerate_monic order, read off the
+    Frobenius orbits of K_n (_root_logs); roots[i] is (n, log beta), beta a
+    root of polys[i] in K_n (None for t); fields[n] is K_n's _step_tables,
+    logs of 1..q-1, M = q^n - 1 and s, where zeta^s = gamma^(M/d)."""
+    f, d, q = ctx.field, ctx.d, ctx.field.q
+    polys, roots, fields = [], [], {}
+    for n in range(1, max_deg + 1):
+        _, _, exp, log = _quotient_tables(f, n)
+        zech = _zech(f.p, exp, log)
+        M = len(exp)
+        # gamma^((q^n - 1)/d) lies in F_q: it is zeta^s
+        s = root_index_of(f, d, exp[M // d % M]).k
+        # the constant c of F_q has code c in K_n
+        fields[n] = (*_step_tables(M, zech), log[1:q], M, s)
+        found = _root_logs(f, n, exp, log, zech)
+        if len(found) != count_monic_irreducibles(f, n):
+            raise ArithmeticError(f"the orbits of K_{n} missed an irreducible")
+        ordered = sorted(found)
+        polys += [Poly._make(f, list(c)) for c in ordered]
+        roots += [(n, found[c]) for c in ordered]
+    return polys, roots, fields
 
 
 def _exponent_oracle(ctx: SymbolContext, max_deg: int):
-    """(polys, cols): polys is every monic irreducible of degree <= max_deg
-    in enumerate_monic order, read off the Frobenius orbits of one copy K_n
-    of GF(q^n) per degree n; cols[j][i] is the index of
+    """(polys, cols): polys is _orbit_moduli's; cols[j][i] is the index of
     P_i^((|P_j| - 1)/d) mod P_j for i != j (0 for i = j), by discrete
     logarithms in K_n; no reciprocity.
 
@@ -167,27 +189,12 @@ def _exponent_oracle(ctx: SymbolContext, max_deg: int):
     + c).  The top degree is evaluated only at its irreducibles.  A column
     costs sum_{l<max_deg} q^l + N table steps for the N irreducibles, and
     a pair one lookup; each column is an array of indices mod d."""
-    f, d, q = ctx.field, ctx.d, ctx.field.q
-    polys, roots, codes = [], [], []
-    fields = {}
-    for n in range(1, max_deg + 1):
-        _, exp, log = _quotient_tables(f, next(monic_irreducibles(f, n)).coeffs)
-        zech = _zech(f.p, exp, log)
-        M = len(exp)
-        # gamma^((q^n - 1)/d) lies in F_q: it is zeta^s
-        s = root_index_of(f, d, exp[M // d % M]).k
-        # the constant c of F_q has code c in K_n
-        fields[n] = (*_step_tables(M, zech), log[1:q], M, s)
-        found = _root_logs(f, n, exp, log, zech)
-        if len(found) != count_monic_irreducibles(f, n):
-            raise ArithmeticError(f"the orbits of K_{n} missed an irreducible")
-        if n == 1:
-            log1 = log
-        # the constant coefficient is the most significant (monic_from_code)
-        ordered = sorted(found)
-        polys += [Poly._make(f, list(c)) for c in ordered]
-        roots += [(n, found[c]) for c in ordered]
-        codes.append([_code_raw(q, c[-2::-1]) for c in ordered])
+    d, q = ctx.d, ctx.field.q
+    polys, roots, fields = _orbit_moduli(ctx, max_deg)
+    # each irreducible's monic code, constant most significant, by degree
+    codes = [[] for _ in range(max_deg)]
+    for P in polys:
+        codes[P.degree - 1].append(_code_raw(q, P.coeffs[-2::-1]))
     # the top degree's irreducibles t*u + c, as code(u), grouped by c
     top = [[] for _ in range(q)]
     for code in codes.pop():
@@ -198,8 +205,8 @@ def _exponent_oracle(ctx: SymbolContext, max_deg: int):
     for pos, (n, lb) in enumerate(roots):
         T, R, lcs, M, s = fields[n]
         if lb is None:
-            # Q = t, whose root is 0: v(0) is the constant coefficient
-            col = [log1[P.coeffs[0]] for P in polys]
+            # Q = t, root 0: v(0) is v's constant (t's own entry is set below)
+            col = [lcs[P.coeffs[0] - 1] for P in polys]
         else:
             shifts = [(lc, (lb - lc) % M) for lc in lcs]
             level = [0]
@@ -317,7 +324,7 @@ def residue_matrix(ctx: SymbolContext, polys) -> CycMatrix:
 
 VERIFY_MAX_PAIRS = 1_000_000
 # the structure check makes one symbol() call per unit; its slowest run
-# under 10^5 is GF(3)/2 to degree 6 (97,742 calls), 1.5-1.9 s on a 2-vCPU Xeon
+# under 10^5 is GF(3)/2 to degree 6 (97,742 calls), 1.0-1.6 s on a 2-vCPU Xeon
 VERIFY_MAX_SYMBOLS = 100_000
 # verify() runs the structure check to at most this degree
 VERIFY_STRUCTURE_DEG = 2
@@ -430,33 +437,38 @@ class SymbolStructureReport:
 def verify_symbol_structure(
     ctx: SymbolContext, max_deg: int = VERIFY_STRUCTURE_DEG
 ) -> SymbolStructureReport:
-    """Check the definition symbol(g^i, P) = i*s mod d (module docstring) at
-    every unit g^i mod every monic irreducible P of degree <= max_deg, one
-    symbol() call per unit.  Failures are in enumeration order of P, then by
-    residue code of a.  Capped by VERIFY_MAX_SYMBOLS."""
+    """Check symbol(a, P) = s * log a(beta) mod d (module docstring) at every
+    unit a mod every monic irreducible P of degree <= max_deg, one symbol()
+    call per unit.  Failures are in enumeration order of P, then by residue
+    code of a.  Capped by VERIFY_MAX_SYMBOLS."""
     _check_symbols(ctx.field, max_deg)
     f, d = ctx.field, ctx.d
-    moduli = residues = products = 0
+    polys, roots, fields = _orbit_moduli(ctx, max_deg)
+    residues = products = 0
     failures = []
-    for deg in range(1, max_deg + 1):
-        for P in monic_irreducibles(f, deg):
-            _, exp, _ = _quotient_tables(f, P.coeffs)
-            M = len(exp)
-            moduli += 1
-            residues += M
-            products += M * (M + 1) // 2
-            # g^(M/d) lies in F_q: it is zeta^s
-            s = root_index_of(f, d, exp[M // d % M]).k
-            kl = [symbol(ctx, from_code(f, code), P).k for code in exp]
-            found = sorted(
-                (exp[i], k, i * s % d) for i, k in enumerate(kl) if k != i * s % d
-            )
-            failures += [(P, from_code(f, c), k, w) for c, k, w in found]
+    for P, (n, lb) in zip(polys, roots):
+        T, R, lcs, M, s = fields[n]
+        # at degree 1 every residue is a constant, whatever the root (t's is 0)
+        lb = lb or 0
+        shifts = [(lc, (lb - lc) % M) for lc in lcs]
+        # log a(beta) for the residues a = c + q*h in from_code order, one
+        # step from log h(beta) each; log 0 is -2M (_step_tables)
+        logs = [-2 * M]
+        for _ in range(n):
+            by_c = [[R[x + lb] for x in logs]]
+            by_c += [[lc + T[x + sh] for x in logs] for lc, sh in shifts]
+            logs = [y for ys in zip(*by_c) for y in ys]
+        residues += M
+        products += M * (M + 1) // 2
+        want = [s * x % d for x in logs]
+        got = [symbol(ctx, from_code(f, c), P).k for c in range(1, M + 1)]
+        bad = [c for c, k in enumerate(got, 1) if k != want[c]]
+        failures += [(P, from_code(f, c), got[c - 1], want[c]) for c in bad]
     return SymbolStructureReport(
         q=f.q,
         d=d,
         max_deg=max_deg,
-        moduli=moduli,
+        moduli=len(polys),
         residues=residues,
         products=products,
         failures=tuple(failures),

@@ -454,7 +454,6 @@ def test_verify_checks_refuse_past_their_work_caps(max_deg, monkeypatch):
         raise AssertionError("the check started work")
 
     monkeypatch.setattr(residue_symbol, "_quotient_tables", refuse)
-    monkeypatch.setattr(residue_symbol, "monic_irreducibles", refuse)
     ctx = get_context(2, 1)
     with pytest.raises(
         ValueError, match=f"to max_deg {max_deg} needs at least 1894752 {PAIRS_REFUSED}"
@@ -518,7 +517,12 @@ def test_verify_symbol_structure_matches_naive(q, d):
 
 @pytest.mark.parametrize(
     "q,d,max_deg,modulus,residue",
-    [(9, 8, 1, "t + {1,1}", 5), (5, 4, 2, "t^2 + 2", 7)],
+    [
+        (9, 8, 1, "t + {1,1}", 5),
+        (5, 4, 2, "t^2 + 2", 7),
+        (4, 3, 1, "t", 2),
+        (8, 7, 2, "t^2 + t + 1", 13),
+    ],
 )
 def test_verify_symbol_structure_reports_a_wrong_residue(
     q, d, max_deg, modulus, residue, monkeypatch
@@ -540,6 +544,22 @@ def test_verify_symbol_structure_reports_a_wrong_residue(
     want = definition_failures(ctx, max_deg)
     assert [(P, a) for P, a, _, _ in want] == [(bad_P, bad_a)]
     assert verify_symbol_structure(ctx, max_deg).failures == want
+
+
+def test_verify_symbol_structure_builds_one_field_per_degree(monkeypatch):
+    # the expected indices come from the reciprocity check's copies K_1 and
+    # K_2 of GF(5) and GF(25), not from one quotient field per modulus
+    real = residue_symbol._quotient_tables
+    seen = []
+
+    def spy(f, n):
+        seen.append(n)
+        return real(f, n)
+
+    monkeypatch.setattr(residue_symbol, "_quotient_tables", spy)
+    rep = verify_symbol_structure(get_context(5, 4), 2)
+    assert rep.ok and rep.moduli == 15
+    assert seen == [1, 2]
 
 
 def test_verify_symbol_structure_reports_a_constant_symbol(monkeypatch):
