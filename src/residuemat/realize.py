@@ -16,6 +16,16 @@ The entries on the other side of the diagonal are then forced to be
 correct by the reciprocity law together with the block structure of the
 input matrix.
 
+Before Ben-Or, a sieve skips every candidate with a monic irreducible
+factor l of degree <= min(2, deg P - 1) and q^deg l <= SIEVE_MAX_NORM
+(_ClassSieve): roots and quadratic factors for q <= 16, roots alone for
+q <= 256.  At a root beta of l, P(beta) = 0 iff h(beta) = -u0(beta)/Q(beta),
+so one pass over the betas rejects constant coefficients of h at once.
+Its betas and tables are verify's (residue_symbol._orbit_moduli), built
+once per SymbolContext on first use.  The sieve only rejects, and a
+rejected candidate still counts as tested, so every Realization is the
+one is_irreducible alone would give.
+
 On the odd-law branch the first s positions (permuted order) take odd
 degrees and the rest even degrees; the symmetric branch needs no parity
 control.  The final matrix equality is rechecked, never trusted.
@@ -44,7 +54,7 @@ from .poly_ring import (
     one,
     zero,
 )
-from .residue_symbol import SymbolContext, residue_matrix, symbol
+from .residue_symbol import SymbolContext, _orbit_moduli, residue_matrix, symbol
 
 
 class RealizeError(Exception):
@@ -194,10 +204,15 @@ def crt_combine(pairs):
     return u0, Q
 
 
-def _find_irreducible(u0: Poly, Q: Poly, degree: int, rng):
+def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, rng):
     """(P, candidates_tested): the first monic irreducible P = Q h + u0 of
     the given degree over monic h, in enumeration order (rng=None) or an
     rng-shuffled order, or (None, tested) when the degree has none.
+
+    A candidate that _ClassSieve rejects has a factor of degree <= 2 and
+    is counted as tested without being built; every other candidate goes
+    through is_irreducible.  The sieve only rejects, so the result is the
+    one is_irreducible alone would give.
 
     Search only: Q must be monic, u0 reduced mod Q and coprime to it, and
     degree >= deg Q.  realize meets all three through crt_combine over
@@ -212,10 +227,13 @@ def _find_irreducible(u0: Poly, Q: Poly, degree: int, rng):
         rng.shuffle(codes)
     else:
         codes = _random_codes(space, rng)
+    sieve = _ClassSieve(ctx, u0, Q, hdeg)
     tested = 0
     for code in codes:
-        P = Q * monic_from_code(f, hdeg, code) + u0
         tested += 1
+        if sieve.rejects(code):
+            continue
+        P = Q * monic_from_code(f, hdeg, code) + u0
         if is_irreducible(P):
             return P, tested
     return None, tested
@@ -228,6 +246,140 @@ def _random_codes(space: int, rng):
         if code not in seen:
             seen.add(code)
             yield code
+
+
+# -- the small-factor sieve ---------------------------------------------------
+
+# The sieve tests candidates against the monic irreducibles l of degree <= 2
+# with norm(l) = q^deg l at most this (BENCH_sieve.json, limit).
+SIEVE_MAX_NORM = 256
+
+
+def _sieve_tables(ctx: SymbolContext) -> list:
+    """The sieve's tables, built on first use and cached on ctx: one
+    (M, T, R, steps, lbs, lns, lneg, bits) per K_e = GF(q^e) with e <= 2 and
+    q^e <= SIEVE_MAX_NORM, all read off residue_symbol._orbit_moduli.
+
+    M = q^e - 1 and T, R are K_e's step tables (_step_tables).  lbs holds
+    log beta for one root beta of each monic irreducible of degree e
+    other than t.  On a log x of v(beta), v -> beta v + c is R[x + lb] for
+    c = 0 and lc + T[x + shs[i]] otherwise, with (lc, shs) = steps[c].
+    lneg is log(-1), lns holds log(-beta), and bits[z] is 1 << c where z
+    is a log of the constant c, 0 included, and 0 off F_q."""
+    if ctx._sieve is None:
+        f = ctx.field
+        top = 2 if f.q**2 <= SIEVE_MAX_NORM else 1 if f.q <= SIEVE_MAX_NORM else 0
+        tables = []
+        if top:
+            _, roots, fields = _orbit_moduli(ctx, top)
+            for e in range(1, top + 1):
+                T, R, lcs, M, _ = fields[e]
+                lbs = [lb for n, lb in roots if n == e and lb is not None]
+                steps = [None] + [(lc, [(lb - lc) % M for lb in lbs]) for lc in lcs]
+                bits = [0] * M
+                for c, lc in enumerate(lcs, 1):
+                    bits[lc] = 1 << c
+                # a log lies in [0, 2M - 1), and 0 is coded by [-2M, -M)
+                bits += bits + [1] * (2 * M)
+                lneg = lcs[f.neg(1) - 1]
+                lns = [(lb + lneg) % M for lb in lbs]
+                tables.append((M, T, R, steps, lbs, lns, lneg, bits))
+        ctx._sieve = tables
+    return ctx._sieve
+
+
+def _horner(T, R, steps, lbs, xs, digits):
+    """The logs of v(beta) after v -> beta v + c for each c of digits in
+    turn, at every beta of lbs, from the logs xs of v(beta)."""
+    for c in digits:
+        if c:
+            lc, shs = steps[c]
+            xs = [lc + T[x + sh] for x, sh in zip(xs, shs)]
+        else:
+            xs = [R[x + lb] for x, lb in zip(xs, lbs)]
+    return xs
+
+
+def _fold(f, coeffs, M: int):
+    """coeffs reduced mod t^(M + 1) - t: the same values at every beta with
+    beta^(M + 1) = beta, so at every element of GF(M + 1)."""
+    if len(coeffs) <= M + 1:
+        return coeffs
+    out = list(coeffs[: M + 1])
+    for k in range(M + 1, len(coeffs)):
+        j = (k - 1) % M + 1
+        out[j] = f.add(out[j], coeffs[k])
+    return out
+
+
+class _ClassSieve:
+    """Which candidates P = Q h + u0 of one class have a monic irreducible
+    factor l of degree <= min(2, deg P - 1) that _sieve_tables covers.
+
+    Write h = t w + c0 with w monic.  At a root beta of l,
+    P(beta) = Q(beta) h(beta) + u0(beta).  Where Q(beta) = 0 that is
+    u0(beta) != 0, as u0 is coprime to Q.  Elsewhere P(beta) = 0 iff
+    c0 = tau - beta w(beta) with tau = -u0(beta)/Q(beta), computed once per
+    class.  c0 is the most significant digit of h's code (monic_from_code)
+    and the rest r is w's code.  So one Horner pass over w's digits at every
+    beta gives the bitmask of the c0 to reject, for every code that shares
+    r; each mask is built on first use.  The root 0 of t rejects the one
+    c0 = -u0(0)/Q(0) whatever r is."""
+
+    def __init__(self, ctx: SymbolContext, u0: Poly, Q: Poly, hdeg: int):
+        f = Q.field
+        self.q, self.hdeg = f.q, hdeg
+        self.low = f.q ** max(hdeg - 1, 0)
+        self.masks = {}
+        self.base = 0
+        self.groups = []
+        degree = Q.degree + hdeg
+        # with hdeg = 0 the class has the one candidate Q + u0; below degree
+        # 4 a factor of degree 2 leaves a cofactor of degree <= 1
+        if hdeg < 1 or degree < 2:
+            return
+        tables = _sieve_tables(ctx)[: 1 if degree < 4 else 2]
+        for e, (M, T, R, steps, lbs, lns, lneg, bits) in enumerate(tables, 1):
+            zero = [-2 * M] * len(lbs)
+            lq = _horner(T, R, steps, lbs, zero, reversed(_fold(f, Q.coeffs, M)))
+            lu = _horner(T, R, steps, lbs, zero, reversed(_fold(f, u0.coeffs, M)))
+            if e == 1 and Q.coeffs[0]:
+                u = u0.coeffs[0] if u0 else 0
+                self.base = bits[(lneg + steps[u][0] - steps[Q.coeffs[0]][0]) % M] if u else 1
+            keep = [i for i, x in enumerate(lq) if x >= 0]
+            if len(keep) < len(lq) or min(lu) < 0:
+                # tau != 0 first: only those betas take the step that adds tau
+                keep.sort(key=lambda i: lu[i] < 0)
+                steps = [None] + [(lc, [shs[i] for i in keep]) for lc, shs in steps[1:]]
+                lbs = [lbs[i] for i in keep]
+                lns = [lns[i] for i in keep]
+            lts = [(lneg + lu[i] - lq[i]) % M for i in keep if lu[i] >= 0]
+            self.groups.append((T, R, steps, lbs, lns, lts, [-lt % M for lt in lts], bits))
+
+    def rejects(self, code: int) -> bool:
+        if not self.groups:
+            return False
+        c0, r = divmod(code, self.low)
+        mask = self.masks.get(r)
+        if mask is None:
+            mask = self.masks[r] = self._mask(r)
+        return bool(mask >> c0 & 1)
+
+    def _mask(self, r: int) -> int:
+        q = self.q
+        digits = []
+        for _ in range(self.hdeg - 1):
+            r, c = divmod(r, q)
+            digits.append(c)
+        mask = self.base
+        for T, R, steps, lbs, lns, lts, sts, bits in self.groups:
+            xs = _horner(T, R, steps, lbs, [0] * len(lbs), digits)
+            # log(-beta w(beta)), then log(tau - beta w(beta))
+            ys = [R[x + ln] for x, ln in zip(xs, lns)]
+            zs = [lt + T[y + st] for y, lt, st in zip(ys, lts, sts)]
+            for z in zs + ys[len(lts) :]:
+                mask |= bits[z]
+        return mask
 
 
 # -- the inductive construction ----------------------------------------------
@@ -297,7 +449,7 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
         chosen = None
         while chosen is None and D <= opts.max_degree:
             degrees_tried.append(D)
-            chosen, tested = _find_irreducible(u0, Q, D, scan)
+            chosen, tested = _find_irreducible(ctx, u0, Q, D, scan)
             tested_total += tested
             D += 2 if req is not None else 1
         if chosen is None:

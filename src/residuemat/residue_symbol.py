@@ -85,14 +85,18 @@ from .poly_ring import (
 
 
 class SymbolContext:
-    """Immutable (field, d) pair with d | q - 1."""
+    """(field, d) pair with d | q - 1; both are fixed for its lifetime.
 
-    __slots__ = ("field", "d")
+    _sieve is a cache and starts empty: realize builds its candidate
+    sieve's tables there on first use (realize._sieve_tables)."""
+
+    __slots__ = ("field", "d", "_sieve")
 
     def __init__(self, field: Field, d: int):
         _check_d(field, d)
         self.field = field
         self.d = d
+        self._sieve = None
 
     def __repr__(self):
         return f"SymbolContext({self.field!r}, d={self.d})"

@@ -8,10 +8,11 @@ the same few.  What the oracles take from the library is its conventions:
   the element, constant digit first (Field.p, .m and .q);
 * each Field's modulus, which field_mul_digits reduces by, and its
   generator g, which naive_symbol_index takes discrete logarithms to;
-* enumerate_monic, which trial_division_irreducible uses only to list
-  every candidate divisor and reducible_monics every factor pair, so its
-  order does not matter, and which structure_failures and
-  definition_failures use to list moduli in the library's report order;
+* enumerate_monic, which trial_division_irreducible and has_monic_factor
+  use only to list every candidate divisor and reducible_monics every
+  factor pair, so its order does not matter, and which structure_failures
+  and definition_failures use to list moduli in the library's report
+  order;
 * Poly as a container: only .field, .coeffs and .degree are read;
 * CycMatrix as a container: only .n, .d and .entries are read, by
   mmbar_reference, classify_reference and the invariance operations at
@@ -147,19 +148,22 @@ def naive_symbol_index(ctx, a: Poly, P: Poly) -> int:
 
 
 def trial_division_irreducible(P: Poly) -> bool:
-    """Irreducibility by long division (poly_divmod_lists) by every monic
-    polynomial of degree at most deg(P)/2."""
+    """Irreducibility by long division by every monic polynomial of degree
+    at most deg(P)/2 (has_monic_factor)."""
+    return P.degree >= 1 and not has_monic_factor(P, P.degree // 2)
+
+
+def has_monic_factor(P: Poly, max_deg: int) -> bool:
+    """Does a monic polynomial of degree 1 .. max_deg divide P?  Long
+    division (poly_divmod_lists) by each in turn."""
     from residuemat import enumerate_monic
 
-    deg = P.degree
-    if deg < 1:
-        return False
     f = P.field
-    for ddeg in range(1, deg // 2 + 1):
+    for ddeg in range(1, max_deg + 1):
         for D in enumerate_monic(f, ddeg):
             if not poly_divmod_lists(f, list(P.coeffs), list(D.coeffs))[1]:
-                return False
-    return True
+                return True
+    return False
 
 
 def reducible_monics(f, deg: int) -> set:

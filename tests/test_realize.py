@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import random
@@ -14,9 +15,12 @@ from residuemat import (
     ResourceExhaustedError,
     SymbolContext,
     crt_combine,
+    field_build,
     format_poly,
     from_code,
+    gcd,
     is_irreducible,
+    monic_from_code,
     monic_irreducibles,
     one,
     parse_matrix,
@@ -27,11 +31,21 @@ from residuemat import (
     variable,
     zero,
 )
+from residuemat import residue_symbol
 from residuemat.poly_ring import MAX_POLY_DEGREE
-from residuemat.realize import _choose_residue, _find_irreducible
+from residuemat.realize import (
+    SIEVE_MAX_NORM,
+    _choose_residue,
+    _ClassSieve,
+    _find_irreducible,
+    _random_codes,
+)
 
 from conftest import get_context, get_field
-from naive import trial_division_irreducible
+from naive import has_monic_factor, trial_division_irreducible
+
+# the module: the package exports its function realize under the same name
+realize_mod = importlib.import_module("residuemat.realize")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -183,10 +197,11 @@ def test_crt_combine_errors(f3, f5):
 
 
 def test_find_irreducible_examples(f3):
+    ctx = get_context(3, 2)
     t = variable(f3)
-    got, _ = _find_irreducible(parse_poly("1", f3), t, 1, None)
+    got, _ = _find_irreducible(ctx, parse_poly("1", f3), t, 1, None)
     assert got == parse_poly("t+1", f3)
-    got, tested = _find_irreducible(parse_poly("2", f3), t, 2, None)
+    got, tested = _find_irreducible(ctx, parse_poly("2", f3), t, 2, None)
     assert got == parse_poly("t^2+t+2", f3)  # t^2+2 comes first but has root 1
     assert tested == 2
 
@@ -195,37 +210,175 @@ def test_find_irreducible_respects_class_and_degree(f5):
     Q = parse_poly("t^2+2", f5)
     u0 = parse_poly("t+1", f5)
     for deg in (3, 4, 5):
-        P, _ = _find_irreducible(u0, Q, deg, None)
+        P, _ = _find_irreducible(get_context(5, 4), u0, Q, deg, None)
         assert P.degree == deg and P.is_monic() and is_irreducible(P)
         assert P % Q == u0
 
 
 def test_find_irreducible_none_at_degree():
-    f2 = get_field(2)
+    ctx = get_context(2, 1)
+    f2 = ctx.field
     Q = parse_poly("t^2+t+1", f2)
     u0 = variable(f2)
     # the only degree-2 candidate is Q + t = t^2 + 1 = (t+1)^2
-    assert _find_irreducible(u0, Q, 2, None) == (None, 1)
-    assert _find_irreducible(u0, Q, 3, None)[0] == parse_poly("t^3+t+1", f2)
+    assert _find_irreducible(ctx, u0, Q, 2, None) == (None, 1)
+    assert _find_irreducible(ctx, u0, Q, 3, None)[0] == parse_poly("t^3+t+1", f2)
 
 
 def test_find_irreducible_random_mode(f5):
     Q = variable(f5)
     u0 = parse_poly("2", f5)
-    P, _ = _find_irreducible(u0, Q, 4, random.Random(11))
+    ctx = get_context(5, 4)
+    P, _ = _find_irreducible(ctx, u0, Q, 4, random.Random(11))
     assert P.degree == 4 and is_irreducible(P) and P % Q == u0
-    assert _find_irreducible(u0, Q, 4, random.Random(11))[0] == P
+    assert _find_irreducible(ctx, u0, Q, 4, random.Random(11))[0] == P
 
 
 def test_find_irreducible_random_mode_above_two_to_the_sixteen_codes():
     # 13^5 candidates h of degree 5 exceed 2^16, so the seeded search draws
     # codes without replacement instead of shuffling them all
-    f13 = get_field(13)
+    ctx = get_context(13, 4)
+    f13 = ctx.field
     Q, u0 = variable(f13), one(f13)
-    P, tested = _find_irreducible(u0, Q, 6, random.Random(5))
+    P, tested = _find_irreducible(ctx, u0, Q, 6, random.Random(5))
     assert P.degree == 6 and P.is_monic() and P.coeffs[0] == 1  # P = 1 mod t
-    assert trial_division_irreducible(P)
-    assert _find_irreducible(u0, Q, 6, random.Random(5)) == (P, tested)
+    assert _find_irreducible(ctx, u0, Q, 6, random.Random(5)) == (P, tested)
+    # the sieve only skips: trial division alone picks the same candidate
+    assert _trial_division_scan(u0, Q, 6, random.Random(5)) == (P, tested)
+    sieve = _ClassSieve(ctx, u0, Q, 5)
+    for code in itertools.islice(_random_codes(13**5, random.Random(5)), 40):
+        C = Q * monic_from_code(f13, 5, code) + u0
+        assert sieve.rejects(code) == has_monic_factor(C, 2), format_poly(C)
+
+
+# -- the small-factor sieve ------------------------------------------------
+
+# (q, d) of the realize-stream benchmark workload
+REALIZE_STREAM_FIELDS = ((5, 2), (5, 4), (7, 6), (13, 4), (4, 3), (9, 8))
+
+
+def _sieve_degree(q, degree):
+    """The largest degree of factor the sieve looks for in a candidate."""
+    return max(e for e in range(min(2, degree - 1) + 1) if q**e <= SIEVE_MAX_NORM)
+
+
+def _trial_division_scan(u0, Q, degree, rng):
+    """_find_irreducible's (P, tested), with trial division as the only test."""
+    f = Q.field
+    hdeg = degree - Q.degree
+    space = f.q**hdeg
+    if rng is None:
+        codes = range(space)
+    elif space <= 1 << 16:
+        codes = list(range(space))
+        rng.shuffle(codes)
+    else:
+        codes = _random_codes(space, rng)
+    for tested, code in enumerate(codes, 1):
+        P = Q * monic_from_code(f, hdeg, code) + u0
+        if trial_division_irreducible(P):
+            return P, tested
+    return None, space
+
+
+def _rng(state):
+    if state is None:
+        return None
+    rng = random.Random()
+    rng.setstate(state)
+    return rng
+
+
+def _scanned_classes(monkeypatch, ctx, seed):
+    """(u0, Q, degree, rng state) of every class realize scans for a seeded
+    symmetric 3x3 matrix (admissible on either law, with s = 1 on the odd
+    law), deterministic when seed is None."""
+    n, d = 3, ctx.d
+    draw = random.Random(f"sieve:{ctx.field.q}:{d}:{seed}")
+    rows = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rows[j][i] = draw.randrange(d)
+    classes = []
+    scan = realize_mod._find_irreducible
+
+    def record(ctx, u0, Q, degree, rng):
+        classes.append((u0, Q, degree, None if rng is None else rng.getstate()))
+        return scan(ctx, u0, Q, degree, rng)
+
+    monkeypatch.setattr(realize_mod, "_find_irreducible", record)
+    opts = RealizeOptions(seed=seed or 0, deterministic=seed is None)
+    realize(ctx, CycMatrix(n, d, rows), opts)
+    monkeypatch.undo()
+    return classes
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("q,d", REALIZE_STREAM_FIELDS)
+def test_sieve_rejects_exactly_the_candidates_with_a_small_factor(monkeypatch, q, d, seed):
+    ctx = get_context(q, d)
+    f = ctx.field
+    classes = _scanned_classes(monkeypatch, ctx, seed)
+    assert len(classes) >= 3
+    for u0, Q, degree, state in classes:
+        # the scanned degree and two above it, where h has more digits
+        for hdeg in range(degree - Q.degree, degree - Q.degree + 3):
+            sieve = _ClassSieve(ctx, u0, Q, hdeg)
+            top = _sieve_degree(q, Q.degree + hdeg)
+            space = q**hdeg
+            draw = random.Random(hdeg)
+            codes = range(space) if space <= 16 else draw.sample(range(space), 16)
+            for code in codes:
+                P = Q * monic_from_code(f, hdeg, code) + u0
+                assert sieve.rejects(code) == has_monic_factor(P, top), format_poly(P)
+        # the sieve only skips: the scan picks what trial division alone picks
+        got = _find_irreducible(ctx, u0, Q, degree, _rng(state))
+        assert got == _trial_division_scan(u0, Q, degree, _rng(state))
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 4)])
+def test_sieve_on_classes_of_degree_above_q_squared(q, d):
+    # Q and u0 are reduced mod t^(q^e) - t before they are evaluated
+    ctx = get_context(q, d)
+    f = ctx.field
+    draw = random.Random(q)
+    Q = monic_from_code(f, q * q + 2, draw.randrange(q ** (q * q + 2)))
+    u0 = from_code(f, draw.randrange(q ** (q * q + 2)))
+    while gcd(u0, Q).degree:
+        u0 = from_code(f, draw.randrange(q ** (q * q + 2)))
+    for hdeg in (1, 2, 3):
+        sieve = _ClassSieve(ctx, u0, Q, hdeg)
+        for code in draw.sample(range(q**hdeg), min(8, q**hdeg)):
+            P = Q * monic_from_code(f, hdeg, code) + u0
+            assert sieve.rejects(code) == has_monic_factor(P, 2), format_poly(P)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (1021, 1), (2, 16)])
+def test_symbol_context_builds_no_sieve_table(monkeypatch, p, m):
+    f = field_build(p, m)
+    built = []
+    monkeypatch.setattr(residue_symbol, "_quotient_tables", lambda *args: built.append(args))
+    ctx = SymbolContext(f, 1)
+    assert ctx._sieve is None and not built
+
+
+def test_sieve_above_the_limit_builds_no_copy_of_gf_q_squared(monkeypatch):
+    # 31^2 is above SIEVE_MAX_NORM, so the sieve looks for roots only
+    assert 31 <= SIEVE_MAX_NORM < 31**2
+    degrees = []
+    quotient_tables = residue_symbol._quotient_tables
+
+    def record(f, n):
+        degrees.append(n)
+        return quotient_tables(f, n)
+
+    monkeypatch.setattr(residue_symbol, "_quotient_tables", record)
+    ctx = SymbolContext(field_build(31), 2)
+    M = CycMatrix(3, 2, [[None, 1, 0], [1, None, 1], [0, 1, None]])
+    R = realize(ctx, M)
+    assert residue_matrix(ctx, R.polys) == M
+    assert degrees == [1] and len(ctx._sieve) == 1
+    realize(ctx, M, RealizeOptions(seed=1, deterministic=False))
+    assert degrees == [1]
 
 
 # -- options ---------------------------------------------------------------
