@@ -21,10 +21,10 @@ factor l of degree <= min(2, deg P - 1) and q^deg l <= SIEVE_MAX_NORM
 (_ClassSieve): roots and quadratic factors for q <= 16, roots alone for
 q <= 256.  At a root beta of l, P(beta) = 0 iff h(beta) = -u0(beta)/Q(beta),
 so one pass over the betas rejects constant coefficients of h at once.
-Its betas and tables are verify's (residue_symbol._orbit_moduli), built
-once per SymbolContext on first use.  The sieve only rejects, and a
-rejected candidate still counts as tested, so every Realization is the
-one is_irreducible alone would give.
+All betas lie in one copy of GF(q^2) or GF(q), verify's
+(residue_symbol._orbit_moduli), built once per SymbolContext on first use.
+The sieve only rejects, and a rejected candidate still counts as tested,
+so every Realization is the one is_irreducible alone would give.
 
 On the odd-law branch the first s positions (permuted order) take odd
 degrees and the rest even degrees; the symmetric branch needs no parity
@@ -209,10 +209,9 @@ def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, rng):
     the given degree over monic h, in enumeration order (rng=None) or an
     rng-shuffled order, or (None, tested) when the degree has none.
 
-    A candidate that _ClassSieve rejects has a factor of degree <= 2 and
-    is counted as tested without being built; every other candidate goes
-    through is_irreducible.  The sieve only rejects, so the result is the
-    one is_irreducible alone would give.
+    A candidate that _ClassSieve rejects has a root or a quadratic factor
+    and counts as tested without being built; every other candidate goes
+    through is_irreducible, so the result is what that alone would give.
 
     Search only: Q must be monic, u0 reduced mod Q and coprime to it, and
     degree >= deg Q.  realize meets all three through crt_combine over
@@ -255,36 +254,36 @@ def _random_codes(space: int, rng):
 SIEVE_MAX_NORM = 256
 
 
-def _sieve_tables(ctx: SymbolContext) -> list:
-    """The sieve's tables, built on first use and cached on ctx: one
-    (M, T, R, steps, lbs, lns, lneg, bits) per K_e = GF(q^e) with e <= 2 and
-    q^e <= SIEVE_MAX_NORM, all read off residue_symbol._orbit_moduli.
+def _sieve_tables(ctx: SymbolContext):
+    """The sieve's record for one copy K_e of GF(q^e), built on first use
+    and cached on ctx: e = 2 when q^2 <= SIEVE_MAX_NORM, e = 1 when q is,
+    and () above; read off residue_symbol._orbit_moduli(ctx, e).
 
-    M = q^e - 1 and T, R are K_e's step tables (_step_tables).  lbs holds
-    log beta for one root beta of each monic irreducible of degree e
-    other than t.  On a log x of v(beta), v -> beta v + c is R[x + lb] for
-    c = 0 and lc + T[x + shs[i]] otherwise, with (lc, shs) = steps[c].
-    lneg is log(-1), lns holds log(-beta), and bits[z] is 1 << c where z
-    is a log of the constant c, 0 included, and 0 off F_q."""
+    The record is (M, T, R, steps, lbs, lns, lneg, bits).  M = q^e - 1 and
+    T, R are K_e's step tables (_step_tables).  lbs holds log beta for the
+    q - 1 constants beta, the roots of the factors t - beta, and then for
+    e = 2 one root of each monic irreducible quadratic.  On a log x of
+    v(beta), v -> beta v + c is R[x + lb] for c = 0 and lc + T[x + shs[i]]
+    otherwise, with (lc, shs) = steps[c].  lneg is log(-1), lns holds
+    log(-beta), and bits[z] is 1 << c where z is a log of the constant c,
+    0 included, and 0 off F_q."""
     if ctx._sieve is None:
         f = ctx.field
-        top = 2 if f.q**2 <= SIEVE_MAX_NORM else 1 if f.q <= SIEVE_MAX_NORM else 0
-        tables = []
-        if top:
-            _, roots, fields = _orbit_moduli(ctx, top)
-            for e in range(1, top + 1):
-                T, R, lcs, M, _ = fields[e]
-                lbs = [lb for n, lb in roots if n == e and lb is not None]
-                steps = [None] + [(lc, [(lb - lc) % M for lb in lbs]) for lc in lcs]
-                bits = [0] * M
-                for c, lc in enumerate(lcs, 1):
-                    bits[lc] = 1 << c
-                # a log lies in [0, 2M - 1), and 0 is coded by [-2M, -M)
-                bits += bits + [1] * (2 * M)
-                lneg = lcs[f.neg(1) - 1]
-                lns = [(lb + lneg) % M for lb in lbs]
-                tables.append((M, T, R, steps, lbs, lns, lneg, bits))
-        ctx._sieve = tables
+        e = 2 if f.q**2 <= SIEVE_MAX_NORM else 1 if f.q <= SIEVE_MAX_NORM else 0
+        ctx._sieve = ()
+        if e:
+            _, roots, fields = _orbit_moduli(ctx, e)
+            T, R, lcs, M, _ = fields[e]
+            lbs = lcs + [lb for n, lb in roots if n == 2]
+            steps = [None] + [(lc, [(lb - lc) % M for lb in lbs]) for lc in lcs]
+            bits = [0] * M
+            for c, lc in enumerate(lcs, 1):
+                bits[lc] = 1 << c
+            # a log lies in [0, 2M - 1), and 0 is coded by [-2M, -M)
+            bits += bits + [1] * (2 * M)
+            lneg = lcs[f.neg(1) - 1]
+            lns = [(lb + lneg) % M for lb in lbs]
+            ctx._sieve = (M, T, R, steps, lbs, lns, lneg, bits)
     return ctx._sieve
 
 
@@ -298,18 +297,6 @@ def _horner(T, R, steps, lbs, xs, digits):
         else:
             xs = [R[x + lb] for x, lb in zip(xs, lbs)]
     return xs
-
-
-def _fold(f, coeffs, M: int):
-    """coeffs reduced mod t^(M + 1) - t: the same values at every beta with
-    beta^(M + 1) = beta, so at every element of GF(M + 1)."""
-    if len(coeffs) <= M + 1:
-        return coeffs
-    out = list(coeffs[: M + 1])
-    for k in range(M + 1, len(coeffs)):
-        j = (k - 1) % M + 1
-        out[j] = f.add(out[j], coeffs[k])
-    return out
 
 
 class _ClassSieve:
@@ -332,32 +319,35 @@ class _ClassSieve:
         self.low = f.q ** max(hdeg - 1, 0)
         self.masks = {}
         self.base = 0
-        self.groups = []
+        self.table = None
         degree = Q.degree + hdeg
-        # with hdeg = 0 the class has the one candidate Q + u0; below degree
-        # 4 a factor of degree 2 leaves a cofactor of degree <= 1
-        if hdeg < 1 or degree < 2:
+        # with hdeg = 0 the class has the one candidate Q + u0
+        record = _sieve_tables(ctx) if hdeg >= 1 and degree >= 2 else ()
+        if not record:
             return
-        tables = _sieve_tables(ctx)[: 1 if degree < 4 else 2]
-        for e, (M, T, R, steps, lbs, lns, lneg, bits) in enumerate(tables, 1):
-            zero = [-2 * M] * len(lbs)
-            lq = _horner(T, R, steps, lbs, zero, reversed(_fold(f, Q.coeffs, M)))
-            lu = _horner(T, R, steps, lbs, zero, reversed(_fold(f, u0.coeffs, M)))
-            if e == 1 and Q.coeffs[0]:
-                u = u0.coeffs[0] if u0 else 0
-                self.base = bits[(lneg + steps[u][0] - steps[Q.coeffs[0]][0]) % M] if u else 1
-            keep = [i for i, x in enumerate(lq) if x >= 0]
-            if len(keep) < len(lq) or min(lu) < 0:
-                # tau != 0 first: only those betas take the step that adds tau
-                keep.sort(key=lambda i: lu[i] < 0)
-                steps = [None] + [(lc, [shs[i] for i in keep]) for lc, shs in steps[1:]]
-                lbs = [lbs[i] for i in keep]
-                lns = [lns[i] for i in keep]
-            lts = [(lneg + lu[i] - lq[i]) % M for i in keep if lu[i] >= 0]
-            self.groups.append((T, R, steps, lbs, lns, lts, [-lt % M for lt in lts], bits))
+        M, T, R, steps, lbs, lns, lneg, bits = record
+        if degree < 4:
+            # a factor of degree 2 would leave a cofactor of degree <= 1, so
+            # only the roots count; _horner's zip stops at the last of them
+            lbs, lns = lbs[: f.q - 1], lns[: f.q - 1]
+        zero = [-2 * M] * len(lbs)
+        lq = _horner(T, R, steps, lbs, zero, reversed(Q.coeffs))
+        lu = _horner(T, R, steps, lbs, zero, reversed(u0.coeffs))
+        if Q.coeffs[0]:
+            u = u0.coeffs[0] if u0 else 0
+            self.base = bits[(lneg + steps[u][0] - steps[Q.coeffs[0]][0]) % M] if u else 1
+        keep = [i for i, x in enumerate(lq) if x >= 0]
+        if len(keep) < len(lq) or min(lu) < 0:
+            # tau != 0 first: only those betas take the step that adds tau
+            keep.sort(key=lambda i: lu[i] < 0)
+            steps = [None] + [(lc, [shs[i] for i in keep]) for lc, shs in steps[1:]]
+            lbs = [lbs[i] for i in keep]
+            lns = [lns[i] for i in keep]
+        lts = [(lneg + lu[i] - lq[i]) % M for i in keep if lu[i] >= 0]
+        self.table = (T, R, steps, lbs, lns, lts, [-lt % M for lt in lts], bits)
 
     def rejects(self, code: int) -> bool:
-        if not self.groups:
+        if self.table is None:
             return False
         c0, r = divmod(code, self.low)
         mask = self.masks.get(r)
@@ -371,14 +361,14 @@ class _ClassSieve:
         for _ in range(self.hdeg - 1):
             r, c = divmod(r, q)
             digits.append(c)
+        T, R, steps, lbs, lns, lts, sts, bits = self.table
+        xs = _horner(T, R, steps, lbs, [0] * len(lbs), digits)
+        # log(-beta w(beta)), then log(tau - beta w(beta))
+        ys = [R[x + ln] for x, ln in zip(xs, lns)]
+        zs = [lt + T[y + st] for y, lt, st in zip(ys, lts, sts)]
         mask = self.base
-        for T, R, steps, lbs, lns, lts, sts, bits in self.groups:
-            xs = _horner(T, R, steps, lbs, [0] * len(lbs), digits)
-            # log(-beta w(beta)), then log(tau - beta w(beta))
-            ys = [R[x + ln] for x, ln in zip(xs, lns)]
-            zs = [lt + T[y + st] for y, lt, st in zip(ys, lts, sts)]
-            for z in zs + ys[len(lts) :]:
-                mask |= bits[z]
+        for z in zs + ys[len(lts) :]:
+            mask |= bits[z]
         return mask
 
 

@@ -87,8 +87,8 @@ from .poly_ring import (
 class SymbolContext:
     """(field, d) pair with d | q - 1; both are fixed for its lifetime.
 
-    _sieve is a cache and starts empty: realize builds its candidate
-    sieve's tables there on first use (realize._sieve_tables)."""
+    _sieve is a cache and starts empty: realize puts its candidate sieve's
+    one copy of GF(q^2) or GF(q) there on first use (realize._sieve_tables)."""
 
     __slots__ = ("field", "d", "_sieve")
 

@@ -11,6 +11,8 @@ _FIELD_PARAMS = {
     8: (2, 3),
     9: (3, 2),
     13: (13, 1),
+    16: (2, 4),
+    17: (17, 1),
     263: (263, 1),
     997: (997, 1),
     1021: (1021, 1),

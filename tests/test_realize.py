@@ -41,6 +41,7 @@ from residuemat.realize import (
     _random_codes,
 )
 
+import realize_sweep
 from conftest import get_context, get_field
 from naive import has_monic_factor, trial_division_irreducible
 
@@ -313,7 +314,8 @@ def _scanned_classes(monkeypatch, ctx, seed):
 
 
 @pytest.mark.parametrize("seed", [None, 3])
-@pytest.mark.parametrize("q,d", REALIZE_STREAM_FIELDS)
+# plus the largest field with quadratic factors and the smallest with roots alone
+@pytest.mark.parametrize("q,d", REALIZE_STREAM_FIELDS + ((16, 5), (17, 4)))
 def test_sieve_rejects_exactly_the_candidates_with_a_small_factor(monkeypatch, q, d, seed):
     ctx = get_context(q, d)
     f = ctx.field
@@ -337,7 +339,6 @@ def test_sieve_rejects_exactly_the_candidates_with_a_small_factor(monkeypatch, q
 
 @pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 4)])
 def test_sieve_on_classes_of_degree_above_q_squared(q, d):
-    # Q and u0 are reduced mod t^(q^e) - t before they are evaluated
     ctx = get_context(q, d)
     f = ctx.field
     draw = random.Random(q)
@@ -376,7 +377,8 @@ def test_sieve_above_the_limit_builds_no_copy_of_gf_q_squared(monkeypatch):
     M = CycMatrix(3, 2, [[None, 1, 0], [1, None, 1], [0, 1, None]])
     R = realize(ctx, M)
     assert residue_matrix(ctx, R.polys) == M
-    assert degrees == [1] and len(ctx._sieve) == 1
+    # one record, K_1's: M = q - 1
+    assert degrees == [1] and ctx._sieve[0] == 30
     realize(ctx, M, RealizeOptions(seed=1, deterministic=False))
     assert degrees == [1]
 
@@ -539,6 +541,15 @@ def test_realize_random_mode_is_pinned(name, q):
     assert res.transcript[0].crt_residue is None
     blob = json.dumps(res.to_json_dict(), indent=2, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == RANDOM_MODE_DIGESTS[name, q]
+
+
+# n = 3 over realize-stream's six (q, d), n = 4 where it stays quick; the CI
+# runs n = 4 over GF(5)/4 (2,228 orbits) as a script
+@pytest.mark.parametrize(
+    "q,d,n", [(q, d, 3) for q, d in REALIZE_STREAM_FIELDS] + [(5, 2, 4), (4, 3, 4)]
+)
+def test_realize_every_orbit_matches_the_definition(q, d, n):
+    assert realize_sweep.sweep(q, d, n)[0] == realize_sweep.ORBITS[q, d, n]
 
 
 def test_realization_json_shape():
