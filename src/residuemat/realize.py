@@ -21,8 +21,8 @@ factor l of degree <= min(2, deg P - 1) and q^deg l <= SIEVE_MAX_NORM
 (_ClassSieve): roots and quadratic factors for q <= 16, roots alone for
 q <= 256.  At a root beta of l, P(beta) = 0 iff h(beta) = -u0(beta)/Q(beta),
 so one pass over the betas rejects constant coefficients of h at once.
-All betas lie in one copy of GF(q^2) or GF(q), verify's
-(residue_symbol._orbit_moduli), built once per SymbolContext on first use.
+All betas, t's root 0 among them as the zero log, lie in verify's copy of
+GF(q^2) or GF(q) (_sieve_tables), built once per SymbolContext.
 The sieve only rejects, and a rejected candidate still counts as tested,
 so every Realization is the one is_irreducible alone would give.
 
@@ -54,7 +54,7 @@ from .poly_ring import (
     one,
     zero,
 )
-from .residue_symbol import SymbolContext, _orbit_moduli, residue_matrix, symbol
+from .residue_symbol import SymbolContext, _jacobi, _orbit_moduli, _shift, residue_matrix
 
 
 class RealizeError(Exception):
@@ -149,9 +149,10 @@ def _json_value(x):
 
 
 def _choose_residue(ctx: SymbolContext, P: Poly, target_k: int, rng):
-    """(residue, trials) with symbol(residue, P) = target_k.  rng=None scans
-    the codes in order; otherwise max(1000, 200 d) seeded draws come first,
-    and past them the scan's residue is returned with the draws' count."""
+    """(residue, trials) with symbol(residue, P) = target_k, by _jacobi: each
+    code below |P| is a reduced unit.  rng=None scans the codes in order;
+    otherwise max(1000, 200 d) seeded draws come first, and past them the
+    scan's residue is returned with the draws' count."""
     f = ctx.field
     size = norm(P)
     if rng is None:
@@ -160,7 +161,7 @@ def _choose_residue(ctx: SymbolContext, P: Poly, target_k: int, rng):
         codes = (rng.randrange(1, size) for _ in range(max(1000, 200 * ctx.d)))
     for trials, code in enumerate(codes, 1):
         u = from_code(f, code)
-        if symbol(ctx, u, P).k == target_k:
+        if _jacobi(ctx, u, P) == target_k:
             return u, trials
     if rng is None:
         raise RealizeError(
@@ -261,8 +262,8 @@ def _sieve_tables(ctx: SymbolContext):
 
     The record is (M, T, R, steps, lbs, lns, lneg, bits).  M = q^e - 1 and
     T, R are K_e's step tables (_step_tables).  lbs holds log beta for the
-    q - 1 constants beta, the roots of the factors t - beta, and then for
-    e = 2 one root of each monic irreducible quadratic.  On a log x of
+    q roots beta of the factors t - beta, 0 first as the zero log -2M, then
+    for e = 2 one root of each monic irreducible quadratic.  On a log x of
     v(beta), v -> beta v + c is R[x + lb] for c = 0 and lc + T[x + shs[i]]
     otherwise, with (lc, shs) = steps[c].  lneg is log(-1), lns holds
     log(-beta), and bits[z] is 1 << c where z is a log of the constant c,
@@ -274,15 +275,15 @@ def _sieve_tables(ctx: SymbolContext):
         if e:
             _, roots, fields = _orbit_moduli(ctx, e)
             T, R, lcs, M, _ = fields[e]
-            lbs = lcs + [lb for n, lb in roots if n == 2]
-            steps = [None] + [(lc, [(lb - lc) % M for lb in lbs]) for lc in lcs]
+            lbs = [-2 * M] + lcs + [lb for n, lb in roots if n == 2]
+            steps = [None] + [(lc, [_shift(lb, lc, M) for lb in lbs]) for lc in lcs]
             bits = [0] * M
             for c, lc in enumerate(lcs, 1):
                 bits[lc] = 1 << c
             # a log lies in [0, 2M - 1), and 0 is coded by [-2M, -M)
             bits += bits + [1] * (2 * M)
             lneg = lcs[f.neg(1) - 1]
-            lns = [(lb + lneg) % M for lb in lbs]
+            lns = [_shift(lb, lneg, M) for lb in lbs]
             ctx._sieve = (M, T, R, steps, lbs, lns, lneg, bits)
     return ctx._sieve
 
@@ -310,15 +311,14 @@ class _ClassSieve:
     class.  c0 is the most significant digit of h's code (monic_from_code)
     and the rest r is w's code.  So one Horner pass over w's digits at every
     beta gives the bitmask of the c0 to reject, for every code that shares
-    r; each mask is built on first use.  The root 0 of t rejects the one
-    c0 = -u0(0)/Q(0) whatever r is."""
+    r; each mask is built on first use.  t's root 0 takes the same steps in
+    the zero log, and rejects the one c0 = tau whatever r is."""
 
     def __init__(self, ctx: SymbolContext, u0: Poly, Q: Poly, hdeg: int):
         f = Q.field
         self.q, self.hdeg = f.q, hdeg
         self.low = f.q ** max(hdeg - 1, 0)
         self.masks = {}
-        self.base = 0
         self.table = None
         degree = Q.degree + hdeg
         # with hdeg = 0 the class has the one candidate Q + u0
@@ -329,13 +329,10 @@ class _ClassSieve:
         if degree < 4:
             # a factor of degree 2 would leave a cofactor of degree <= 1, so
             # only the roots count; _horner's zip stops at the last of them
-            lbs, lns = lbs[: f.q - 1], lns[: f.q - 1]
+            lbs, lns = lbs[: f.q], lns[: f.q]
         zero = [-2 * M] * len(lbs)
         lq = _horner(T, R, steps, lbs, zero, reversed(Q.coeffs))
         lu = _horner(T, R, steps, lbs, zero, reversed(u0.coeffs))
-        if Q.coeffs[0]:
-            u = u0.coeffs[0] if u0 else 0
-            self.base = bits[(lneg + steps[u][0] - steps[Q.coeffs[0]][0]) % M] if u else 1
         keep = [i for i, x in enumerate(lq) if x >= 0]
         if len(keep) < len(lq) or min(lu) < 0:
             # tau != 0 first: only those betas take the step that adds tau
@@ -366,7 +363,7 @@ class _ClassSieve:
         # log(-beta w(beta)), then log(tau - beta w(beta))
         ys = [R[x + ln] for x, ln in zip(xs, lns)]
         zs = [lt + T[y + st] for y, lt, st in zip(ys, lts, sts)]
-        mask = self.base
+        mask = 0
         for z in zs + ys[len(lts) :]:
             mask |= bits[z]
         return mask

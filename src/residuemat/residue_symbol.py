@@ -34,11 +34,11 @@ where zeta^s = gamma^((q^n - 1)/d).  One pass over the Frobenius orbits
 {k q^i} of size n lists the Q's themselves: each orbit's minimal
 polynomial is one Q, and its k is log beta.  So the check takes its
 moduli from the orbits, not from the irreducibility test.  Each Q gets
-one evaluation table at its root: log v(beta) for every monic v of
-degree below max_deg, level by level, one Zech logarithm step per entry,
-then at the top-degree irreducibles only.  That is
-sum_{j<max_deg} q^j + N table steps per modulus for the N irreducibles,
-and one lookup per ordered pair.  Nothing here uses reciprocity.
+one evaluation table at its root, t's root 0 taking the zero log -2M
+(_step_tables): log v(beta) for every monic v of degree below max_deg,
+level by level, one Zech logarithm step per entry, then at the top-degree
+irreducibles only: sum_{j<max_deg} q^j + N table steps per modulus for
+the N irreducibles, one lookup per ordered pair, and no reciprocity.
 
 verify_symbol_structure() does call symbol(), once on every unit a mod
 every such Q of degree <= its max_deg, and checks it against the same
@@ -160,8 +160,8 @@ def _orbit_moduli(ctx: SymbolContext, max_deg: int):
     """(polys, roots, fields) for both verify checks: polys is every monic
     irreducible of degree <= max_deg in enumerate_monic order, read off the
     Frobenius orbits of K_n (_root_logs); roots[i] is (n, log beta), beta a
-    root of polys[i] in K_n (None for t); fields[n] is K_n's _step_tables,
-    logs of 1..q-1, M = q^n - 1 and s, where zeta^s = gamma^(M/d)."""
+    root of polys[i] in K_n (the zero log -2M for t); fields[n] is K_n's
+    _step_tables, logs of 1..q-1, M = q^n - 1 and s, zeta^s = gamma^(M/d)."""
     f, d, q = ctx.field, ctx.d, ctx.field.q
     polys, roots, fields = [], [], {}
     for n in range(1, max_deg + 1):
@@ -208,23 +208,19 @@ def _exponent_oracle(ctx: SymbolContext, max_deg: int):
     cols = []
     for pos, (n, lb) in enumerate(roots):
         T, R, lcs, M, s = fields[n]
-        if lb is None:
-            # Q = t, root 0: v(0) is v's constant (t's own entry is set below)
-            col = [lcs[P.coeffs[0] - 1] for P in polys]
-        else:
-            shifts = [(lc, (lb - lc) % M) for lc in lcs]
-            level = [0]
-            col = []
-            # codes now holds the irreducibles below the top degree
-            for low in codes:
-                nxt = [R[x + lb] for x in level]
-                for lc, sh in shifts:
-                    nxt += [lc + T[x + sh] for x in level]
-                level = nxt
-                col += [level[r] for r in low]
-            col += [R[level[r] + lb] for r in top[0]]
-            for (lc, sh), rs in zip(shifts, top[1:]):
-                col += [lc + T[level[r] + sh] for r in rs]
+        shifts = [(lc, _shift(lb, lc, M)) for lc in lcs]
+        level = [0]
+        col = []
+        # codes now holds the irreducibles below the top degree
+        for low in codes:
+            nxt = [R[x + lb] for x in level]
+            for lc, sh in shifts:
+                nxt += [lc + T[x + sh] for x in level]
+            level = nxt
+            col += [level[r] for r in low]
+        col += [R[level[r] + lb] for r in top[0]]
+        for (lc, sh), rs in zip(shifts, top[1:]):
+            col += [lc + T[level[r] + sh] for r in rs]
         # P_pos vanishes at its own root, and no other irreducible may
         col[pos] = 0
         if min(col) < 0:
@@ -236,26 +232,31 @@ def _exponent_oracle(ctx: SymbolContext, max_deg: int):
 
 def _step_tables(M: int, zech):
     """(T, R) for one K_n with M = q^n - 1 units.  A log x lies in
-    [0, 2M - 1), and 0 is coded by any x in [-2M, -M), which Python's
-    negative indexing sends to the tails.  Then with lb = log beta,
+    [0, 2M - 1); 0 is coded by any x in [-2M, -M), and the root beta = 0 by
+    lb = -2M, so a zero-coded sum lies in [-4M, 0), the tails.  Then
     R[x + lb] is log(beta * v) and, for c != 0 with lc = log c,
-    lc + T[x + (lb - lc) % M] is log(beta * v + c), for x = log v."""
+    lc + T[x + _shift(lb, lc, M)] is log(beta * v + c), for x = log v."""
     zero = -2 * M
-    T = [z if z >= 0 else zero for z in zech] * 3 + [0] * (2 * M)
-    R = list(range(M)) * 3 + [zero] * (2 * M)
+    T = [z if z >= 0 else zero for z in zech] * 3 + [0] * (4 * M)
+    R = list(range(M)) * 3 + [zero] * (4 * M)
     return T, R
+
+
+def _shift(lb: int, lc: int, M: int) -> int:
+    """(lb - lc) % M, or -2M at the root 0, where T's tail reads log 1."""
+    return lb if lb < 0 else (lb - lc) % M
 
 
 def _root_logs(f: Field, n: int, exp, log, zech):
     """Map the coefficients of every monic irreducible Q of degree n to
-    log_gamma of one of its roots in K_n, with t -> None (root 0) at n = 1.
+    log_gamma of one of its roots in K_n; at n = 1, t's root 0 has log -2M.
 
     The roots of a degree-n irreducible are one Frobenius orbit
     gamma^(k q^i), i < n, of exact size n; its minimal polynomial
     prod (X - gamma^(k q^i)) has coefficients in F_q and is that Q."""
     q, M = f.q, len(exp)
     lneg = log[f.neg(1)]
-    out = {(0, 1): None} if n == 1 else {}
+    out = {(0, 1): -2 * M} if n == 1 else {}
     seen = bytearray(M)
     for k in range(M):
         if seen[k]:
@@ -452,9 +453,7 @@ def verify_symbol_structure(
     failures = []
     for P, (n, lb) in zip(polys, roots):
         T, R, lcs, M, s = fields[n]
-        # at degree 1 every residue is a constant, whatever the root (t's is 0)
-        lb = lb or 0
-        shifts = [(lc, (lb - lc) % M) for lc in lcs]
+        shifts = [(lc, _shift(lb, lc, M)) for lc in lcs]
         # log a(beta) for the residues a = c + q*h in from_code order, one
         # step from log h(beta) each; log 0 is -2M (_step_tables)
         logs = [-2 * M]

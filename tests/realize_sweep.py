@@ -7,25 +7,28 @@ block form, as in criteria_equiv_bruteforce: on the odd law (-1 not a
 d-th power in F_q) the first s rows hold a skew block whose pairs differ
 by d/2, and every other pair is equal; on the symmetric law every pair
 is equal.  Each orbit is represented by its least conjugate, read row by
-row.  realize builds each one with default options, and every ordered
-entry is compared with the defining index of P_i^((|P_j| - 1)/d) mod P_j,
-never with symbol or the reciprocity law.  Where it is fast enough (the
-sweeps in NAIVE) that index comes from naive.naive_symbol_index, on
-schoolbook lists and digit arithmetic.  Elsewhere it is poly_ring.mod_pow
-followed by root_index_of, as naive_symbol_index would take 5-7 times
-as long as realize itself there.
+row.  realize builds each one with default options, or in seeded mode
+with RealizeOptions(seed=seed + i, deterministic=False) for orbit i, and
+every ordered entry is compared with the defining index of
+P_i^((|P_j| - 1)/d) mod P_j, never with symbol or the reciprocity law.
+Where it is fast enough (the sweeps in NAIVE) that index comes from
+naive.naive_symbol_index, on schoolbook lists and digit arithmetic.
+Elsewhere it is poly_ring.mod_pow followed by root_index_of, as
+naive_symbol_index would take 5-7 times as long as realize itself there.
 
 Shared by the tier-1 test and the CI step that runs a larger sweep;
 pytest does not collect this module.  Run as a script to sweep one
-(q, d, n) and print its orbit count and largest degree:
+(q, d, n) and print its orbit count and largest degree, in seeded mode
+with --seed:
 
     python tests/realize_sweep.py 5 4 4
+    python tests/realize_sweep.py 5 4 4 --seed 1
 """
 
+import argparse
 import itertools
-import sys
 
-from residuemat import CycMatrix, mod_pow, realize, root_index_of
+from residuemat import CycMatrix, RealizeOptions, mod_pow, realize, root_index_of
 
 from conftest import get_context
 from naive import naive_symbol_index
@@ -77,21 +80,23 @@ def defining_index(ctx, a, P, naive: bool) -> int:
     return root_index_of(ctx.field, ctx.d, c.coeffs[0]).k
 
 
-def sweep(q: int, d: int, n: int) -> tuple:
-    """(orbits, largest degree) after realizing one matrix per orbit and
-    checking every entry against the definition; AssertionError on the
+def sweep(q: int, d: int, n: int, seed=None) -> tuple:
+    """(orbits, largest degree) after realizing one matrix per orbit, with
+    default options or, given a seed, orbit i in random mode at seed + i,
+    and checking every entry against the definition; AssertionError on the
     first entry that differs."""
     ctx = get_context(q, d)
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
     reps = orbit_representatives(q, d, n)
     naive = (q, d, n) in NAIVE
     top = 0
-    for key in reps:
+    for orbit, key in enumerate(reps):
         rows = [[None] * n for _ in range(n)]
         for (i, j), a in zip(off, key):
             rows[i][j] = a
         M = CycMatrix(n, d, rows)
-        polys = realize(ctx, M).polys
+        opts = None if seed is None else RealizeOptions(seed=seed + orbit, deterministic=False)
+        polys = realize(ctx, M, opts).polys
         assert len(set(polys)) == n and all(P.is_monic() for P in polys), M
         for (i, j), a in zip(off, key):
             assert defining_index(ctx, polys[i], polys[j], naive) == a, (M, i, j)
@@ -100,6 +105,11 @@ def sweep(q: int, d: int, n: int) -> tuple:
 
 
 if __name__ == "__main__":
-    q, d, n = (int(x) for x in sys.argv[1:])
-    orbits, top = sweep(q, d, n)
+    parser = argparse.ArgumentParser(description="Sweep one (q, d, n).")
+    for name in ("q", "d", "n"):
+        parser.add_argument(name, type=int)
+    parser.add_argument("--seed", type=int, help="realize orbit i in random mode at seed + i")
+    args = parser.parse_args()
+    q, d, n = args.q, args.d, args.n
+    orbits, top = sweep(q, d, n, args.seed)
     print(f"q={q} d={d} n={n}: orbits={orbits}, max_degree={top}")

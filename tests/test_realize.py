@@ -543,13 +543,15 @@ def test_realize_random_mode_is_pinned(name, q):
     assert hashlib.sha256(blob.encode()).hexdigest() == RANDOM_MODE_DIGESTS[name, q]
 
 
-# n = 3 over realize-stream's six (q, d), n = 4 where it stays quick; the CI
-# runs n = 4 over GF(5)/4 (2,228 orbits) as a script
+# n = 3 over realize-stream's six (q, d), n = 4 where it stays quick, in
+# deterministic mode and at seed 1; the CI runs n = 4 over GF(5)/4 (2,228
+# orbits) as a script in both modes
 @pytest.mark.parametrize(
     "q,d,n", [(q, d, 3) for q, d in REALIZE_STREAM_FIELDS] + [(5, 2, 4), (4, 3, 4)]
 )
 def test_realize_every_orbit_matches_the_definition(q, d, n):
-    assert realize_sweep.sweep(q, d, n)[0] == realize_sweep.ORBITS[q, d, n]
+    for seed in (None, 1):
+        assert realize_sweep.sweep(q, d, n, seed)[0] == realize_sweep.ORBITS[q, d, n]
 
 
 def test_realization_json_shape():

@@ -339,6 +339,21 @@ def test_reciprocity_oracle_lists_every_irreducible(q, max_deg):
     ]
 
 
+# a prime field, an odd extension and characteristic 2, each at K_1 and above
+@pytest.mark.parametrize("q,n", [(5, 1), (5, 2), (9, 1), (9, 2), (4, 1), (4, 3)])
+def test_step_tables_take_the_root_zero_as_the_zero_log(q, n):
+    # t's root 0 is coded lb = -2M, the code of the value 0: then for every
+    # x, zero-coded or not, beta * v = 0 and beta * v + c = c
+    _, roots, fields = residue_symbol._orbit_moduli(get_context(q, 1), n)
+    T, R, lcs, M, _ = fields[n]
+    assert roots[0] == (1, -2 * fields[1][3])
+    lb = -2 * M
+    for x in range(-2 * M, 2 * M - 1):
+        assert -2 * M <= R[x + lb] < -M, x
+        for lc in lcs:
+            assert lc + T[x + residue_symbol._shift(lb, lc, M)] == lc, (x, lc)
+
+
 def test_verify_reciprocity_tests_one_modulus_per_degree(monkeypatch):
     # the irreducibles come from the orbits; Ben-Or only finds each K_n's
     # modulus, the first irreducible of its degree, scanning from t at n = 1
