@@ -429,13 +429,19 @@ def is_irreducible(P: Poly) -> bool:
     return P._irred
 
 
-def _ben_or(f: Field, mod) -> bool:
-    """is_irreducible on a monic coefficient list of degree >= 1."""
+def _ben_or(f: Field, mod, past: int = 0) -> bool:
+    """is_irreducible on a monic coefficient list of degree >= 1 with no
+    irreducible factor of degree <= past, which realize's sieve proves
+    (past = 1 or 2; realize._ClassSieve).  Such a P of degree n is
+    irreducible when n/2 <= past, skips the root test's gcd when past >= 1,
+    and on the list route takes its first chain gcd after step past.  When
+    q < n, t^q mod P is the monomial t^q itself."""
     n = len(mod) - 1
-    if n == 1:
+    if n // 2 <= past:
         return True
-    xq = _pow_raw(f, [0, 1], f.q, mod)
-    if len(_gcd_raw(f, _minus_t(f, xq), mod)) > 1:
+    q = f.q
+    xq = [0] * q + [1] if q < n else _pow_raw(f, [0, 1], q, mod)
+    if not past and len(_gcd_raw(f, _minus_t(f, xq), mod)) > 1:
         return False
     if n < 4:
         return True
@@ -457,38 +463,44 @@ def _ben_or(f: Field, mod) -> bool:
     # two gcds per packed chain since then run 1.06-1.61x on irreducibles
     # and 0.89-1.08x on reducibles that pass the root test
     # (BENCH_euclid.json, ben_or), and move no modulus between routes.
-    p, m, q = f.p, f.m, f.q
+    p, m = f.p, f.m
     ctx = None
     if (m == 1 or p > 2 and q < 1024) and n * min(q, n) >= max(64, 112 * (m - 1) ** 2):
         d = n // _int_gcd(*(i for i, c in enumerate(mod) if c))
         if 2 * n <= d * d and _slots(f, n):
             ctx = _Packed(f, mod)
-    return _chain(f, mod, xq, ctx)
+    return _chain(f, mod, xq, ctx, past)
 
 
 def _frobenius_rows(f: Field, xq, mod) -> list:
     """Rows t^(jq) mod P for j < deg P, from xq = t^q mod P and the monic
     modulus P (deg P >= 2): the matrix of the q-power Frobenius on
     F_q[t]/(P), which is F_q-linear because c^q = c in F_q, so
-    _mul_raw(f, a, rows, rows=True) is a^q mod P."""
+    _mul_raw(f, a, rows, rows=True) is a^q mod P.  When q < deg P, xq is
+    the monomial t^q, so each row is the last one shifted by q slots and
+    reduced by at most q rows of P, as in _Packed.frobenius_rows."""
+    q, n = f.q, len(mod) - 1
     rows = [[1], xq]
-    for _ in range(2, len(mod) - 1):
-        rows.append(_mul_raw(f, rows[-1], xq, mod))
+    for _ in range(2, n):
+        if q < n:
+            rows.append(_rem_raw(f, [0] * q + rows[-1], mod))
+        else:
+            rows.append(_mul_raw(f, rows[-1], xq, mod))
     return rows
 
 
-def _chain(f: Field, mod, xq, ctx) -> bool:
+def _chain(f: Field, mod, xq, ctx, past: int = 0) -> bool:
     """Steps i = 2 .. n/2 of is_irreducible's chain, given xq = t^q mod P
     from the root test: on coefficient lists when ctx is None, else on the
     packed ints of ctx, a _Packed for P.  The routes differ only in how
     rows, steps and products are computed, and in where the gcds fall:
-    after every list step, or after the first isqrt(n/2) packed steps and
-    at the end."""
+    after every list step from step past + 1 on (_ben_or's past), or after
+    the first isqrt(n/2) packed steps and at the end."""
     n = len(mod) - 1
     steps = n // 2 - 1
     # a gcd is taken after step i when i + 1 is in cuts
     if ctx is None:
-        rows, cuts = _frobenius_rows(f, xq, mod), range(1, steps + 1)
+        rows, cuts = _frobenius_rows(f, xq, mod), range(max(past, 1), steps + 1)
     else:
         rows, cuts = ctx.frobenius_rows(xq), (isqrt(n // 2), steps)
     img = xq
@@ -498,7 +510,8 @@ def _chain(f: Field, mod, xq, ctx) -> bool:
         else:
             img = ctx.frobenius(img, rows)
         diff = _minus_t(f, img)
-        if i == 0 or i in cuts:
+        # only the packed route multiplies differences between its gcds
+        if ctx is None or i == 0 or i in cuts:
             acc = diff
         else:
             acc = ctx.mulmod(ctx.pack(acc), ctx.pack(diff))

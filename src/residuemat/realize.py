@@ -23,8 +23,17 @@ q <= 256.  At a root beta of l, P(beta) = 0 iff h(beta) = -u0(beta)/Q(beta),
 so one pass over the betas rejects constant coefficients of h at once.
 All betas, t's root 0 among them as the zero log, lie in verify's copy of
 GF(q^2) or GF(q) (_sieve_tables), built once per SymbolContext.
-The sieve only rejects, and a rejected candidate still counts as tested,
-so every Realization is the one is_irreducible alone would give.
+The sieve only rejects, and a rejected candidate still counts as tested.
+A survivor goes to Ben-Or started past the factor degrees the sieve
+excluded (poly_ring._ben_or's past), so every Realization is the one
+is_irreducible alone would give.
+
+Each position reuses what the earlier ones computed.  Garner's
+mixed-radix fold (_garner, shared with crt_combine) keeps the prefix
+products P_1 ... P_(j-1) and their inverses mod P_j; log Q(beta) at the
+sieve's roots is the sum of the earlier moduli's logs; and each modulus
+enters both once per realization, on first use.  The deterministic
+residue scan reads a constant's index off the log table.
 
 On the odd-law branch the first s positions (permuted order) take odd
 degrees and the rest even degrees; the symmetric branch needs no parity
@@ -45,6 +54,7 @@ from .matrix_class import ODD_LAW, CycMatrix, classify
 from .poly_ring import (
     MAX_POLY_DEGREE,
     Poly,
+    _ben_or,
     _inv_raw,
     format_poly,
     from_code,
@@ -150,16 +160,24 @@ def _json_value(x):
 
 def _choose_residue(ctx: SymbolContext, P: Poly, target_k: int, rng):
     """(residue, trials) with symbol(residue, P) = target_k, by _jacobi: each
-    code below |P| is a reduced unit.  rng=None scans the codes in order;
-    otherwise max(1000, 200 d) seeded draws come first, and past them the
-    scan's residue is returned with the draws' count."""
+    code below |P| is a reduced unit.  rng=None scans the codes in order,
+    reading the index log c * deg P mod d of each constant c < q off the
+    log table, as _jacobi computes it; otherwise max(1000, 200 d) seeded
+    draws come first, and past them the scan's residue is returned with the
+    draws' count."""
     f = ctx.field
     size = norm(P)
     if rng is None:
-        codes = range(1, size)
+        e, d, log = P.degree, ctx.d, f.log
+        for c in range(1, f.q):
+            if log[c] * e % d == target_k:
+                return from_code(f, c), c
+        # the scan's trials count is its code
+        first, codes = f.q, range(f.q, size)
     else:
+        first = 1
         codes = (rng.randrange(1, size) for _ in range(max(1000, 200 * ctx.d)))
-    for trials, code in enumerate(codes, 1):
+    for trials, code in enumerate(codes, first):
         u = from_code(f, code)
         if _jacobi(ctx, u, P) == target_k:
             return u, trials
@@ -194,28 +212,41 @@ def crt_combine(pairs):
             raise ValueError(
                 f"residue {format_poly(u)} not reduced mod {format_poly(P)}"
             )
-    # fold one congruence at a time into u0 mod Q, starting from 0 mod 1
-    u0, Q = zero(f), one(f)
-    for u, P in pairs:
-        g, inv = _inv_raw(f, (Q % P).coeffs, P.coeffs)
-        if g != [1]:
-            raise ValueError("moduli are not coprime")  # unreachable for primes
-        u0 = u0 + Q * ((u - u0) * Poly._make(f, inv) % P)
-        Q = Q * P
-    return u0, Q
+    return _garner(f, pairs, [one(f)], [])
 
 
-def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, rng):
+def _garner(f, pairs, prods, invs):
+    """crt_combine's (u0, Q) by Garner's mixed-radix fold: one congruence
+    at a time into u0 mod Q, starting from 0 mod 1.  prods[j] is
+    P_1 ... P_j (prods[0] = 1) and invs[j] is prods[j]^(-1) mod P_(j+1);
+    both are extended in place on first use, so realize, whose positions
+    share their leading moduli, computes each once per realization."""
+    u0 = zero(f)
+    for j, (u, P) in enumerate(pairs):
+        if j == len(invs):
+            g, inv = _inv_raw(f, (prods[j] % P).coeffs, P.coeffs)
+            if g != [1]:
+                raise ValueError("moduli are not coprime")  # unreachable for primes
+            invs.append(Poly._make(f, inv))
+            prods.append(prods[j] * P)
+        u0 = u0 + prods[j] * ((u - u0) * invs[j] % P)
+    return u0, prods[len(pairs)]
+
+
+def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, rng, lq=None):
     """(P, candidates_tested): the first monic irreducible P = Q h + u0 of
     the given degree over monic h, in enumeration order (rng=None) or an
     rng-shuffled order, or (None, tested) when the degree has none.
 
     A candidate that _ClassSieve rejects has a root or a quadratic factor
-    and counts as tested without being built; every other candidate goes
-    through is_irreducible, so the result is what that alone would give.
+    and counts as tested without being built.  Every other candidate goes
+    through Ben-Or (_ben_or), started past the factor degrees the sieve
+    excluded, and its verdict is cached on P as is_irreducible would; so
+    the result is what is_irreducible alone would give.  lq, when given,
+    is _ClassSieve's log Q(beta) at the sieve's roots.
 
     Search only: Q must be monic, u0 reduced mod Q and coprime to it, and
-    degree >= deg Q.  realize meets all three through crt_combine over
+    degree >= deg Q.  realize meets all three through Garner's fold over
     nonzero residues and starts at degree deg Q + 1."""
     f = Q.field
     hdeg = degree - Q.degree
@@ -227,14 +258,16 @@ def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, rng):
         rng.shuffle(codes)
     else:
         codes = _random_codes(space, rng)
-    sieve = _ClassSieve(ctx, u0, Q, hdeg)
+    sieve = _ClassSieve(ctx, u0, Q, hdeg, lq)
+    past = sieve.past
     tested = 0
     for code in codes:
         tested += 1
         if sieve.rejects(code):
             continue
         P = Q * monic_from_code(f, hdeg, code) + u0
-        if is_irreducible(P):
+        P._irred = _ben_or(f, P.coeffs, past)
+        if P._irred:
             return P, tested
     return None, tested
 
@@ -262,8 +295,10 @@ def _sieve_tables(ctx: SymbolContext):
 
     The record is (M, T, R, steps, lbs, lns, lneg, bits).  M = q^e - 1 and
     T, R are K_e's step tables (_step_tables).  lbs holds log beta for the
-    q roots beta of the factors t - beta, 0 first as the zero log -2M, then
-    for e = 2 one root of each monic irreducible quadratic.  On a log x of
+    q - 1 roots beta of the factors t - c, c != 0, then for e = 2 one root
+    of each monic irreducible quadratic, and last t's root 0 as the zero
+    log -2M: past position 1, t divides Q, so the sieve slices it off and
+    keeps the rest in place (_ClassSieve).  On a log x of
     v(beta), v -> beta v + c is R[x + lb] for c = 0 and lc + T[x + shs[i]]
     otherwise, with (lc, shs) = steps[c].  lneg is log(-1), lns holds
     log(-beta), and bits[z] is 1 << c where z is a log of the constant c,
@@ -275,7 +310,7 @@ def _sieve_tables(ctx: SymbolContext):
         if e:
             _, roots, fields = _orbit_moduli(ctx, e)
             T, R, lcs, M, _ = fields[e]
-            lbs = [-2 * M] + lcs + [lb for n, lb in roots if n == 2]
+            lbs = lcs + [lb for n, lb in roots if n == 2] + [-2 * M]
             steps = [None] + [(lc, [_shift(lb, lc, M) for lb in lbs]) for lc in lcs]
             bits = [0] * M
             for c, lc in enumerate(lcs, 1):
@@ -286,6 +321,17 @@ def _sieve_tables(ctx: SymbolContext):
             lns = [_shift(lb, lneg, M) for lb in lbs]
             ctx._sieve = (M, T, R, steps, lbs, lns, lneg, bits)
     return ctx._sieve
+
+
+def _sieve_logs(record, P: Poly, base=None) -> list:
+    """log P(beta) at every beta of a _sieve_tables record's lbs, zero-coded
+    where P(beta) = 0; given base, the logs of some B at the same betas,
+    those of B P instead."""
+    M, T, R, steps, lbs = record[:5]
+    xs = _horner(T, R, steps, lbs, [-2 * M] * len(lbs), reversed(P.coeffs))
+    if base is None:
+        return xs
+    return [(x + y) % M if x >= 0 and y >= 0 else -2 * M for x, y in zip(base, xs)]
 
 
 def _horner(T, R, steps, lbs, xs, digits):
@@ -312,31 +358,42 @@ class _ClassSieve:
     and the rest r is w's code.  So one Horner pass over w's digits at every
     beta gives the bitmask of the c0 to reject, for every code that shares
     r; each mask is built on first use.  t's root 0 takes the same steps in
-    the zero log, and rejects the one c0 = tau whatever r is."""
+    the zero log, and rejects the one c0 = tau whatever r is.
 
-    def __init__(self, ctx: SymbolContext, u0: Poly, Q: Poly, hdeg: int):
+    past is the largest factor degree excluded for every candidate, for
+    _ben_or: 2 with the quadratic roots, 1 with the roots alone, 0 where
+    the sieve does not run.  lq, when given, is log Q(beta) at every beta
+    of the record (realize sums it from the earlier moduli's logs);
+    otherwise it is a Horner pass over Q."""
+
+    def __init__(self, ctx: SymbolContext, u0: Poly, Q: Poly, hdeg: int, lq=None):
         f = Q.field
         self.q, self.hdeg = f.q, hdeg
         self.low = f.q ** max(hdeg - 1, 0)
         self.masks = {}
         self.table = None
+        self.past = 0
         degree = Q.degree + hdeg
         # with hdeg = 0 the class has the one candidate Q + u0
         record = _sieve_tables(ctx) if hdeg >= 1 and degree >= 2 else ()
         if not record:
             return
         M, T, R, steps, lbs, lns, lneg, bits = record
-        if degree < 4:
-            # a factor of degree 2 would leave a cofactor of degree <= 1, so
-            # only the roots count; _horner's zip stops at the last of them
-            lbs, lns = lbs[: f.q], lns[: f.q]
-        zero = [-2 * M] * len(lbs)
-        lq = _horner(T, R, steps, lbs, zero, reversed(Q.coeffs))
-        lu = _horner(T, R, steps, lbs, zero, reversed(u0.coeffs))
-        keep = [i for i, x in enumerate(lq) if x >= 0]
-        if len(keep) < len(lq) or min(lu) < 0:
-            # tau != 0 first: only those betas take the step that adds tau
-            keep.sort(key=lambda i: lu[i] < 0)
+        if lq is None:
+            lq = _sieve_logs(record, Q)
+        lu = _sieve_logs(record, u0)
+        if len(lbs) > f.q and degree >= 4:
+            self.past, use = 2, range(len(lbs))
+        else:
+            # below degree 4 a factor of degree 2 would leave a cofactor of
+            # degree <= 1, so only the roots count: 0 is last
+            self.past, use = 1, [*range(f.q - 1), len(lbs) - 1]
+        # tau != 0 first: only those betas take the step that adds tau
+        keep = sorted((i for i in use if lq[i] >= 0), key=lambda i: lu[i] < 0)
+        if keep == list(range(len(keep))):
+            # _horner's zips stop at the last of them
+            lbs, lns = lbs[: len(keep)], lns[: len(keep)]
+        else:
             steps = [None] + [(lc, [shs[i] for i in keep]) for lc, shs in steps[1:]]
             lbs = [lbs[i] for i in keep]
             lns = [lns[i] for i in keep]
@@ -376,9 +433,10 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
     """A tuple of distinct monic irreducibles with residue matrix exactly M.
 
     Each position picks its residues with _choose_residue, merges them with
-    crt_combine (which checks the moduli and residues) and scans the class
-    with _find_irreducible.  The residue matrix of the result is recomputed
-    and compared with M before it is returned.
+    _garner (crt_combine's fold, without its checks of the moduli, which
+    hold by construction) and scans the class with _find_irreducible.  The
+    residue matrix of the result is recomputed and compared with M before
+    it is returned.
 
     Raises NotRealizableError when classify rejects M and
     ResourceExhaustedError if the degree schedule passes opts.max_degree
@@ -411,6 +469,10 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
 
     polys_p = []
     steps = []
+    # Garner's prefix products and inverses, and log Q(beta) at the sieve's
+    # roots: each earlier modulus enters them once, on first use
+    prods, invs = [one(f)], []
+    lq = None
     for k in range(n):
         choices = []
         for j in range(k):
@@ -424,7 +486,10 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
         # each u_j is a nonzero residue, so u0 is coprime to Q and no
         # candidate P = u_j mod P_j can repeat an earlier P_j
         pairs = [(c.residue, c.modulus) for c in choices]
-        u0, Q = crt_combine(pairs) if pairs else (zero(f), one(f))
+        u0, Q = _garner(f, pairs, prods, invs)
+        record = _sieve_tables(ctx) if k else ()
+        if record:
+            lq = _sieve_logs(record, polys_p[-1], lq)
         req = parity[k]
         D = Q.degree + 1
         if req is not None and D % 2 != req:
@@ -436,7 +501,7 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
         chosen = None
         while chosen is None and D <= opts.max_degree:
             degrees_tried.append(D)
-            chosen, tested = _find_irreducible(ctx, u0, Q, D, scan)
+            chosen, tested = _find_irreducible(ctx, u0, Q, D, scan, lq)
             tested_total += tested
             D += 2 if req is not None else 1
         if chosen is None:

@@ -43,10 +43,14 @@ from residuemat.poly_ring import (
     _ypowers,
 )
 
-from conftest import get_field
+from residuemat.realize import _ClassSieve
+
+import ben_or_past
+from conftest import get_context, get_field
 from naive import (
     field_add_digits,
     field_neg_digits,
+    has_monic_factor,
     poly_divmod_lists,
     poly_mod_pow_lists,
     poly_mul_lists,
@@ -523,17 +527,18 @@ def test_frobenius_rows_match_naive_powers(q):
         assert rows == [e + [0] * (n - len(e)) for e in expected], n
 
 
-def _routed_ben_or(f, mod, packed=True) -> bool:
+def _routed_ben_or(f, mod, packed=True, past=0) -> bool:
     """_ben_or with the chain's route forced at every degree, over any
-    field: its root test, then _chain on a _Packed or, with packed=False,
-    on lists, so that the crossover hides no degree."""
+    field: its root test (skipped past the sieve, past >= 1), then _chain
+    on a _Packed or, with packed=False, on lists, so that the crossover
+    hides no degree."""
     n = len(mod) - 1
     xq = _pow_raw(f, [0, 1], f.q, mod)
     if n == 1:
         return True
-    if len(_gcd_raw(f, _minus_t(f, xq), mod)) > 1:
+    if not past and len(_gcd_raw(f, _minus_t(f, xq), mod)) > 1:
         return False
-    return _chain(f, mod, xq, _Packed(f, mod) if packed else None)
+    return _chain(f, mod, xq, _Packed(f, mod) if packed else None, past)
 
 
 @pytest.mark.parametrize(
@@ -590,6 +595,52 @@ def _structured_reducibles(rng, q, n=24):
         c = mul(A, B, q)
         assert len(c) == n + 1 and not irreducible(c, q)
         yield k, c
+
+
+# every monic with no factor of degree <= past, for past = 1 and 2; the CI
+# runs degree 8 over GF(4) and GF(5) and degree 6 over GF(9) as a script
+@pytest.mark.parametrize("q,max_deg", [(2, 8), (3, 8), (4, 6), (5, 6), (9, 4)])
+def test_ben_or_past_the_sieve_matches_every_survivor(q, max_deg):
+    past1, past2 = ben_or_past.check(q, max_deg)
+    assert 0 < past2 < past1
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_ben_or_past_the_sieve_matches_sympy_on_its_survivors(q):
+    # candidates of degree 24 and 40 that realize's sieve lets through, at
+    # the past it reports, on _ben_or's own route and on both forced
+    # routes: random ones and one irreducible; and at degree 24, A * B with
+    # A irreducible of each degree 3 .. 12, so that the smallest factor
+    # lands at every step the list route still takes a gcd after
+    irreducible = _sympy_oracle()[0]
+    ctx = get_context(q, 4)
+    f = ctx.field
+    rng = random.Random(24 * q)
+    # Q vanishes at a constant and at a quadratic root, as past position 2
+    Q = Poly(f, (0, 1)) * Poly(f, (1, 1)) * next(monic_irreducibles(f, 2))
+    for n in (24, 40):
+        u0 = from_code(f, rng.randrange(1, q**4))
+        while gcd(u0, Q).degree:
+            u0 = from_code(f, rng.randrange(1, q**4))
+        sieve = _ClassSieve(ctx, u0, Q, n - 4)
+        assert sieve.past == 2
+        survivors = []
+        while len(survivors) < 3 or not _ben_or(f, survivors[-1]):
+            code = rng.randrange(q ** (n - 4))
+            if not sieve.rejects(code):
+                P = Q * monic_from_code(f, n - 4, code) + u0
+                # what _ben_or may assume
+                assert not has_monic_factor(P, sieve.past), format_poly(P)
+                survivors.append(list(P.coeffs))
+        # the random ones, and the first irreducible after them
+        cases = [(c, irreducible(c, q)) for c in survivors[:2] + survivors[-1:]]
+        assert cases[-1][1]
+        if n == 24:
+            cases += [(c, False) for k, c in _structured_reducibles(rng, q, n) if k > 2]
+        for c, want in cases:
+            assert _ben_or(f, c, 2) == want, c
+            assert _routed_ben_or(f, c, packed=False, past=2) == want, c
+            assert _routed_ben_or(f, c, past=2) == want, c
 
 
 @pytest.mark.parametrize("q", [5, 13])
@@ -655,10 +706,10 @@ def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
 
     packed = []
 
-    def spy(f, mod, xq, ctx):
+    def spy(f, mod, xq, ctx, *args, **kwargs):
         if ctx is not None:
             packed.append(len(mod) - 1)
-        return _chain(f, mod, xq, ctx)
+        return _chain(f, mod, xq, ctx, *args, **kwargs)
 
     monkeypatch.setattr(pr, "_chain", spy)
     rng = random.Random(64)

@@ -32,7 +32,7 @@ from residuemat import (
     zero,
 )
 from residuemat import residue_symbol
-from residuemat.poly_ring import MAX_POLY_DEGREE
+from residuemat.poly_ring import MAX_POLY_DEGREE, _ben_or
 from residuemat.realize import (
     SIEVE_MAX_NORM,
     _choose_residue,
@@ -291,9 +291,11 @@ def _rng(state):
 
 
 def _scanned_classes(monkeypatch, ctx, seed):
-    """(u0, Q, degree, rng state) of every class realize scans for a seeded
-    symmetric 3x3 matrix (admissible on either law, with s = 1 on the odd
-    law), deterministic when seed is None."""
+    """(u0, Q, degree, rng state, extra) of every class realize scans for a
+    seeded symmetric 3x3 matrix (admissible on either law, with s = 1 on
+    the odd law), deterministic when seed is None; extra holds the
+    arguments realize passes after rng (its log Q(beta) at the sieve's
+    roots)."""
     n, d = 3, ctx.d
     draw = random.Random(f"sieve:{ctx.field.q}:{d}:{seed}")
     rows = [[None] * n for _ in range(n)]
@@ -302,9 +304,10 @@ def _scanned_classes(monkeypatch, ctx, seed):
     classes = []
     scan = realize_mod._find_irreducible
 
-    def record(ctx, u0, Q, degree, rng):
-        classes.append((u0, Q, degree, None if rng is None else rng.getstate()))
-        return scan(ctx, u0, Q, degree, rng)
+    def record(ctx, u0, Q, degree, rng, *args, **kwargs):
+        state = None if rng is None else rng.getstate()
+        classes.append((u0, Q, degree, state, args))
+        return scan(ctx, u0, Q, degree, rng, *args, **kwargs)
 
     monkeypatch.setattr(realize_mod, "_find_irreducible", record)
     opts = RealizeOptions(seed=seed or 0, deterministic=seed is None)
@@ -321,20 +324,25 @@ def test_sieve_rejects_exactly_the_candidates_with_a_small_factor(monkeypatch, q
     f = ctx.field
     classes = _scanned_classes(monkeypatch, ctx, seed)
     assert len(classes) >= 3
-    for u0, Q, degree, state in classes:
-        # the scanned degree and two above it, where h has more digits
+    for u0, Q, degree, state, extra in classes:
+        # the scanned degree and two above it, where h has more digits; the
+        # sieve from Q itself and from the logs realize passed
         for hdeg in range(degree - Q.degree, degree - Q.degree + 3):
-            sieve = _ClassSieve(ctx, u0, Q, hdeg)
-            top = _sieve_degree(q, Q.degree + hdeg)
-            space = q**hdeg
-            draw = random.Random(hdeg)
-            codes = range(space) if space <= 16 else draw.sample(range(space), 16)
-            for code in codes:
-                P = Q * monic_from_code(f, hdeg, code) + u0
-                assert sieve.rejects(code) == has_monic_factor(P, top), format_poly(P)
+            for sieve in (_ClassSieve(ctx, u0, Q, hdeg), _ClassSieve(ctx, u0, Q, hdeg, *extra)):
+                top = _sieve_degree(q, Q.degree + hdeg)
+                space = q**hdeg
+                draw = random.Random(hdeg)
+                codes = range(space) if space <= 16 else draw.sample(range(space), 16)
+                for code in codes:
+                    P = Q * monic_from_code(f, hdeg, code) + u0
+                    assert sieve.rejects(code) == has_monic_factor(P, top), format_poly(P)
+                    # what _ben_or may assume of a survivor
+                    if not sieve.rejects(code):
+                        assert not has_monic_factor(P, sieve.past), format_poly(P)
         # the sieve only skips: the scan picks what trial division alone picks
-        got = _find_irreducible(ctx, u0, Q, degree, _rng(state))
-        assert got == _trial_division_scan(u0, Q, degree, _rng(state))
+        for args in ((), extra):
+            got = _find_irreducible(ctx, u0, Q, degree, _rng(state), *args)
+            assert got == _trial_division_scan(u0, Q, degree, _rng(state))
 
 
 @pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 4)])
@@ -552,6 +560,30 @@ def test_realize_random_mode_is_pinned(name, q):
 def test_realize_every_orbit_matches_the_definition(q, d, n):
     for seed in (None, 1):
         assert realize_sweep.sweep(q, d, n, seed)[0] == realize_sweep.ORBITS[q, d, n]
+
+
+@pytest.mark.parametrize("q,d", REALIZE_STREAM_FIELDS)
+def test_realize_steps_match_their_oracles(q, d):
+    # realize folds its congruences with Garner's cached prefix products and
+    # tests candidates past the sieve; each step must still equal
+    # crt_combine over its residues, and each chosen P pass Ben-Or from its
+    # root test on
+    ctx = get_context(q, d)
+    f = ctx.field
+    draw = random.Random(f"oracles:{q}:{d}")
+    for n in (5, 6):
+        # symmetric: admissible on either law, with s = 1 on the odd law
+        rows = [[None] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            rows[i][j] = rows[j][i] = draw.randrange(d)
+        M = CycMatrix(n, d, rows)
+        for opts in (None, RealizeOptions(seed=draw.randrange(1 << 31), deterministic=False)):
+            R = realize(ctx, M, opts)
+            for step in R.transcript:
+                assert _ben_or(f, list(step.chosen.coeffs)), format_poly(step.chosen)
+                if step.residues:
+                    pairs = [(c.residue, c.modulus) for c in step.residues]
+                    assert crt_combine(pairs) == (step.crt_residue, step.crt_modulus)
 
 
 def test_realization_json_shape():
