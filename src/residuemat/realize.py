@@ -16,11 +16,12 @@ The entries on the other side of the diagonal are then forced to be
 correct by the reciprocity law together with the block structure of the
 input matrix.
 
-Before Ben-Or, a sieve skips every candidate with a monic irreducible
-factor l of degree <= min(2, deg P - 1) and q^deg l <= SIEVE_MAX_NORM
+Before Ben-Or, a sieve skips every candidate of degree >= 4 with a monic
+irreducible factor l of degree <= 2 and q^deg l <= SIEVE_MAX_NORM
 (_ClassSieve): roots and quadratic factors for q <= 16, roots alone for
-q <= 256.  At a root beta of l, P(beta) = 0 iff h(beta) = -u0(beta)/Q(beta),
-so one pass over the betas rejects constant coefficients of h at once.
+q <= 256.  Below degree 4 Ben-Or is a root test anyway.  At a root beta
+of l, P(beta) = 0 iff h(beta) = -u0(beta)/Q(beta), so one pass over the
+betas rejects constant coefficients of h at once.
 All betas, t's root 0 among them as the zero log, lie in verify's copy of
 GF(q^2) or GF(q) (_sieve_tables), built once per SymbolContext.
 The sieve only rejects, and a rejected candidate still counts as tested.
@@ -28,12 +29,11 @@ A survivor goes to Ben-Or started past the factor degrees the sieve
 excluded (poly_ring._ben_or's past), so every Realization is the one
 is_irreducible alone would give.
 
-Each position reuses what the earlier ones computed.  Garner's
-mixed-radix fold (_garner, shared with crt_combine) keeps the prefix
-products P_1 ... P_(j-1) and their inverses mod P_j; log Q(beta) at the
-sieve's roots is the sum of the earlier moduli's logs; and each modulus
-enters both once per realization, on first use.  The deterministic
-residue scan reads a constant's index off the log table.
+Each position reuses the earlier ones' CRT work: Garner's mixed-radix
+fold (_garner, shared with crt_combine) keeps the prefix products
+P_1 ... P_(j-1) and their inverses mod P_j, each computed once per
+realization, on first use.  The deterministic residue scan reads a
+constant's index off the log table.
 
 On the odd-law branch the first s positions (permuted order) take odd
 degrees and the rest even degrees; the symmetric branch needs no parity
@@ -233,17 +233,16 @@ def _garner(f, pairs, prods, invs):
     return u0, prods[len(pairs)]
 
 
-def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, rng, lq=None):
+def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, rng):
     """(P, candidates_tested): the first monic irreducible P = Q h + u0 of
     the given degree over monic h, in enumeration order (rng=None) or an
     rng-shuffled order, or (None, tested) when the degree has none.
 
     A candidate that _ClassSieve rejects has a root or a quadratic factor
-    and counts as tested without being built.  Every other candidate goes
-    through Ben-Or (_ben_or), started past the factor degrees the sieve
-    excluded, and its verdict is cached on P as is_irreducible would; so
-    the result is what is_irreducible alone would give.  lq, when given,
-    is _ClassSieve's log Q(beta) at the sieve's roots.
+    and counts as tested without being built.  Every other candidate takes
+    its verdict from is_irreducible; where the sieve ran, Ben-Or (_ben_or)
+    is started past the factor degrees it excluded and its verdict cached
+    on P first, so the result is what is_irreducible alone would give.
 
     Search only: Q must be monic, u0 reduced mod Q and coprime to it, and
     degree >= deg Q.  realize meets all three through Garner's fold over
@@ -258,7 +257,7 @@ def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, rng, l
         rng.shuffle(codes)
     else:
         codes = _random_codes(space, rng)
-    sieve = _ClassSieve(ctx, u0, Q, hdeg, lq)
+    sieve = _ClassSieve(ctx, u0, Q, hdeg)
     past = sieve.past
     tested = 0
     for code in codes:
@@ -266,8 +265,9 @@ def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, rng, l
         if sieve.rejects(code):
             continue
         P = Q * monic_from_code(f, hdeg, code) + u0
-        P._irred = _ben_or(f, P.coeffs, past)
-        if P._irred:
+        if past:
+            P._irred = _ben_or(f, P.coeffs, past)
+        if is_irreducible(P):
             return P, tested
     return None, tested
 
@@ -296,13 +296,11 @@ def _sieve_tables(ctx: SymbolContext):
     The record is (M, T, R, steps, lbs, lns, lneg, bits).  M = q^e - 1 and
     T, R are K_e's step tables (_step_tables).  lbs holds log beta for the
     q - 1 roots beta of the factors t - c, c != 0, then for e = 2 one root
-    of each monic irreducible quadratic, and last t's root 0 as the zero
-    log -2M: past position 1, t divides Q, so the sieve slices it off and
-    keeps the rest in place (_ClassSieve).  On a log x of
-    v(beta), v -> beta v + c is R[x + lb] for c = 0 and lc + T[x + shs[i]]
-    otherwise, with (lc, shs) = steps[c].  lneg is log(-1), lns holds
-    log(-beta), and bits[z] is 1 << c where z is a log of the constant c,
-    0 included, and 0 off F_q."""
+    of each monic irreducible quadratic, and t's root 0 as the zero log
+    -2M.  On a log x of v(beta), v -> beta v + c is R[x + lb] for c = 0
+    and lc + T[x + shs[i]] otherwise, with (lc, shs) = steps[c].  lneg is
+    log(-1), lns holds log(-beta), and bits[z] is 1 << c where z is a log
+    of the constant c, 0 included, and 0 off F_q."""
     if ctx._sieve is None:
         f = ctx.field
         e = 2 if f.q**2 <= SIEVE_MAX_NORM else 1 if f.q <= SIEVE_MAX_NORM else 0
@@ -323,17 +321,6 @@ def _sieve_tables(ctx: SymbolContext):
     return ctx._sieve
 
 
-def _sieve_logs(record, P: Poly, base=None) -> list:
-    """log P(beta) at every beta of a _sieve_tables record's lbs, zero-coded
-    where P(beta) = 0; given base, the logs of some B at the same betas,
-    those of B P instead."""
-    M, T, R, steps, lbs = record[:5]
-    xs = _horner(T, R, steps, lbs, [-2 * M] * len(lbs), reversed(P.coeffs))
-    if base is None:
-        return xs
-    return [(x + y) % M if x >= 0 and y >= 0 else -2 * M for x, y in zip(base, xs)]
-
-
 def _horner(T, R, steps, lbs, xs, digits):
     """The logs of v(beta) after v -> beta v + c for each c of digits in
     turn, at every beta of lbs, from the logs xs of v(beta)."""
@@ -347,56 +334,47 @@ def _horner(T, R, steps, lbs, xs, digits):
 
 
 class _ClassSieve:
-    """Which candidates P = Q h + u0 of one class have a monic irreducible
-    factor l of degree <= min(2, deg P - 1) that _sieve_tables covers.
+    """Which candidates P = Q h + u0 of one class, deg P >= 4, have a monic
+    irreducible factor l of degree <= 2 that _sieve_tables covers.
 
     Write h = t w + c0 with w monic.  At a root beta of l,
     P(beta) = Q(beta) h(beta) + u0(beta).  Where Q(beta) = 0 that is
     u0(beta) != 0, as u0 is coprime to Q.  Elsewhere P(beta) = 0 iff
     c0 = tau - beta w(beta) with tau = -u0(beta)/Q(beta), computed once per
-    class.  c0 is the most significant digit of h's code (monic_from_code)
-    and the rest r is w's code.  So one Horner pass over w's digits at every
-    beta gives the bitmask of the c0 to reject, for every code that shares
-    r; each mask is built on first use.  t's root 0 takes the same steps in
-    the zero log, and rejects the one c0 = tau whatever r is.
+    class from a Horner pass over Q and one over u0.  c0 is the most
+    significant digit of h's code (monic_from_code) and the rest r is w's
+    code.  So one Horner pass over w's digits at every beta gives the
+    bitmask of the c0 to reject, for every code that shares r; each mask
+    is built on first use.  t's root 0 takes the same steps in the zero
+    log, and rejects the one c0 = tau whatever r is.
 
     past is the largest factor degree excluded for every candidate, for
     _ben_or: 2 with the quadratic roots, 1 with the roots alone, 0 where
-    the sieve does not run.  lq, when given, is log Q(beta) at every beta
-    of the record (realize sums it from the earlier moduli's logs);
-    otherwise it is a Horner pass over Q."""
+    the sieve does not run.  Below degree 4 it does not: Ben-Or is a root
+    test there, and a quadratic factor of a quadratic is itself."""
 
-    def __init__(self, ctx: SymbolContext, u0: Poly, Q: Poly, hdeg: int, lq=None):
+    def __init__(self, ctx: SymbolContext, u0: Poly, Q: Poly, hdeg: int):
         f = Q.field
         self.q, self.hdeg = f.q, hdeg
         self.low = f.q ** max(hdeg - 1, 0)
         self.masks = {}
         self.table = None
         self.past = 0
-        degree = Q.degree + hdeg
         # with hdeg = 0 the class has the one candidate Q + u0
-        record = _sieve_tables(ctx) if hdeg >= 1 and degree >= 2 else ()
+        record = _sieve_tables(ctx) if hdeg >= 1 and Q.degree + hdeg >= 4 else ()
         if not record:
             return
         M, T, R, steps, lbs, lns, lneg, bits = record
-        if lq is None:
-            lq = _sieve_logs(record, Q)
-        lu = _sieve_logs(record, u0)
-        if len(lbs) > f.q and degree >= 4:
-            self.past, use = 2, range(len(lbs))
-        else:
-            # below degree 4 a factor of degree 2 would leave a cofactor of
-            # degree <= 1, so only the roots count: 0 is last
-            self.past, use = 1, [*range(f.q - 1), len(lbs) - 1]
+        # past the q - 1 constants and t's root, lbs holds quadratic roots
+        self.past = 2 if len(lbs) > f.q else 1
+        zero = [-2 * M] * len(lbs)
+        lq = _horner(T, R, steps, lbs, zero, reversed(Q.coeffs))
+        lu = _horner(T, R, steps, lbs, zero, reversed(u0.coeffs))
         # tau != 0 first: only those betas take the step that adds tau
-        keep = sorted((i for i in use if lq[i] >= 0), key=lambda i: lu[i] < 0)
-        if keep == list(range(len(keep))):
-            # _horner's zips stop at the last of them
-            lbs, lns = lbs[: len(keep)], lns[: len(keep)]
-        else:
-            steps = [None] + [(lc, [shs[i] for i in keep]) for lc, shs in steps[1:]]
-            lbs = [lbs[i] for i in keep]
-            lns = [lns[i] for i in keep]
+        keep = sorted((i for i, x in enumerate(lq) if x >= 0), key=lambda i: lu[i] < 0)
+        steps = [None] + [(lc, [shs[i] for i in keep]) for lc, shs in steps[1:]]
+        lbs = [lbs[i] for i in keep]
+        lns = [lns[i] for i in keep]
         lts = [(lneg + lu[i] - lq[i]) % M for i in keep if lu[i] >= 0]
         self.table = (T, R, steps, lbs, lns, lts, [-lt % M for lt in lts], bits)
 
@@ -469,10 +447,9 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
 
     polys_p = []
     steps = []
-    # Garner's prefix products and inverses, and log Q(beta) at the sieve's
-    # roots: each earlier modulus enters them once, on first use
+    # Garner's prefix products and inverses: each earlier modulus enters
+    # them once, on first use
     prods, invs = [one(f)], []
-    lq = None
     for k in range(n):
         choices = []
         for j in range(k):
@@ -487,9 +464,6 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
         # candidate P = u_j mod P_j can repeat an earlier P_j
         pairs = [(c.residue, c.modulus) for c in choices]
         u0, Q = _garner(f, pairs, prods, invs)
-        record = _sieve_tables(ctx) if k else ()
-        if record:
-            lq = _sieve_logs(record, polys_p[-1], lq)
         req = parity[k]
         D = Q.degree + 1
         if req is not None and D % 2 != req:
@@ -501,7 +475,7 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
         chosen = None
         while chosen is None and D <= opts.max_degree:
             degrees_tried.append(D)
-            chosen, tested = _find_irreducible(ctx, u0, Q, D, scan, lq)
+            chosen, tested = _find_irreducible(ctx, u0, Q, D, scan)
             tested_total += tested
             D += 2 if req is not None else 1
         if chosen is None:

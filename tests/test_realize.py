@@ -259,8 +259,11 @@ REALIZE_STREAM_FIELDS = ((5, 2), (5, 4), (7, 6), (13, 4), (4, 3), (9, 8))
 
 
 def _sieve_degree(q, degree):
-    """The largest degree of factor the sieve looks for in a candidate."""
-    return max(e for e in range(min(2, degree - 1) + 1) if q**e <= SIEVE_MAX_NORM)
+    """The largest degree of factor the sieve looks for in a candidate:
+    none below degree 4."""
+    if degree < 4:
+        return 0
+    return max(e for e in range(3) if q**e <= SIEVE_MAX_NORM)
 
 
 def _trial_division_scan(u0, Q, degree, rng):
@@ -291,11 +294,9 @@ def _rng(state):
 
 
 def _scanned_classes(monkeypatch, ctx, seed):
-    """(u0, Q, degree, rng state, extra) of every class realize scans for a
+    """(u0, Q, degree, rng state) of every class realize scans for a
     seeded symmetric 3x3 matrix (admissible on either law, with s = 1 on
-    the odd law), deterministic when seed is None; extra holds the
-    arguments realize passes after rng (its log Q(beta) at the sieve's
-    roots)."""
+    the odd law), deterministic when seed is None."""
     n, d = 3, ctx.d
     draw = random.Random(f"sieve:{ctx.field.q}:{d}:{seed}")
     rows = [[None] * n for _ in range(n)]
@@ -304,10 +305,10 @@ def _scanned_classes(monkeypatch, ctx, seed):
     classes = []
     scan = realize_mod._find_irreducible
 
-    def record(ctx, u0, Q, degree, rng, *args, **kwargs):
+    def record(ctx, u0, Q, degree, rng):
         state = None if rng is None else rng.getstate()
-        classes.append((u0, Q, degree, state, args))
-        return scan(ctx, u0, Q, degree, rng, *args, **kwargs)
+        classes.append((u0, Q, degree, state))
+        return scan(ctx, u0, Q, degree, rng)
 
     monkeypatch.setattr(realize_mod, "_find_irreducible", record)
     opts = RealizeOptions(seed=seed or 0, deterministic=seed is None)
@@ -324,25 +325,40 @@ def test_sieve_rejects_exactly_the_candidates_with_a_small_factor(monkeypatch, q
     f = ctx.field
     classes = _scanned_classes(monkeypatch, ctx, seed)
     assert len(classes) >= 3
-    for u0, Q, degree, state, extra in classes:
-        # the scanned degree and two above it, where h has more digits; the
-        # sieve from Q itself and from the logs realize passed
+    for u0, Q, degree, state in classes:
+        # the scanned degree and two above it, where h has more digits
         for hdeg in range(degree - Q.degree, degree - Q.degree + 3):
-            for sieve in (_ClassSieve(ctx, u0, Q, hdeg), _ClassSieve(ctx, u0, Q, hdeg, *extra)):
-                top = _sieve_degree(q, Q.degree + hdeg)
-                space = q**hdeg
-                draw = random.Random(hdeg)
-                codes = range(space) if space <= 16 else draw.sample(range(space), 16)
-                for code in codes:
-                    P = Q * monic_from_code(f, hdeg, code) + u0
-                    assert sieve.rejects(code) == has_monic_factor(P, top), format_poly(P)
-                    # what _ben_or may assume of a survivor
-                    if not sieve.rejects(code):
-                        assert not has_monic_factor(P, sieve.past), format_poly(P)
+            sieve = _ClassSieve(ctx, u0, Q, hdeg)
+            top = _sieve_degree(q, Q.degree + hdeg)
+            space = q**hdeg
+            draw = random.Random(hdeg)
+            codes = range(space) if space <= 16 else draw.sample(range(space), 16)
+            for code in codes:
+                P = Q * monic_from_code(f, hdeg, code) + u0
+                assert sieve.rejects(code) == has_monic_factor(P, top), format_poly(P)
+                # what _ben_or may assume of a survivor
+                if not sieve.rejects(code):
+                    assert not has_monic_factor(P, sieve.past), format_poly(P)
         # the sieve only skips: the scan picks what trial division alone picks
-        for args in ((), extra):
-            got = _find_irreducible(ctx, u0, Q, degree, _rng(state), *args)
-            assert got == _trial_division_scan(u0, Q, degree, _rng(state))
+        got = _find_irreducible(ctx, u0, Q, degree, _rng(state))
+        assert got == _trial_division_scan(u0, Q, degree, _rng(state))
+
+
+@pytest.mark.parametrize("q,d", [(2, 1), (4, 3), (16, 5), (17, 4)])
+def test_sieve_does_not_run_below_degree_four(q, d):
+    # Ben-Or is a root test there: every class of degree 2 or 3 keeps past 0
+    # and rejects nothing, reducible candidates included
+    ctx = get_context(q, d)
+    f = ctx.field
+    for Q, u0 in ((one(f), zero(f)), (variable(f), one(f))):
+        for degree in (2, 3):
+            hdeg = degree - Q.degree
+            sieve = _ClassSieve(ctx, u0, Q, hdeg)
+            assert sieve.past == 0
+            codes = range(q**hdeg)
+            assert not any(sieve.rejects(code) for code in codes)
+            assert any(has_monic_factor(Q * monic_from_code(f, hdeg, c) + u0, 1) for c in codes)
+    assert _ClassSieve(ctx, one(f), variable(f), 3).past == (2 if q <= 16 else 1)
 
 
 @pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 4)])
