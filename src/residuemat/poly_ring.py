@@ -9,7 +9,7 @@ deg(a * b) = deg a + deg b hold without special-casing.
 Irreducibility uses Ben-Or's test, cached on the instance since symbol
 evaluation revalidates its modulus on every call; is_irreducible states
 its Frobenius chain, which runs on coefficient lists or on
-Kronecker-packed ints (_Packed), and _ben_or when each route is taken.
+Kronecker-packed ints (_Packed), and _packed_width when each route is taken.
 
 _quotient_tables(f, n) walks the exp/log tables of F_q[t]/(P), P the
 first monic irreducible of degree n (monic_irreducibles): field_core's
@@ -175,8 +175,8 @@ def constant(field: Field, c: int) -> Poly:
 # loop per field arithmetic, chosen by (p, m) alone, with every field
 # operation inlined: prime fields add mod p, characteristic 2 XORs codes,
 # and odd extension fields add through the Zech table (see field_core).
-# The one exception is the packed route of Ben-Or's chain (_ben_or states
-# when it is taken), which comes back to lists only for its gcds.
+# The one exception is the packed route of Ben-Or's chain (_packed_width
+# states when it is taken), which comes back to lists only for its gcds.
 
 
 def _mul_raw(f: Field, a, b, mod=None, rows=False) -> list:
@@ -411,18 +411,17 @@ def is_irreducible(P: Poly) -> bool:
     monomial t^q, so each is a shift plus at most q reduction rows, and
     the whole basis costs about one square-and-multiply step.
 
-    The steps i = 2 .. n/2 run in _chain on one of two routes.  On
-    coefficient lists each difference t^(q^i) - t gets its own gcd, since
-    a list mulmod costs more than the gcd it saves.  On the packed route
-    the rows, steps and products run on packed ints (_Packed), one digit
-    plane per base-p digit of the coefficients, where a product mod P is
-    three int products, and the differences are multiplied mod P with two
-    gcds in all: one after the first isqrt(n/2) steps, so that small
-    factors still exit early, and one over the product of the rest.  P is
-    coprime to every difference iff it is coprime to their product mod P
-    (a product that is 0 mod P has gcd P), so the verdict is the per-step
-    one.  _ben_or states which moduli take the packed route, and the
-    measurements behind that choice.
+    The steps i = 2 .. n/2 run on one of two routes.  On coefficient
+    lists each difference t^(q^i) - t gets its own gcd, since a list
+    mulmod costs more than the gcd it saves.  On the packed route the rows,
+    steps and products run on packed ints (_Packed), one digit plane per
+    base-p digit of the coefficients, where a product mod P is three int
+    products, and the differences are multiplied mod P with two gcds in
+    all: one after the first isqrt(n/2) steps, so that small factors still
+    exit early, and one over the product of the rest.  P is coprime to
+    every difference iff it is coprime to their product mod P (a product
+    that is 0 mod P has gcd P), so the verdict is the per-step one.
+    _packed_width states which moduli take the packed route, and why.
     """
     if P._irred is None:
         P._irred = len(P.coeffs) > 1 and _ben_or(P.field, P.monic().coeffs)
@@ -435,41 +434,65 @@ def _ben_or(f: Field, mod, past: int = 0) -> bool:
     (past = 1 or 2; realize._ClassSieve).  Such a P of degree n is
     irreducible when n/2 <= past, skips the root test's gcd when past >= 1,
     and on the list route takes its first chain gcd after step past.  When
-    q < n, t^q mod P is the monomial t^q itself."""
+    q < n, t^q mod P is the monomial t^q itself.
+
+    Steps i = 2 .. n/2 run on coefficient lists, or on the packed ints of a
+    _Packed for P when _packed_width gives a slot width.  The routes differ
+    only in how rows, steps and products are computed, and in where the
+    gcds fall: after every list step from step past + 1 on, or after the
+    first isqrt(n/2) packed steps and at the end."""
     n = len(mod) - 1
     if n // 2 <= past:
         return True
-    q = f.q
-    xq = [0] * q + [1] if q < n else _pow_raw(f, [0, 1], q, mod)
-    if not past and len(_gcd_raw(f, _minus_t(f, xq), mod)) > 1:
+    # img runs through t^(q^i) mod P from i = 1; each further local would
+    # cost the n // 2 <= past exit about 0.5% per call (BENCH_one_ben_or.json)
+    img = [0] * f.q + [1] if f.q < n else _pow_raw(f, [0, 1], f.q, mod)
+    if not past and len(_gcd_raw(f, _minus_t(f, img), mod)) > 1:
         return False
     if n < 4:
         return True
-    # The chain's route, stated here once.  A list row costs n * min(q, n)
-    # coefficient operations (a shift and q reduction rows, or a dense
-    # product), through the Zech table over odd GF(p^m); the packed route
-    # costs a few int operations per row and a set-up that grows with m.
-    # Packing pays from n * min(q, n) >= 64 over a prime field
-    # (BENCH_packed.json, ben_or_per_call) and from 112 (m - 1)^2 over
-    # GF(p^m) with p odd and q < 1024, the fields measured: GF(9) from
-    # n = 13, GF(25) and GF(49) from 11, GF(27) from 22, GF(81) from 32
-    # (BENCH_ext_packed.json, per_call).  Characteristic 2 adds by XOR on
-    # lists, where the reducibles that pass the root test stay faster
-    # through n = 64.  For P = g(t^k) every row and image has at most
-    # d = n/k terms, and the list loops skip the zeros: packing pays from
-    # d^2 >= 2n (composed_moduli in BENCH_packed.json), which keeps
-    # binomials (d = 1) on lists.  So do slots wider than 64 bits.  The
-    # crossover was measured with one gcd per isqrt(n/2) packed steps; the
-    # two gcds per packed chain since then run 1.06-1.61x on irreducibles
-    # and 0.89-1.08x on reducibles that pass the root test
-    # (BENCH_euclid.json, ben_or), and move no modulus between routes.
-    p, m = f.p, f.m
-    ctx = None
+    w = _packed_width(f, mod)
+    # a gcd is taken after step i when i + 1 is in cuts
+    if w:
+        ctx = _Packed(f, mod, w)
+        rows, cuts = ctx.frobenius_rows(img), (isqrt(n // 2), n // 2 - 1)
+    else:
+        rows, cuts = _frobenius_rows(f, img, mod), range(max(past, 1), n // 2)
+    for i in range(n // 2 - 1):
+        img = ctx.frobenius(img, rows) if w else _mul_raw(f, img, rows, rows=True)
+        # only the packed route multiplies differences between its gcds
+        if not w or i == 0 or i in cuts:
+            acc = _minus_t(f, img)
+        else:
+            acc = ctx.mulmod(ctx.pack(acc), ctx.pack(_minus_t(f, img)))
+        if i + 1 in cuts and len(_gcd_raw(f, acc, mod)) > 1:
+            return False
+    return True
+
+
+def _packed_width(f: Field, mod) -> int:
+    """The slot width w of _Packed for Ben-Or's chain mod the monic
+    modulus mod of degree n over f = GF(p^m), or 0 for coefficient lists.
+
+    A list row costs n * min(q, n) coefficient operations (a shift and q
+    reduction rows, or a dense product), through the Zech table over odd
+    GF(p^m); the packed route costs a few int operations per row and a
+    set-up that grows with m.  Packing pays from n * min(q, n) >= 64 over a
+    prime field (BENCH_packed.json, ben_or_per_call) and from
+    112 (m - 1)^2 over GF(p^m) with p odd and q < 1024, the fields
+    measured: GF(9) from n = 13, GF(25) and GF(49) from 11, GF(27) from 22,
+    GF(81) from 32 (BENCH_ext_packed.json, per_call).  Characteristic 2
+    adds by XOR on lists, where the reducibles that pass the root test stay
+    faster through n = 64.  For P = g(t^k) every row and image has at most
+    d = n/k terms, and the list loops skip the zeros: packing pays from
+    d^2 >= 2n (composed_moduli in BENCH_packed.json), which keeps binomials
+    (d = 1) on lists.  So do slots wider than 64 bits (_slots gives 0)."""
+    p, m, q, n = f.p, f.m, f.q, len(mod) - 1
     if (m == 1 or p > 2 and q < 1024) and n * min(q, n) >= max(64, 112 * (m - 1) ** 2):
         d = n // _int_gcd(*(i for i, c in enumerate(mod) if c))
-        if 2 * n <= d * d and _slots(f, n):
-            ctx = _Packed(f, mod)
-    return _chain(f, mod, xq, ctx, past)
+        if 2 * n <= d * d:
+            return _slots(f, n)
+    return 0
 
 
 def _frobenius_rows(f: Field, xq, mod) -> list:
@@ -487,37 +510,6 @@ def _frobenius_rows(f: Field, xq, mod) -> list:
         else:
             rows.append(_mul_raw(f, rows[-1], xq, mod))
     return rows
-
-
-def _chain(f: Field, mod, xq, ctx, past: int = 0) -> bool:
-    """Steps i = 2 .. n/2 of is_irreducible's chain, given xq = t^q mod P
-    from the root test: on coefficient lists when ctx is None, else on the
-    packed ints of ctx, a _Packed for P.  The routes differ only in how
-    rows, steps and products are computed, and in where the gcds fall:
-    after every list step from step past + 1 on (_ben_or's past), or after
-    the first isqrt(n/2) packed steps and at the end."""
-    n = len(mod) - 1
-    steps = n // 2 - 1
-    # a gcd is taken after step i when i + 1 is in cuts
-    if ctx is None:
-        rows, cuts = _frobenius_rows(f, xq, mod), range(max(past, 1), steps + 1)
-    else:
-        rows, cuts = ctx.frobenius_rows(xq), (isqrt(n // 2), steps)
-    img = xq
-    for i in range(steps):
-        if ctx is None:
-            img = _mul_raw(f, img, rows, rows=True)
-        else:
-            img = ctx.frobenius(img, rows)
-        diff = _minus_t(f, img)
-        # only the packed route multiplies differences between its gcds
-        if ctx is None or i == 0 or i in cuts:
-            acc = diff
-        else:
-            acc = ctx.mulmod(ctx.pack(acc), ctx.pack(diff))
-        if i + 1 in cuts and len(_gcd_raw(f, acc, mod)) > 1:
-            return False
-    return True
 
 
 def _ypowers(f) -> list:
@@ -574,22 +566,21 @@ class _Packed:
     digit tables, restriding and fold, which saves 1.2-1.4x per packed
     prime-field call (BENCH_forks.json, kept_forks).
 
-    Slots are never reduced inside an int: w is derived from the largest
-    slot value any product here can hold (_slots, which must find a
-    machine word), and a packed value is brought back to digits below p
-    only by _digits.  Reduction mod P is Barrett's: v = 1/rev(P)
-    mod s^(n-1), with rev(P)(s) = s^n P(1/s), turns the quotient of a
-    product into one more product."""
+    Slots are never reduced inside an int: w, from _packed_width, is
+    _slots' machine word for the largest slot value any product here can
+    hold, and a packed value is brought back to digits below p only by
+    _digits.  Reduction mod P is Barrett's: v = 1/rev(P) mod s^(n-1), with
+    rev(P)(s) = s^n P(1/s), turns the quotient of a product into one more
+    product."""
 
     __slots__ = (
         "p", "m", "n", "w", "code", "stride", "digit", "ymod", "low", "high",
         "nlow", "v", "vr",
     )
 
-    def __init__(self, f, mod):
+    def __init__(self, f, mod, w):
         p, m, n = f.p, f.m, len(mod) - 1
-        self.p, self.m, self.n = p, m, n
-        self.w = _slots(f, n)
+        self.p, self.m, self.n, self.w = p, m, n, w
         self.code = _WORDS[self.w]
         self.stride = 2 * n
         # digit[j][c] = digit j of the code c, for m > 1

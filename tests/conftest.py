@@ -1,6 +1,8 @@
+from contextlib import contextmanager
+
 import pytest
 
-from residuemat import SymbolContext, field_build
+from residuemat import SymbolContext, field_build, poly_ring
 
 _FIELD_PARAMS = {
     2: (2, 1),
@@ -33,6 +35,38 @@ def get_field(q):
 
 def get_context(q, d):
     return SymbolContext(get_field(q), d)
+
+
+@contextmanager
+def forced_route(packed: bool):
+    """Every _ben_or chain inside runs on one route, whatever _packed_width
+    would pick: on a _Packed of _slots' width, or on coefficient lists
+    (packed=False), so that the crossover hides no degree from n = 4 up."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_ring, "_packed_width", lambda f, mod: packed and poly_ring._slots(f, len(mod) - 1))
+        yield
+
+
+def sympy_oracle():
+    """(irreducible, product, random_irreducible) over GF(p), by sympy."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p, gf_mul
+
+    # sympy's galoistools take descending coefficient lists over Z/p
+    def irreducible(c, p):
+        return gf_irreducible_p(c[::-1], p, ZZ)
+
+    def product(a, b, p):
+        return gf_mul(a[::-1], b[::-1], p, ZZ)[::-1]
+
+    def random_irreducible(rng, p, deg):
+        while True:
+            c = [rng.randrange(p) for _ in range(deg)] + [1]
+            if irreducible(c, p):
+                return c
+
+    return irreducible, product, random_irreducible
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import random
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -28,16 +30,17 @@ from residuemat import (
     zero,
 )
 
+from residuemat import poly_ring
 from residuemat.poly_ring import (
     MAX_POLY_DEGREE,
     _Packed,
     _add_raw,
     _ben_or,
-    _chain,
     _frobenius_rows,
     _gcd_raw,
     _inv_raw,
     _minus_t,
+    _packed_width,
     _pow_raw,
     _slots,
     _ypowers,
@@ -46,7 +49,7 @@ from residuemat.poly_ring import (
 from residuemat.realize import _ClassSieve
 
 import ben_or_past
-from conftest import get_context, get_field
+from conftest import forced_route, get_context, get_field, sympy_oracle
 from naive import (
     field_add_digits,
     field_neg_digits,
@@ -428,30 +431,9 @@ def test_irreducibility_matches_trial_division(q, max_deg):
         assert found == count_monic_irreducibles(f, deg)
 
 
-def _sympy_oracle():
-    pytest.importorskip("sympy")
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_irreducible_p, gf_mul
-
-    # sympy's galoistools take descending coefficient lists over Z/p
-    def irreducible(c, p):
-        return gf_irreducible_p(c[::-1], p, ZZ)
-
-    def product(a, b, p):
-        return gf_mul(a[::-1], b[::-1], p, ZZ)[::-1]
-
-    def random_irreducible(rng, p, deg):
-        while True:
-            c = [rng.randrange(p) for _ in range(deg)] + [1]
-            if irreducible(c, p):
-                return c
-
-    return irreducible, product, random_irreducible
-
-
 @pytest.mark.parametrize("q", [2, 3, 5, 13])
 def test_irreducibility_matches_sympy_over_prime_fields(q):
-    irreducible, mul, random_irreducible = _sympy_oracle()
+    irreducible, mul, random_irreducible = sympy_oracle()
     f = get_field(q)
     rng = random.Random(q)
     # random monics: mostly reducible, with their smallest factor at
@@ -477,7 +459,7 @@ def test_irreducibility_matches_sympy_over_prime_fields(q):
 
 @pytest.mark.parametrize("q", [4, 9, 256])
 def test_structured_reducibles_rejected_over_extension_fields(q):
-    _, _, random_irreducible = _sympy_oracle()
+    _, _, random_irreducible = sympy_oracle()
     f = get_field(q)
     p = f.p
     rng = random.Random(q)
@@ -501,11 +483,14 @@ def test_structured_reducibles_rejected_over_extension_fields(q):
             b = random_irreducible(rng, p, k)
         A, B = lift(a), lift(b)
         assert is_irreducible(A) and is_irreducible(B)
-        assert _routed_ben_or(f, list(A.coeffs)) and _routed_ben_or(f, list(B.coeffs))
-        for P in (A * B, A * A, A * linear):
+        products = [A * B, A * A, A * linear]
+        for P in products:
             assert not is_irreducible(P), (k, format_poly(P))
-            # the packed chain too, at every degree
-            assert not _routed_ben_or(f, list(P.coeffs)), (k, format_poly(P))
+        # the packed chain too, from degree 4 up
+        with forced_route(packed=True):
+            assert _ben_or(f, list(A.coeffs)) and _ben_or(f, list(B.coeffs))
+            for P in products:
+                assert not _ben_or(f, list(P.coeffs)), (k, format_poly(P))
 
 
 @pytest.mark.parametrize("q", [2, 5, 13, 1021, 8, 9, 2187])
@@ -522,23 +507,9 @@ def test_frobenius_rows_match_naive_powers(q):
         assert _frobenius_rows(f, xq, mod) == expected, n
         # packed rows, over extension fields one digit plane per base-p
         # digit, read through the kernel's own unpack mod p
-        ctx = _Packed(f, mod)
+        ctx = _Packed(f, mod, _slots(f, n))
         rows = [ctx.unpack(row, n) for row in ctx.frobenius_rows(xq)]
         assert rows == [e + [0] * (n - len(e)) for e in expected], n
-
-
-def _routed_ben_or(f, mod, packed=True, past=0) -> bool:
-    """_ben_or with the chain's route forced at every degree, over any
-    field: its root test (skipped past the sieve, past >= 1), then _chain
-    on a _Packed or, with packed=False, on lists, so that the crossover
-    hides no degree."""
-    n = len(mod) - 1
-    xq = _pow_raw(f, [0, 1], f.q, mod)
-    if n == 1:
-        return True
-    if not past and len(_gcd_raw(f, _minus_t(f, xq), mod)) > 1:
-        return False
-    return _chain(f, mod, xq, _Packed(f, mod) if packed else None, past)
 
 
 @pytest.mark.parametrize(
@@ -551,30 +522,33 @@ def test_packed_chain_matches_every_monic(q, max_deg):
     for deg in range(1, max_deg + 1):
         reducible = reducible_monics(f, deg)
         found = 0
-        for P in enumerate_monic(f, deg):
-            flag = _routed_ben_or(f, list(P.coeffs))
-            assert flag == (P.coeffs not in reducible), format_poly(P)
-            found += flag
+        with forced_route(packed=True):
+            for P in enumerate_monic(f, deg):
+                flag = _ben_or(f, list(P.coeffs))
+                assert flag == (P.coeffs not in reducible), format_poly(P)
+                found += flag
         assert found == count_monic_irreducibles(f, deg)
 
 
 @pytest.mark.parametrize("q", [5, 13, 1021])
 def test_packed_chain_matches_sympy(q):
-    irreducible, mul, random_irreducible = _sympy_oracle()
+    irreducible, mul, random_irreducible = sympy_oracle()
     f = get_field(q)
     rng = random.Random(q)
-    for n in (9, 12, 17, 24, 33, 48, 64, 96):
-        c = [rng.randrange(q) for _ in range(n)] + [1]
-        assert _routed_ben_or(f, c) == irreducible(c, q), (n, c)
-        if n > 64:
-            continue  # the root test alone makes a degree-96 search slow
-        # sympy takes up to 0.5 s on each reducible of high degree, so the
-        # irreducible is found by the packed chain and confirmed by sympy
-        while not _routed_ben_or(f, c):
+    with forced_route(packed=True):
+        for n in (9, 12, 17, 24, 33, 48, 64, 96):
             c = [rng.randrange(q) for _ in range(n)] + [1]
-        assert irreducible(c, q), (n, c)
-    for k, c in _structured_reducibles(rng, q):
-        assert not _routed_ben_or(f, c), (k, c)
+            assert _ben_or(f, c) == irreducible(c, q), (n, c)
+            if n > 64:
+                continue  # the root test alone makes a degree-96 search slow
+            # sympy takes up to 0.5 s on each reducible of high degree, so
+            # the irreducible is found by the packed chain and confirmed by
+            # sympy
+            while not _ben_or(f, c):
+                c = [rng.randrange(q) for _ in range(n)] + [1]
+            assert irreducible(c, q), (n, c)
+        for k, c in _structured_reducibles(rng, q):
+            assert not _ben_or(f, c), (k, c)
 
 
 def _structured_reducibles(rng, q, n=24):
@@ -586,7 +560,7 @@ def _structured_reducibles(rng, q, n=24):
     every position of the first block and of the tail.  k = n/2 is A * B
     with deg A = deg B: there t^(q^(n/2)) = t mod P, and the difference
     itself is zero."""
-    irreducible, mul, random_irreducible = _sympy_oracle()
+    irreducible, mul, random_irreducible = sympy_oracle()
     for k in range(2, n // 2 + 1):
         A = random_irreducible(rng, q, k)
         B = A
@@ -612,7 +586,7 @@ def test_ben_or_past_the_sieve_matches_sympy_on_its_survivors(q):
     # routes: random ones and one irreducible; and at degree 24, A * B with
     # A irreducible of each degree 3 .. 12, so that the smallest factor
     # lands at every step the list route still takes a gcd after
-    irreducible = _sympy_oracle()[0]
+    irreducible = sympy_oracle()[0]
     ctx = get_context(q, 4)
     f = ctx.field
     rng = random.Random(24 * q)
@@ -639,34 +613,37 @@ def test_ben_or_past_the_sieve_matches_sympy_on_its_survivors(q):
             cases += [(c, False) for k, c in _structured_reducibles(rng, q, n) if k > 2]
         for c, want in cases:
             assert _ben_or(f, c, 2) == want, c
-            assert _routed_ben_or(f, c, packed=False, past=2) == want, c
-            assert _routed_ben_or(f, c, past=2) == want, c
+            for packed in (False, True):
+                with forced_route(packed):
+                    assert _ben_or(f, c, 2) == want, (packed, c)
 
 
 @pytest.mark.parametrize("q", [5, 13])
 def test_list_and_packed_chains_agree(q):
-    # the same dense moduli through both routes of _chain, whatever the
-    # crossover would pick: random ones of degree 16 .. 64 (about 1/n of
+    # the same dense moduli through both routes of _ben_or's chain, whatever
+    # the crossover would pick: random ones of degree 16 .. 64 (about 1/n of
     # them irreducible), one irreducible per degree, and the structured
     # reducibles at n = 24 and 40 that put a smallest factor at every
     # position of the packed route's first gcd block and of its tail
-    irreducible = _sympy_oracle()[0]
+    irreducible = sympy_oracle()[0]
     f = get_field(q)
     rng = random.Random(16 * q)
     cases = []
     for n in (16, 24, 40, 64):
         cases += [[rng.randrange(q) for _ in range(n)] + [1] for _ in range(3)]
         c = cases[-1]
-        while not _routed_ben_or(f, c, packed=False):
-            c = [rng.randrange(q) for _ in range(n)] + [1]
+        with forced_route(packed=False):
+            while not _ben_or(f, c):
+                c = [rng.randrange(q) for _ in range(n)] + [1]
         cases.append(c)
     for n in (24, 40):
         cases += [c for _, c in _structured_reducibles(rng, q, n)]
     verdicts = [irreducible(c, q) for c in cases]
     assert 0 < sum(verdicts) < len(cases)
-    for c, want in zip(cases, verdicts):
-        assert _routed_ben_or(f, c, packed=False) == want, c
-        assert _routed_ben_or(f, c) == want, c
+    for packed in (False, True):
+        with forced_route(packed):
+            for c, want in zip(cases, verdicts):
+                assert _ben_or(f, c) == want, (packed, c)
 
 
 @pytest.mark.parametrize("q", [2, 5, 13, 1021, 65521, 4, 9, 25])
@@ -678,13 +655,14 @@ def test_packed_mulmod_matches_naive(q):
     f = SimpleNamespace(p=p, m=1, q=p, modulus=(0, 1)) if p else get_field(q)
     rng = random.Random(q)
     for n in (1, 2, 3, 7, 16, 33, 64, 129, 256, 300):
-        if not _slots(f, n):
+        w = _slots(f, n)
+        if not w:
             # GF(65521) fills 64-bit slots at n = 256 and overflows them
-            # from n = 257 on, where _ben_or keeps the lists
+            # from n = 257 on, where _packed_width keeps the lists
             assert (q, n) == (65521, 300)
             continue
         mod = [rng.randrange(q) for _ in range(n)] + [1]
-        ctx = _Packed(f, mod)
+        ctx = _Packed(f, mod, w)
         # random inputs, and all coefficients q - 1, whose base-p digits
         # are all p - 1: the largest slots
         for a, b in (
@@ -697,21 +675,18 @@ def test_packed_mulmod_matches_naive(q):
 
 
 def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
-    # the packed chain runs for dense enough moduli of degree n with
+    # _packed_width packs dense enough moduli of degree n with
     # n * min(p, n) >= 64 over a prime field, and n * min(q, n) >=
     # 112 (m - 1)^2 over GF(p^m) with p odd and q < 1024, whose slots fit a
-    # machine word (one predicate, in _ben_or); the verdict is the list
-    # chain's either way
-    import residuemat.poly_ring as pr
+    # machine word; _ben_or builds a _Packed of that width exactly when it
+    # is nonzero, and its verdict is the list chain's either way
+    real, built = poly_ring._Packed, []
 
-    packed = []
+    def spy(f, mod, w):
+        built.append(w)
+        return real(f, mod, w)
 
-    def spy(f, mod, xq, ctx, *args, **kwargs):
-        if ctx is not None:
-            packed.append(len(mod) - 1)
-        return _chain(f, mod, xq, ctx, *args, **kwargs)
-
-    monkeypatch.setattr(pr, "_chain", spy)
+    monkeypatch.setattr(poly_ring, "_Packed", spy)
     rng = random.Random(64)
 
     def root_free(f, n, k=1):
@@ -728,33 +703,65 @@ def test_packed_route_is_taken_only_past_the_crossover(monkeypatch):
     f13, fbig = get_field(13), field_build(2**20 - 3)
     f4, f9, f25, f2_16 = get_field(4), get_field(9), get_field(25), field_build(2, 16)
     f27, f2187 = field_build(3, 3), get_field(2187)
-    irreducible = _sympy_oracle()[0]
-    for f, mod, expect in (
-        (f13, root_free(f13, 7), False),  # 7 * 7 < 64
-        (f13, root_free(f13, 8), True),
-        (f13, root_free(f13, 32), True),
-        (f13, root_free(f13, 64, 8), False),  # d = 8, d^2 < 2n
-        (f13, root_free(f13, 64, 4), True),  # d = 16, d^2 >= 2n
-        (f13, [11] + [0] * 255 + [1], False),  # the binomial t^256 + 11
-        (fbig, root_free(fbig, 8), False),  # 64-bit slots overflow from n = 5
-        (f9, root_free(f9, 5), False),  # verify's degrees stay on lists
-        (f9, root_free(f9, 12), False),  # 12 * 9 < 112
-        (f9, root_free(f9, 13), True),
-        (f9, root_free(f9, 32), True),
-        (f9, root_free(f9, 24, 6), False),  # d = 4, d^2 < 2n
-        (f9, root_free(f9, 24, 2), True),  # d = 12, d^2 >= 2n
-        (f25, root_free(f25, 10), False),  # 10 * 10 < 112
-        (f25, root_free(f25, 11), True),
-        (f27, root_free(f27, 21), False),  # 21 * 21 < 112 * 2^2
-        (f27, root_free(f27, 22), True),
-        (f2187, root_free(f2187, 64), False),  # q >= 1024 keeps the lists
-        (f4, root_free(f4, 40), False),  # characteristic 2 keeps the lists
-        (f2_16, root_free(f2_16, 8), False),  # matrix-highdeg's GF(2^16)
+    irreducible = sympy_oracle()[0]
+    for f, mod, width in (
+        (f13, root_free(f13, 7), 0),  # 7 * 7 < 64
+        (f13, root_free(f13, 8), 32),
+        (f13, root_free(f13, 32), 32),
+        (f13, root_free(f13, 64, 8), 0),  # d = 8, d^2 < 2n
+        (f13, root_free(f13, 64, 4), 32),  # d = 16, d^2 >= 2n
+        (f13, [11] + [0] * 255 + [1], 0),  # the binomial t^256 + 11
+        (fbig, root_free(fbig, 8), 0),  # 64-bit slots overflow from n = 5
+        (f9, root_free(f9, 5), 0),  # verify's degrees stay on lists
+        (f9, root_free(f9, 12), 0),  # 12 * 9 < 112
+        (f9, root_free(f9, 13), 16),
+        (f9, root_free(f9, 32), 32),
+        (f9, root_free(f9, 24, 6), 0),  # d = 4, d^2 < 2n
+        (f9, root_free(f9, 24, 2), 16),  # d = 12, d^2 >= 2n
+        (f25, root_free(f25, 10), 0),  # 10 * 10 < 112
+        (f25, root_free(f25, 11), 32),
+        (f27, root_free(f27, 21), 0),  # 21 * 21 < 112 * 2^2
+        (f27, root_free(f27, 22), 32),
+        (f2187, root_free(f2187, 64), 0),  # q >= 1024 keeps the lists
+        (f4, root_free(f4, 40), 0),  # characteristic 2 keeps the lists
+        (f2_16, root_free(f2_16, 8), 0),  # matrix-highdeg's GF(2^16)
     ):
-        packed.clear()
-        want = irreducible(mod, f.p) if f.m == 1 else _routed_ben_or(f, mod, packed=False)
+        n = len(mod) - 1
+        assert _packed_width(f, mod) == width, (f, n)
+        if f.m == 1:
+            want = irreducible(mod, f.p)
+        else:
+            with forced_route(packed=False):
+                want = _ben_or(f, mod)
+        built.clear()
         assert _ben_or(f, mod) == want, mod
-        assert packed == ([len(mod) - 1] if expect else []), (f, len(mod) - 1)
+        assert built == ([width] if width else []), (f, n)
+
+
+# sha256 of test_route_table_is_pinned's rows, recorded from _ben_or's route
+# when it chose the route inline and _Packed worked out its own width
+ROUTE_TABLE_SHA256 = "bb280a8d8c050969f551e977eeb3283fa9641beeb7ed1abc43441ddbf63a41e3"
+
+
+def test_route_table_is_pinned():
+    # (q, n, width) for every prime p < 200, every odd prime power
+    # q < 1024 with m >= 2, and GF(4), GF(8) and GF(2^16), at 2 <= n < 128
+    # on the all-one modulus and on t^n + 1: a route or a width that moves
+    # changes the digest
+    primes = [p for p in range(2, 200) if all(p % k for k in range(2, math.isqrt(p) + 1))]
+    powers = sorted(
+        ((p, m) for p in primes[1:] for m in range(2, 7) if p**m < 1024),
+        key=lambda pm: pm[0] ** pm[1],
+    )
+    rows = []
+    for p, m in [(p, 1) for p in primes] + powers + [(2, 2), (2, 3), (2, 16)]:
+        f = field_build(p, m)
+        for n in range(2, 128):
+            for mod in ([1] * (n + 1), [1] + [0] * (n - 1) + [1]):
+                rows.append((f.q, n, _packed_width(f, mod)))
+    assert len(rows) == 66 * 126 * 2
+    assert Counter(w for *_, w in rows) == {0: 9319, 16: 204, 32: 4475, 64: 2634}
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == ROUTE_TABLE_SHA256
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (2, 16), (5, 1)])

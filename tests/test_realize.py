@@ -42,8 +42,13 @@ from residuemat.realize import (
 )
 
 import realize_sweep
-from conftest import get_context, get_field
-from naive import has_monic_factor, trial_division_irreducible
+from conftest import forced_route, get_context, get_field, sympy_oracle
+from naive import (
+    has_monic_factor,
+    poly_divmod_lists,
+    poly_mul_lists,
+    trial_division_irreducible,
+)
 
 # the module: the package exports its function realize under the same name
 realize_mod = importlib.import_module("residuemat.realize")
@@ -581,11 +586,25 @@ def test_realize_every_orbit_matches_the_definition(q, d, n):
 @pytest.mark.parametrize("q,d", REALIZE_STREAM_FIELDS)
 def test_realize_steps_match_their_oracles(q, d):
     # realize folds its congruences with Garner's cached prefix products and
-    # tests candidates past the sieve; each step must still equal
-    # crt_combine over its residues, and each chosen P pass Ben-Or from its
-    # root test on
+    # tests candidates past the sieve; each step is checked by definition,
+    # with none of that code: (u0, Q) with tests/naive.py's digit
+    # arithmetic, and each chosen P by sympy over a prime field, or over
+    # GF(4) and GF(9) by _ben_or from its root test on the list route, which
+    # realize's packed survivors did not take
     ctx = get_context(q, d)
     f = ctx.field
+    if f.m == 1:
+        sympy_irreducible = sympy_oracle()[0]
+
+        def irreducible(P):
+            return sympy_irreducible(list(P.coeffs), q)
+
+    else:
+
+        def irreducible(P):
+            with forced_route(packed=False):
+                return _ben_or(f, list(P.coeffs))
+
     draw = random.Random(f"oracles:{q}:{d}")
     for n in (5, 6):
         # symmetric: admissible on either law, with s = 1 on the odd law
@@ -596,10 +615,17 @@ def test_realize_steps_match_their_oracles(q, d):
         for opts in (None, RealizeOptions(seed=draw.randrange(1 << 31), deterministic=False)):
             R = realize(ctx, M, opts)
             for step in R.transcript:
-                assert _ben_or(f, list(step.chosen.coeffs)), format_poly(step.chosen)
-                if step.residues:
-                    pairs = [(c.residue, c.modulus) for c in step.residues]
-                    assert crt_combine(pairs) == (step.crt_residue, step.crt_modulus)
+                assert irreducible(step.chosen), format_poly(step.chosen)
+                if not step.residues:
+                    continue
+                # Q = P_1 ... P_k, deg u0 < deg Q and u0 = u_j mod P_j
+                Q, u0 = [1], list(step.crt_residue.coeffs)
+                for c in step.residues:
+                    P_j = list(c.modulus.coeffs)
+                    Q = poly_mul_lists(f, Q, P_j)
+                    assert poly_divmod_lists(f, u0, P_j)[1] == list(c.residue.coeffs)
+                assert list(step.crt_modulus.coeffs) == Q
+                assert len(u0) < len(Q)
 
 
 def test_realization_json_shape():
