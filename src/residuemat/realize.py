@@ -20,8 +20,9 @@ Before Ben-Or, a sieve skips every candidate of degree >= 4 with a monic
 irreducible factor l of degree <= 2 and q^deg l <= SIEVE_MAX_NORM
 (_ClassSieve): roots and quadratic factors for q <= 16, roots alone for
 q <= 256.  Below degree 4 Ben-Or is a root test anyway.  At a root beta
-of l, P(beta) = 0 iff h(beta) = -u0(beta)/Q(beta), so one pass over the
-betas rejects constant coefficients of h at once.
+of l, P(beta) = 0 iff h(beta) = -u0(beta)/Q(beta).  Q and u0 are
+evaluated at the betas once per position, for every degree it scans, and
+one step per beta then rejects constant coefficients of h at once.
 All betas, t's root 0 among them as the zero log, lie in verify's copy of
 GF(q^2) or GF(q) (_sieve_tables), built once per SymbolContext.
 The sieve only rejects, and a rejected candidate still counts as tested.
@@ -233,43 +234,54 @@ def _garner(f, pairs, prods, invs):
     return u0, prods[len(pairs)]
 
 
-def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degree: int, rng):
-    """(P, candidates_tested): the first monic irreducible P = Q h + u0 of
-    the given degree over monic h, in enumeration order (rng=None) or an
-    rng-shuffled order, or (None, tested) when the degree has none.
+def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degrees, rng):
+    """(P, candidates_tested, degrees_tried): the first monic irreducible
+    P = Q h + u0 over monic h, at each degree of the sequence degrees in
+    turn, in enumeration order (rng=None) or an rng-shuffled order; P is
+    None if none has one.
 
-    A candidate that _ClassSieve rejects has a root or a quadratic factor
-    and counts as tested without being built.  Every other candidate takes
-    its verdict from is_irreducible; where the sieve ran, Ben-Or (_ben_or)
-    is started past the factor degrees it excluded and its verdict cached
-    on P first, so the result is what is_irreducible alone would give.
+    One _ClassSieve serves every degree.  A candidate it rejects has a
+    root or a quadratic factor and counts as tested without being built.
+    Every other candidate takes its verdict from is_irreducible; where the
+    sieve ran, Ben-Or (_ben_or) is started past the factor degrees it
+    excluded and its verdict cached on P first, so the result is what
+    is_irreducible alone would give.
 
     Search only: Q must be monic, u0 reduced mod Q and coprime to it, and
-    degree >= deg Q.  realize meets all three through Garner's fold over
-    nonzero residues and starts at degree deg Q + 1."""
+    every degree >= deg Q.  realize meets all three through Garner's fold
+    over nonzero residues and starts at degree deg Q + 1."""
     f = Q.field
-    hdeg = degree - Q.degree
-    space = f.q**hdeg
-    if rng is None:
-        codes = range(space)
-    elif space <= (1 << 16):
-        codes = list(range(space))
-        rng.shuffle(codes)
-    else:
-        codes = _random_codes(space, rng)
-    sieve = _ClassSieve(ctx, u0, Q, hdeg)
-    past = sieve.past
+    sieve = _ClassSieve(ctx, u0, Q)
     tested = 0
-    for code in codes:
-        tested += 1
-        if sieve.rejects(code):
-            continue
-        P = Q * monic_from_code(f, hdeg, code) + u0
-        if past:
-            P._irred = _ben_or(f, P.coeffs, past)
-        if is_irreducible(P):
-            return P, tested
-    return None, tested
+    for k, degree in enumerate(degrees, 1):
+        hdeg = degree - Q.degree
+        space = f.q**hdeg
+        if rng is None:
+            codes = range(space)
+        elif space <= (1 << 16):
+            codes = list(range(space))
+            rng.shuffle(codes)
+        else:
+            codes = _random_codes(space, rng)
+        # with hdeg = 0 the class has the one candidate Q + u0, and below
+        # degree 4 Ben-Or is a root test anyway
+        past = sieve.past if hdeg >= 1 and degree >= 4 else 0
+        low, masks = f.q ** max(hdeg - 1, 0), {}
+        for code in codes:
+            tested += 1
+            if past:
+                c0, r = divmod(code, low)
+                mask = masks.get(r)
+                if mask is None:
+                    mask = masks[r] = sieve.mask(r, hdeg - 1)
+                if mask >> c0 & 1:
+                    continue
+            P = Q * monic_from_code(f, hdeg, code) + u0
+            if past:
+                P._irred = _ben_or(f, P.coeffs, past)
+            if is_irreducible(P):
+                return P, tested, tuple(degrees[:k])
+    return None, tested, tuple(degrees)
 
 
 def _random_codes(space: int, rng):
@@ -293,14 +305,14 @@ def _sieve_tables(ctx: SymbolContext):
     and cached on ctx: e = 2 when q^2 <= SIEVE_MAX_NORM, e = 1 when q is,
     and () above; read off residue_symbol._orbit_moduli(ctx, e).
 
-    The record is (M, T, R, steps, lbs, lns, lneg, bits).  M = q^e - 1 and
-    T, R are K_e's step tables (_step_tables).  lbs holds log beta for the
+    The record is (e, M, T, R, steps, lbs, bits).  M = q^e - 1 and T, R
+    are K_e's step tables (_step_tables).  lbs holds log beta for the
     q - 1 roots beta of the factors t - c, c != 0, then for e = 2 one root
     of each monic irreducible quadratic, and t's root 0 as the zero log
     -2M.  On a log x of v(beta), v -> beta v + c is R[x + lb] for c = 0
-    and lc + T[x + shs[i]] otherwise, with (lc, shs) = steps[c].  lneg is
-    log(-1), lns holds log(-beta), and bits[z] is 1 << c where z is a log
-    of the constant c, 0 included, and 0 off F_q."""
+    and lc + T[x + shs[i]] otherwise, with (lc, shs) = steps[c].  bits[z]
+    is 1 << c where z is a log of -c for a constant c, 0 included, and 0
+    off F_q."""
     if ctx._sieve is None:
         f = ctx.field
         e = 2 if f.q**2 <= SIEVE_MAX_NORM else 1 if f.q <= SIEVE_MAX_NORM else 0
@@ -312,12 +324,10 @@ def _sieve_tables(ctx: SymbolContext):
             steps = [None] + [(lc, [_shift(lb, lc, M) for lb in lbs]) for lc in lcs]
             bits = [0] * M
             for c, lc in enumerate(lcs, 1):
-                bits[lc] = 1 << c
+                bits[lc] = 1 << f.neg(c)
             # a log lies in [0, 2M - 1), and 0 is coded by [-2M, -M)
             bits += bits + [1] * (2 * M)
-            lneg = lcs[f.neg(1) - 1]
-            lns = [_shift(lb, lneg, M) for lb in lbs]
-            ctx._sieve = (M, T, R, steps, lbs, lns, lneg, bits)
+            ctx._sieve = (e, M, T, R, steps, lbs, bits)
     return ctx._sieve
 
 
@@ -334,73 +344,56 @@ def _horner(T, R, steps, lbs, xs, digits):
 
 
 class _ClassSieve:
-    """Which candidates P = Q h + u0 of one class, deg P >= 4, have a monic
-    irreducible factor l of degree <= 2 that _sieve_tables covers.
+    """One class P = Q h + u0, set up once for all its degrees: which
+    candidates have a monic irreducible factor l of degree <= 2 that
+    _sieve_tables covers (_find_irreducible asks only from degree 4 up).
 
     Write h = t w + c0 with w monic.  At a root beta of l,
     P(beta) = Q(beta) h(beta) + u0(beta).  Where Q(beta) = 0 that is
-    u0(beta) != 0, as u0 is coprime to Q.  Elsewhere P(beta) = 0 iff
-    c0 = tau - beta w(beta) with tau = -u0(beta)/Q(beta), computed once per
-    class from a Horner pass over Q and one over u0.  c0 is the most
-    significant digit of h's code (monic_from_code) and the rest r is w's
-    code.  So one Horner pass over w's digits at every beta gives the
-    bitmask of the c0 to reject, for every code that shares r; each mask
-    is built on first use.  t's root 0 takes the same steps in the zero
-    log, and rejects the one c0 = tau whatever r is.
+    u0(beta) != 0, as u0 is coprime to Q.  At the other, live betas
+    P(beta) = 0 iff -c0 = beta w(beta) - tau, tau = -u0(beta)/Q(beta):
+    one Horner step from log w(beta) that adds -tau (adds), or only
+    multiplies by beta where tau = 0 (scales), gives log(-c0).  So the
+    set-up takes a Horner pass over Q and one over u0, and keeps each live
+    beta's step by its index into the record's lbs.
+
+    c0 is the most significant digit of h's code (monic_from_code) and the
+    rest r is w's code.  So mask(r, n), for w of degree n, is one Horner
+    pass over w's digits at every beta and one step per live beta: the
+    bitmask of the c0 to reject for every code that shares r.  t's root 0
+    takes the same steps in the zero log.
 
     past is the largest factor degree excluded for every candidate, for
-    _ben_or: 2 with the quadratic roots, 1 with the roots alone, 0 where
-    the sieve does not run.  Below degree 4 it does not: Ben-Or is a root
-    test there, and a quadratic factor of a quadratic is itself."""
+    _ben_or: e for the record's K_e, or 0 where there is none."""
 
-    def __init__(self, ctx: SymbolContext, u0: Poly, Q: Poly, hdeg: int):
-        f = Q.field
-        self.q, self.hdeg = f.q, hdeg
-        self.low = f.q ** max(hdeg - 1, 0)
-        self.masks = {}
-        self.table = None
+    def __init__(self, ctx: SymbolContext, u0: Poly, Q: Poly):
+        self.q = Q.field.q
         self.past = 0
-        # with hdeg = 0 the class has the one candidate Q + u0
-        record = _sieve_tables(ctx) if hdeg >= 1 and Q.degree + hdeg >= 4 else ()
+        record = _sieve_tables(ctx)
         if not record:
             return
-        M, T, R, steps, lbs, lns, lneg, bits = record
-        # past the q - 1 constants and t's root, lbs holds quadratic roots
-        self.past = 2 if len(lbs) > f.q else 1
+        self.past, M, T, R, steps, lbs, _ = self.record = record
         zero = [-2 * M] * len(lbs)
         lq = _horner(T, R, steps, lbs, zero, reversed(Q.coeffs))
         lu = _horner(T, R, steps, lbs, zero, reversed(u0.coeffs))
-        # tau != 0 first: only those betas take the step that adds tau
-        keep = sorted((i for i, x in enumerate(lq) if x >= 0), key=lambda i: lu[i] < 0)
-        steps = [None] + [(lc, [shs[i] for i in keep]) for lc, shs in steps[1:]]
-        lbs = [lbs[i] for i in keep]
-        lns = [lns[i] for i in keep]
-        lts = [(lneg + lu[i] - lq[i]) % M for i in keep if lu[i] >= 0]
-        self.table = (T, R, steps, lbs, lns, lts, [-lt % M for lt in lts], bits)
+        live = [i for i, x in enumerate(lq) if x >= 0]
+        lts = [(i, (lu[i] - lq[i]) % M) for i in live if lu[i] >= 0]
+        self.adds = [(i, lt, _shift(lbs[i], lt, M)) for i, lt in lts]
+        self.scales = [(i, lbs[i]) for i in live if lu[i] < 0]
 
-    def rejects(self, code: int) -> bool:
-        if self.table is None:
-            return False
-        c0, r = divmod(code, self.low)
-        mask = self.masks.get(r)
-        if mask is None:
-            mask = self.masks[r] = self._mask(r)
-        return bool(mask >> c0 & 1)
-
-    def _mask(self, r: int) -> int:
+    def mask(self, r: int, n: int) -> int:
         q = self.q
         digits = []
-        for _ in range(self.hdeg - 1):
+        for _ in range(n):
             r, c = divmod(r, q)
             digits.append(c)
-        T, R, steps, lbs, lns, lts, sts, bits = self.table
+        _, _, T, R, steps, lbs, bits = self.record
         xs = _horner(T, R, steps, lbs, [0] * len(lbs), digits)
-        # log(-beta w(beta)), then log(tau - beta w(beta))
-        ys = [R[x + ln] for x, ln in zip(xs, lns)]
-        zs = [lt + T[y + st] for y, lt, st in zip(ys, lts, sts)]
         mask = 0
-        for z in zs + ys[len(lts) :]:
-            mask |= bits[z]
+        for i, lt, sh in self.adds:
+            mask |= bits[lt + T[xs[i] + sh]]
+        for i, lb in self.scales:
+            mask |= bits[R[xs[i] + lb]]
         return mask
 
 
@@ -470,14 +463,8 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
             D += 1
         # position 1 scans in enumeration order in either mode: t comes first
         scan = rng if pairs else None
-        degrees_tried = []
-        tested_total = 0
-        chosen = None
-        while chosen is None and D <= opts.max_degree:
-            degrees_tried.append(D)
-            chosen, tested = _find_irreducible(ctx, u0, Q, D, scan)
-            tested_total += tested
-            D += 2 if req is not None else 1
+        degrees = range(D, opts.max_degree + 1, 1 if req is None else 2)
+        chosen, tested, tried = _find_irreducible(ctx, u0, Q, degrees, scan)
         if chosen is None:
             raise ResourceExhaustedError(
                 f"no irreducible in the class up to max_degree = {opts.max_degree} "
@@ -490,8 +477,8 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
                 residues=tuple(choices),
                 crt_residue=u0 if pairs else None,
                 crt_modulus=Q if pairs else None,
-                degrees_tried=tuple(degrees_tried),
-                candidates_tested=tested_total,
+                degrees_tried=tried,
+                candidates_tested=tested,
                 chosen=chosen,
             )
         )

@@ -121,16 +121,15 @@ def symbol(ctx: SymbolContext, a: Poly, P: Poly) -> RootIndex:
     _check_modulus(ctx, P)
     if a.field != ctx.field:
         raise ValueError("argument belongs to a different field")
-    r = a % P
-    if r.is_zero():
-        raise ValueError("symbol undefined: a divisible by P")
-    return RootIndex(_jacobi(ctx, r, P), ctx.d)
+    return RootIndex(_jacobi(ctx, a, P), ctx.d)
 
 
 def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
-    """Index of the Jacobi symbol (a/b)_d for monic b coprime to a, by
-    Euclid's algorithm and the reciprocity law.  From the second step on
-    the modulus rb stands for the monic rb / lead(rb)."""
+    """Index of the Jacobi symbol (a/b)_d for monic b, by Euclid's
+    algorithm and the reciprocity law; a need not be reduced mod b.  From
+    the second step on the modulus rb stands for the monic rb / lead(rb).
+    Raises ValueError if b | a; every caller's b is irreducible, so no
+    later remainder can vanish."""
     f, d = ctx.field, ctx.d
     log = f.log
     # the reciprocity sign is d/2 on two odd degrees (reciprocity_index)
@@ -139,6 +138,8 @@ def _jacobi(ctx: SymbolContext, a: Poly, b: Poly) -> int:
     ra, rb = list(a.coeffs), b.coeffs
     while len(rb) > 1:
         ra = _rem_raw(f, ra, rb)
+        if not ra:
+            raise ValueError("symbol undefined: a divisible by P")
         deg_b = len(rb) - 1
         lead = ra[-1]
         k += log[lead] * deg_b

@@ -47,6 +47,22 @@ def forced_route(packed: bool):
         yield
 
 
+def sieve_at_degree(sieve, Q, hdeg):
+    """(past, rejects) of one degree deg Q + hdeg of a class's scan, as
+    _find_irreducible reads them off its _ClassSieve: the sieve runs only
+    for hdeg >= 1 from degree 4 up, and rejects(code) reads h's constant
+    c0, the code's most significant digit, off the mask of w's code r."""
+    if hdeg < 1 or Q.degree + hdeg < 4:
+        return 0, lambda code: False
+    low = sieve.q ** (hdeg - 1)
+
+    def rejects(code):
+        c0, r = divmod(code, low)
+        return bool(sieve.mask(r, hdeg - 1) >> c0 & 1)
+
+    return sieve.past, rejects
+
+
 def sympy_oracle():
     """(irreducible, product, random_irreducible) over GF(p), by sympy."""
     pytest.importorskip("sympy")

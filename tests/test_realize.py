@@ -42,7 +42,7 @@ from residuemat.realize import (
 )
 
 import realize_sweep
-from conftest import forced_route, get_context, get_field, sympy_oracle
+from conftest import forced_route, get_context, get_field, sieve_at_degree, sympy_oracle
 from naive import (
     has_monic_factor,
     poly_divmod_lists,
@@ -205,9 +205,9 @@ def test_crt_combine_errors(f3, f5):
 def test_find_irreducible_examples(f3):
     ctx = get_context(3, 2)
     t = variable(f3)
-    got, _ = _find_irreducible(ctx, parse_poly("1", f3), t, 1, None)
+    got, _, _ = _find_irreducible(ctx, parse_poly("1", f3), t, [1], None)
     assert got == parse_poly("t+1", f3)
-    got, tested = _find_irreducible(ctx, parse_poly("2", f3), t, 2, None)
+    got, tested, _ = _find_irreducible(ctx, parse_poly("2", f3), t, [2], None)
     assert got == parse_poly("t^2+t+2", f3)  # t^2+2 comes first but has root 1
     assert tested == 2
 
@@ -216,7 +216,7 @@ def test_find_irreducible_respects_class_and_degree(f5):
     Q = parse_poly("t^2+2", f5)
     u0 = parse_poly("t+1", f5)
     for deg in (3, 4, 5):
-        P, _ = _find_irreducible(get_context(5, 4), u0, Q, deg, None)
+        P, _, _ = _find_irreducible(get_context(5, 4), u0, Q, [deg], None)
         assert P.degree == deg and P.is_monic() and is_irreducible(P)
         assert P % Q == u0
 
@@ -227,17 +227,21 @@ def test_find_irreducible_none_at_degree():
     Q = parse_poly("t^2+t+1", f2)
     u0 = variable(f2)
     # the only degree-2 candidate is Q + t = t^2 + 1 = (t+1)^2
-    assert _find_irreducible(ctx, u0, Q, 2, None) == (None, 1)
-    assert _find_irreducible(ctx, u0, Q, 3, None)[0] == parse_poly("t^3+t+1", f2)
+    assert _find_irreducible(ctx, u0, Q, [2], None) == (None, 1, (2,))
+    assert _find_irreducible(ctx, u0, Q, [3], None)[0] == parse_poly("t^3+t+1", f2)
+    # one scan over both degrees counts the candidates of each: t^3 + t^2
+    # comes before t^3 + t + 1
+    assert _find_irreducible(ctx, u0, Q, [2, 3], None) == (parse_poly("t^3+t+1", f2), 3, (2, 3))
+    assert _find_irreducible(ctx, u0, Q, [], None) == (None, 0, ())
 
 
 def test_find_irreducible_random_mode(f5):
     Q = variable(f5)
     u0 = parse_poly("2", f5)
     ctx = get_context(5, 4)
-    P, _ = _find_irreducible(ctx, u0, Q, 4, random.Random(11))
+    P, _, _ = _find_irreducible(ctx, u0, Q, [4], random.Random(11))
     assert P.degree == 4 and is_irreducible(P) and P % Q == u0
-    assert _find_irreducible(ctx, u0, Q, 4, random.Random(11))[0] == P
+    assert _find_irreducible(ctx, u0, Q, [4], random.Random(11))[0] == P
 
 
 def test_find_irreducible_random_mode_above_two_to_the_sixteen_codes():
@@ -246,15 +250,15 @@ def test_find_irreducible_random_mode_above_two_to_the_sixteen_codes():
     ctx = get_context(13, 4)
     f13 = ctx.field
     Q, u0 = variable(f13), one(f13)
-    P, tested = _find_irreducible(ctx, u0, Q, 6, random.Random(5))
+    P, tested, _ = _find_irreducible(ctx, u0, Q, [6], random.Random(5))
     assert P.degree == 6 and P.is_monic() and P.coeffs[0] == 1  # P = 1 mod t
-    assert _find_irreducible(ctx, u0, Q, 6, random.Random(5)) == (P, tested)
+    assert _find_irreducible(ctx, u0, Q, [6], random.Random(5)) == (P, tested, (6,))
     # the sieve only skips: trial division alone picks the same candidate
-    assert _trial_division_scan(u0, Q, 6, random.Random(5)) == (P, tested)
-    sieve = _ClassSieve(ctx, u0, Q, 5)
+    assert _trial_division_scan(u0, Q, [6], random.Random(5)) == (P, tested, (6,))
+    _, rejects = sieve_at_degree(_ClassSieve(ctx, u0, Q), Q, 5)
     for code in itertools.islice(_random_codes(13**5, random.Random(5)), 40):
         C = Q * monic_from_code(f13, 5, code) + u0
-        assert sieve.rejects(code) == has_monic_factor(C, 2), format_poly(C)
+        assert rejects(code) == has_monic_factor(C, 2), format_poly(C)
 
 
 # -- the small-factor sieve ------------------------------------------------
@@ -271,23 +275,29 @@ def _sieve_degree(q, degree):
     return max(e for e in range(3) if q**e <= SIEVE_MAX_NORM)
 
 
-def _trial_division_scan(u0, Q, degree, rng):
-    """_find_irreducible's (P, tested), with trial division as the only test."""
+def _trial_division_scan(u0, Q, degrees, rng):
+    """_find_irreducible's (P, tested, tried), with trial division as the
+    only test."""
     f = Q.field
-    hdeg = degree - Q.degree
-    space = f.q**hdeg
-    if rng is None:
-        codes = range(space)
-    elif space <= 1 << 16:
-        codes = list(range(space))
-        rng.shuffle(codes)
-    else:
-        codes = _random_codes(space, rng)
-    for tested, code in enumerate(codes, 1):
-        P = Q * monic_from_code(f, hdeg, code) + u0
-        if trial_division_irreducible(P):
-            return P, tested
-    return None, space
+    tested = 0
+    tried = []
+    for degree in degrees:
+        tried.append(degree)
+        hdeg = degree - Q.degree
+        space = f.q**hdeg
+        if rng is None:
+            codes = range(space)
+        elif space <= 1 << 16:
+            codes = list(range(space))
+            rng.shuffle(codes)
+        else:
+            codes = _random_codes(space, rng)
+        for code in codes:
+            tested += 1
+            P = Q * monic_from_code(f, hdeg, code) + u0
+            if trial_division_irreducible(P):
+                return P, tested, tuple(tried)
+    return None, tested, tuple(tried)
 
 
 def _rng(state):
@@ -299,9 +309,10 @@ def _rng(state):
 
 
 def _scanned_classes(monkeypatch, ctx, seed):
-    """(u0, Q, degree, rng state) of every class realize scans for a
+    """(u0, Q, degrees, rng state) of every class realize scans for a
     seeded symmetric 3x3 matrix (admissible on either law, with s = 1 on
-    the odd law), deterministic when seed is None."""
+    the odd law), deterministic when seed is None; degrees are the ones
+    the scan tried."""
     n, d = 3, ctx.d
     draw = random.Random(f"sieve:{ctx.field.q}:{d}:{seed}")
     rows = [[None] * n for _ in range(n)]
@@ -310,10 +321,11 @@ def _scanned_classes(monkeypatch, ctx, seed):
     classes = []
     scan = realize_mod._find_irreducible
 
-    def record(ctx, u0, Q, degree, rng):
+    def record(ctx, u0, Q, degrees, rng):
         state = None if rng is None else rng.getstate()
-        classes.append((u0, Q, degree, state))
-        return scan(ctx, u0, Q, degree, rng)
+        got = scan(ctx, u0, Q, degrees, rng)
+        classes.append((u0, Q, got[2], state))
+        return got
 
     monkeypatch.setattr(realize_mod, "_find_irreducible", record)
     opts = RealizeOptions(seed=seed or 0, deterministic=seed is None)
@@ -330,40 +342,49 @@ def test_sieve_rejects_exactly_the_candidates_with_a_small_factor(monkeypatch, q
     f = ctx.field
     classes = _scanned_classes(monkeypatch, ctx, seed)
     assert len(classes) >= 3
-    for u0, Q, degree, state in classes:
-        # the scanned degree and two above it, where h has more digits
-        for hdeg in range(degree - Q.degree, degree - Q.degree + 3):
-            sieve = _ClassSieve(ctx, u0, Q, hdeg)
+    for u0, Q, degrees, state in classes:
+        sieve = _ClassSieve(ctx, u0, Q)
+        # the scanned degrees and two above them, where h has more digits
+        for hdeg in range(degrees[0] - Q.degree, degrees[-1] - Q.degree + 3):
+            past, rejects = sieve_at_degree(sieve, Q, hdeg)
             top = _sieve_degree(q, Q.degree + hdeg)
             space = q**hdeg
             draw = random.Random(hdeg)
             codes = range(space) if space <= 16 else draw.sample(range(space), 16)
             for code in codes:
                 P = Q * monic_from_code(f, hdeg, code) + u0
-                assert sieve.rejects(code) == has_monic_factor(P, top), format_poly(P)
+                assert rejects(code) == has_monic_factor(P, top), format_poly(P)
                 # what _ben_or may assume of a survivor
-                if not sieve.rejects(code):
-                    assert not has_monic_factor(P, sieve.past), format_poly(P)
+                if not rejects(code):
+                    assert not has_monic_factor(P, past), format_poly(P)
         # the sieve only skips: the scan picks what trial division alone picks
-        got = _find_irreducible(ctx, u0, Q, degree, _rng(state))
-        assert got == _trial_division_scan(u0, Q, degree, _rng(state))
+        got = _find_irreducible(ctx, u0, Q, degrees, _rng(state))
+        assert got == _trial_division_scan(u0, Q, degrees, _rng(state))
 
 
 @pytest.mark.parametrize("q,d", [(2, 1), (4, 3), (16, 5), (17, 4)])
-def test_sieve_does_not_run_below_degree_four(q, d):
+def test_sieve_does_not_run_below_degree_four(monkeypatch, q, d):
     # Ben-Or is a root test there: every class of degree 2 or 3 keeps past 0
     # and rejects nothing, reducible candidates included
     ctx = get_context(q, d)
     f = ctx.field
     for Q, u0 in ((one(f), zero(f)), (variable(f), one(f))):
+        sieve = _ClassSieve(ctx, u0, Q)
         for degree in (2, 3):
             hdeg = degree - Q.degree
-            sieve = _ClassSieve(ctx, u0, Q, hdeg)
-            assert sieve.past == 0
+            past, rejects = sieve_at_degree(sieve, Q, hdeg)
+            assert past == 0
             codes = range(q**hdeg)
-            assert not any(sieve.rejects(code) for code in codes)
+            assert not any(rejects(code) for code in codes)
             assert any(has_monic_factor(Q * monic_from_code(f, hdeg, c) + u0, 1) for c in codes)
-    assert _ClassSieve(ctx, one(f), variable(f), 3).past == (2 if q <= 16 else 1)
+        # _find_irreducible's own gate: no mask is built and no Ben-Or is
+        # started past the sieve at these degrees
+        with monkeypatch.context() as mp:
+            mp.setattr(_ClassSieve, "mask", None)
+            mp.setattr(realize_mod, "_ben_or", None)
+            got = _find_irreducible(ctx, u0, Q, (2, 3), None)
+        assert got == _trial_division_scan(u0, Q, (2, 3), None)
+    assert _ClassSieve(ctx, one(f), variable(f)).past == (2 if q <= 16 else 1)
 
 
 @pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 4)])
@@ -375,11 +396,76 @@ def test_sieve_on_classes_of_degree_above_q_squared(q, d):
     u0 = from_code(f, draw.randrange(q ** (q * q + 2)))
     while gcd(u0, Q).degree:
         u0 = from_code(f, draw.randrange(q ** (q * q + 2)))
+    sieve = _ClassSieve(ctx, u0, Q)
     for hdeg in (1, 2, 3):
-        sieve = _ClassSieve(ctx, u0, Q, hdeg)
+        _, rejects = sieve_at_degree(sieve, Q, hdeg)
         for code in draw.sample(range(q**hdeg), min(8, q**hdeg)):
             P = Q * monic_from_code(f, hdeg, code) + u0
-            assert sieve.rejects(code) == has_monic_factor(P, 2), format_poly(P)
+            assert rejects(code) == has_monic_factor(P, 2), format_poly(P)
+
+
+@pytest.mark.parametrize("q,d", [(4, 3), (9, 8), (13, 4), (17, 4)])
+def test_sieve_on_constructed_classes(q, d):
+    # Q = (t - 1) L vanishes at the constant 1 and, for q <= 16, at a
+    # quadratic root, so those roots are dead; one class has tau = 0 at t's
+    # root 0 and at the constant 2, the other tau = 0 at the roots of a
+    # second quadratic L2 and a live root 0 with tau != 0, which realize
+    # never builds: t | Q from position 2 on
+    ctx = get_context(q, d)
+    f = ctx.field
+    t = variable(f)
+    quadratics = monic_irreducibles(f, 2)
+    L, L2 = next(quadratics), next(quadratics)
+    Q = (t - one(f)) * L
+    lbs = realize_mod._sieve_tables(ctx)[5]
+    quad = 1 if q <= 16 else 0
+    classes = (
+        # tau = 0 at t's root 0 and at the constant 2
+        (t * (t - from_code(f, 2)), 2, "scales"),
+        # tau = 0 at L2's listed root, tau != 0 at t's root 0
+        (L2, quad, "adds"),
+    )
+    for u0, scaled, zero_root in classes:
+        assert gcd(u0, Q).degree == 0
+        sieve = _ClassSieve(ctx, u0, Q)
+        # one constant and one quadratic root dead, the others live
+        assert len(sieve.adds) + len(sieve.scales) == len(lbs) - 1 - quad
+        assert len(sieve.scales) == scaled
+        # t's root 0 comes last in the record
+        assert len(lbs) - 1 in [entry[0] for entry in getattr(sieve, zero_root)]
+        for hdeg in (1, 2):
+            past, rejects = sieve_at_degree(sieve, Q, hdeg)
+            top = _sieve_degree(q, Q.degree + hdeg)
+            assert past == top
+            for code in range(q**hdeg):
+                P = Q * monic_from_code(f, hdeg, code) + u0
+                assert rejects(code) == has_monic_factor(P, top), format_poly(P)
+        got = _find_irreducible(ctx, u0, Q, (4, 5), None)
+        assert got == _trial_division_scan(u0, Q, (4, 5), None)
+
+
+@pytest.mark.parametrize(
+    "q,seed,text",
+    [
+        (9, 5, "5 8\n. 3 5 1 6\n3 . 2 7 4\n5 2 . 0 5\n1 7 0 . 2\n6 4 5 2 .\n"),
+        (17, None, "5 4\n. 1 2 3 1\n1 . 0 2 3\n2 0 . 1 2\n3 2 1 . 0\n1 3 2 0 .\n"),
+    ],
+)
+def test_realize_sets_up_one_sieve_per_position(monkeypatch, q, seed, text):
+    # each position's class is set up once, however many degrees it tries
+    M = parse_matrix(text)
+    built = []
+
+    class Counted(_ClassSieve):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(realize_mod, "_ClassSieve", Counted)
+    opts = RealizeOptions(seed=seed or 0, deterministic=seed is None)
+    R = realize(get_context(q, M.d), M, opts)
+    assert max(len(step.degrees_tried) for step in R.transcript) >= 2
+    assert len(built) == 5
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (1021, 1), (2, 16)])
@@ -406,8 +492,8 @@ def test_sieve_above_the_limit_builds_no_copy_of_gf_q_squared(monkeypatch):
     M = CycMatrix(3, 2, [[None, 1, 0], [1, None, 1], [0, 1, None]])
     R = realize(ctx, M)
     assert residue_matrix(ctx, R.polys) == M
-    # one record, K_1's: M = q - 1
-    assert degrees == [1] and ctx._sieve[0] == 30
+    # one record, K_1's: e = 1 and M = q - 1
+    assert degrees == [1] and ctx._sieve[:2] == (1, 30)
     realize(ctx, M, RealizeOptions(seed=1, deterministic=False))
     assert degrees == [1]
 
