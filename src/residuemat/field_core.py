@@ -272,6 +272,12 @@ def index_to_element(field: Field, d: int, k: int) -> int:
     return field.exp[k * ((field.q - 1) // d) % (field.q - 1)]
 
 
+def _check_int(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _check_d(field: Field, d: int):
+    _check_int("d", d)
     if d < 1 or (field.q - 1) % d != 0:
         raise ValueError(f"d = {d} does not divide q - 1 = {field.q - 1}")

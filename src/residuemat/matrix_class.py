@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .field_core import _is_prime_power, _odd_law
+from .field_core import _check_int, _is_prime_power, _odd_law
 
 SYMMETRIC_LAW = "symmetric"
 ODD_LAW = "odd"
@@ -44,6 +44,8 @@ class CycMatrix:
     __slots__ = ("n", "d", "entries")
 
     def __init__(self, n: int, d: int, entries):
+        _check_int("n", n)
+        _check_int("d", d)
         if n < 1:
             raise ValueError("matrix size must be >= 1")
         if d < 1:

@@ -21,8 +21,8 @@ irreducible factor l of degree <= 2 and q^deg l <= SIEVE_MAX_NORM
 (_ClassSieve): roots and quadratic factors for q <= 16, roots alone for
 q <= 256.  Below degree 4 Ben-Or is a root test anyway.  At a root beta
 of l, P(beta) = 0 iff h(beta) = -u0(beta)/Q(beta).  Q and u0 are
-evaluated at the betas once per position, for every degree it scans, and
-one step per beta then rejects constant coefficients of h at once.
+evaluated at the betas at most once per position, at the first degree it
+sieves, and one step per beta then rejects h's bad constants at once.
 All betas, t's root 0 among them as the zero log, lie in verify's copy of
 GF(q^2) or GF(q) (_sieve_tables), built once per SymbolContext.
 The sieve only rejects, and a rejected candidate still counts as tested.
@@ -51,11 +51,13 @@ import random
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
-from .matrix_class import ODD_LAW, CycMatrix, classify
+from .field_core import _check_int
+from .matrix_class import CycMatrix, classify
 from .poly_ring import (
     MAX_POLY_DEGREE,
     Poly,
     _ben_or,
+    _digits_raw,
     _inv_raw,
     format_poly,
     from_code,
@@ -96,6 +98,7 @@ class RealizeOptions:
     deterministic: bool = True
 
     def __post_init__(self):
+        _check_int("max_degree", self.max_degree)
         if self.max_degree < 2:
             raise ValueError("max_degree must be >= 2")
         if self.max_degree > MAX_POLY_DEGREE:
@@ -240,19 +243,20 @@ def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degrees, rng):
     turn, in enumeration order (rng=None) or an rng-shuffled order; P is
     None if none has one.
 
-    One _ClassSieve serves every degree.  A candidate it rejects has a
-    root or a quadratic factor and counts as tested without being built.
-    Every other candidate takes its verdict from is_irreducible; where the
-    sieve ran, Ben-Or (_ben_or) is started past the factor degrees it
-    excluded and its verdict cached on P first, so the result is what
+    One gate decides which degrees are sieved, and the class's _ClassSieve
+    is set up at the first.  A candidate it rejects has a root or a
+    quadratic factor and counts as tested without being built.  Every
+    other candidate takes its verdict from is_irreducible; where the sieve
+    ran, Ben-Or (_ben_or) is started past the factor degrees it excluded
+    and its verdict cached on P first, so the result is what
     is_irreducible alone would give.
 
     Search only: Q must be monic, u0 reduced mod Q and coprime to it, and
     every degree >= deg Q.  realize meets all three through Garner's fold
     over nonzero residues and starts at degree deg Q + 1."""
     f = Q.field
-    sieve = _ClassSieve(ctx, u0, Q)
-    tested = 0
+    record = _sieve_tables(ctx)
+    sieve, tested = None, 0
     for k, degree in enumerate(degrees, 1):
         hdeg = degree - Q.degree
         space = f.q**hdeg
@@ -263,9 +267,11 @@ def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degrees, rng):
             rng.shuffle(codes)
         else:
             codes = _random_codes(space, rng)
-        # with hdeg = 0 the class has the one candidate Q + u0, and below
-        # degree 4 Ben-Or is a root test anyway
-        past = sieve.past if hdeg >= 1 and degree >= 4 else 0
+        # no record above q = 256 (_sieve_tables); with hdeg = 0 the class
+        # has the one candidate Q + u0; below degree 4 Ben-Or is a root test
+        past = record[0] if record and hdeg >= 1 and degree >= 4 else 0
+        if past and sieve is None:
+            sieve = _ClassSieve(ctx, u0, Q)
         low, masks = f.q ** max(hdeg - 1, 0), {}
         for code in codes:
             tested += 1
@@ -277,6 +283,8 @@ def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degrees, rng):
                 if mask >> c0 & 1:
                     continue
             P = Q * monic_from_code(f, hdeg, code) + u0
+            # only a sieved candidate is seeded: the others take
+            # is_irreducible's own test, which perfbench's tracer counts
             if past:
                 P._irred = _ben_or(f, P.coeffs, past)
             if is_irreducible(P):
@@ -344,9 +352,10 @@ def _horner(T, R, steps, lbs, xs, digits):
 
 
 class _ClassSieve:
-    """One class P = Q h + u0, set up once for all its degrees: which
-    candidates have a monic irreducible factor l of degree <= 2 that
-    _sieve_tables covers (_find_irreducible asks only from degree 4 up).
+    """One class P = Q h + u0, set up at most once, at the first degree
+    _find_irreducible sieves, and only where _sieve_tables has a record:
+    which candidates have a monic irreducible factor l of degree <= 2 that
+    the record covers.
 
     Write h = t w + c0 with w monic.  At a root beta of l,
     P(beta) = Q(beta) h(beta) + u0(beta).  Where Q(beta) = 0 that is
@@ -361,18 +370,11 @@ class _ClassSieve:
     rest r is w's code.  So mask(r, n), for w of degree n, is one Horner
     pass over w's digits at every beta and one step per live beta: the
     bitmask of the c0 to reject for every code that shares r.  t's root 0
-    takes the same steps in the zero log.
-
-    past is the largest factor degree excluded for every candidate, for
-    _ben_or: e for the record's K_e, or 0 where there is none."""
+    takes the same steps in the zero log."""
 
     def __init__(self, ctx: SymbolContext, u0: Poly, Q: Poly):
         self.q = Q.field.q
-        self.past = 0
-        record = _sieve_tables(ctx)
-        if not record:
-            return
-        self.past, M, T, R, steps, lbs, _ = self.record = record
+        _, M, T, R, steps, lbs, _ = self.record = _sieve_tables(ctx)
         zero = [-2 * M] * len(lbs)
         lq = _horner(T, R, steps, lbs, zero, reversed(Q.coeffs))
         lu = _horner(T, R, steps, lbs, zero, reversed(u0.coeffs))
@@ -382,11 +384,8 @@ class _ClassSieve:
         self.scales = [(i, lbs[i]) for i in live if lu[i] < 0]
 
     def mask(self, r: int, n: int) -> int:
-        q = self.q
-        digits = []
-        for _ in range(n):
-            r, c = divmod(r, q)
-            digits.append(c)
+        digits = _digits_raw(self.q, r)
+        digits += [0] * (n - len(digits))
         _, _, T, R, steps, lbs, bits = self.record
         xs = _horner(T, R, steps, lbs, [0] * len(lbs), digits)
         mask = 0
@@ -429,13 +428,8 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
         )
     f = ctx.field
     n = M.n
-    if cls.branch == ODD_LAW:
-        sigma, s = cls.sigma, cls.s
-        # permuted position i needs odd degree iff i < s
-        parity = [1 if i < s else 0 for i in range(n)]
-    else:
-        sigma, s = tuple(range(n)), None
-        parity = [None] * n
+    # s and sigma are set on the odd-law branch only
+    s, sigma = cls.s, cls.sigma or tuple(range(n))
     rng = None if opts.deterministic else random.Random(opts.seed)
 
     polys_p = []
@@ -448,22 +442,18 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
         for j in range(k):
             target = M.entries[sigma[k]][sigma[j]]
             u, trials = _choose_residue(ctx, polys_p[j], target, rng)
-            choices.append(
-                ResidueChoice(
-                    modulus=polys_p[j], target=target, residue=u, trials=trials
-                )
-            )
+            choices.append(ResidueChoice(polys_p[j], target, u, trials))
         # each u_j is a nonzero residue, so u0 is coprime to Q and no
         # candidate P = u_j mod P_j can repeat an earlier P_j
         pairs = [(c.residue, c.modulus) for c in choices]
         u0, Q = _garner(f, pairs, prods, invs)
-        req = parity[k]
+        # on the odd law, permuted position k takes odd degree iff k < s
         D = Q.degree + 1
-        if req is not None and D % 2 != req:
+        if s is not None and D % 2 != (k < s):
             D += 1
         # position 1 scans in enumeration order in either mode: t comes first
         scan = rng if pairs else None
-        degrees = range(D, opts.max_degree + 1, 1 if req is None else 2)
+        degrees = range(D, opts.max_degree + 1, 1 if s is None else 2)
         chosen, tested, tried = _find_irreducible(ctx, u0, Q, degrees, scan)
         if chosen is None:
             raise ResourceExhaustedError(

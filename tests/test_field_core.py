@@ -213,6 +213,16 @@ def test_root_index_rejects_non_roots(f5):
         index_to_element(f5, 4, 4)
 
 
+@pytest.mark.parametrize("d", [2.0, True, "2"])
+def test_root_index_functions_refuse_a_non_int_d(f5, d):
+    # 2.0 == 2 and True == 1, but a float or bool d would reach the tables
+    # as a RootIndex of floats or as a list index
+    with pytest.raises(ValueError, match=f"^d must be an int, got {d!r}$"):
+        root_index_of(f5, d, 4)
+    with pytest.raises(ValueError, match=f"^d must be an int, got {d!r}$"):
+        index_to_element(f5, d, 1)
+
+
 def test_zeta_is_primitive(f13):
     # zeta = g^((q-1)/d) must have exact order d
     for d in (2, 3, 4, 6, 12):

@@ -133,6 +133,23 @@ def test_constructor_rejects_bool_indices(rows):
         CycMatrix(len(rows), 2, rows)
 
 
+@pytest.mark.parametrize(
+    "n,d,message",
+    [
+        (2.0, 4, "n must be an int, got 2.0"),
+        (True, 4, "n must be an int, got True"),
+        ("2", 4, "n must be an int, got '2'"),
+        (2, 4.0, "d must be an int, got 4.0"),
+        (2, True, "d must be an int, got True"),
+    ],
+)
+def test_constructor_refuses_a_non_int_size_or_d(n, d, message):
+    # 4.0 == 4, so a float d used to pass every range check
+    with pytest.raises(ValueError) as exc:
+        CycMatrix(n, d, [[None, 1], [3, None]])
+    assert str(exc.value) == message
+
+
 def test_equality_and_hash():
     assert mat(2, 2, (None, 1), (1, None)) == mat(2, 2, (None, 1), (1, None))
     assert hash(SKEW22) == hash(mat(2, 4, (None, 1), (3, None)))

@@ -377,14 +377,16 @@ def test_sieve_does_not_run_below_degree_four(monkeypatch, q, d):
             codes = range(q**hdeg)
             assert not any(rejects(code) for code in codes)
             assert any(has_monic_factor(Q * monic_from_code(f, hdeg, c) + u0, 1) for c in codes)
-        # _find_irreducible's own gate: no mask is built and no Ben-Or is
+        # _find_irreducible's own gate: no sieve is set up and no Ben-Or is
         # started past the sieve at these degrees
+        built = []
         with monkeypatch.context() as mp:
-            mp.setattr(_ClassSieve, "mask", None)
+            mp.setattr(realize_mod, "_ClassSieve", lambda *args: built.append(args))
             mp.setattr(realize_mod, "_ben_or", None)
             got = _find_irreducible(ctx, u0, Q, (2, 3), None)
         assert got == _trial_division_scan(u0, Q, (2, 3), None)
-    assert _ClassSieve(ctx, one(f), variable(f)).past == (2 if q <= 16 else 1)
+        assert not built
+    assert _ClassSieve(ctx, one(f), variable(f)).record[0] == (2 if q <= 16 else 1)
 
 
 @pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 4)])
@@ -452,7 +454,9 @@ def test_sieve_on_constructed_classes(q, d):
     ],
 )
 def test_realize_sets_up_one_sieve_per_position(monkeypatch, q, seed, text):
-    # each position's class is set up once, however many degrees it tries
+    # at most one set-up per position, however many degrees it tries: the
+    # positions whose scan reaches a degree >= 4 with deg h >= 1 set their
+    # class up once, the others not at all
     M = parse_matrix(text)
     built = []
 
@@ -463,9 +467,29 @@ def test_realize_sets_up_one_sieve_per_position(monkeypatch, q, seed, text):
 
     monkeypatch.setattr(realize_mod, "_ClassSieve", Counted)
     opts = RealizeOptions(seed=seed or 0, deterministic=seed is None)
-    R = realize(get_context(q, M.d), M, opts)
+    ctx = get_context(q, M.d)
+    R = realize(ctx, M, opts)
     assert max(len(step.degrees_tried) for step in R.transcript) >= 2
-    assert len(built) == 5
+    moduli = [step.crt_modulus or one(ctx.field) for step in R.transcript]
+    sieved = [
+        Q for Q, step in zip(moduli, R.transcript)
+        if any(deg >= 4 and deg > Q.degree for deg in step.degrees_tried)
+    ]
+    assert [args[2] for args in built] == sieved
+    assert len(built) == 3
+
+
+def test_realize_above_the_sieve_limit_sets_up_no_sieve(monkeypatch):
+    # GF(1021) has no sieve record, so no class is set up, although
+    # positions 3 and 4 scan degrees 4 and 8 past their moduli
+    built = []
+    monkeypatch.setattr(realize_mod, "_ClassSieve", lambda *args: built.append(args))
+    ctx = get_context(1021, 2)
+    M = mat(4, 2, [None, 1, 0, 1], [1, None, 1, 0], [0, 1, None, 1], [1, 0, 1, None])
+    R = realize(ctx, M)
+    assert residue_matrix(ctx, R.polys) == M
+    assert [step.degrees_tried for step in R.transcript] == [(1,), (2,), (4,), (8,)]
+    assert ctx._sieve == () and not built
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (1021, 1), (2, 16)])
@@ -509,6 +533,14 @@ def test_realize_options_validation():
     assert RealizeOptions(max_degree=MAX_POLY_DEGREE).max_degree == 256
     with pytest.raises(ValueError, match="max_degree 257 exceeds the degree bound 256"):
         RealizeOptions(max_degree=MAX_POLY_DEGREE + 1)
+
+
+@pytest.mark.parametrize("max_degree", [3.0, "40", True])
+def test_realize_options_refuse_a_non_int_max_degree(max_degree):
+    # 3.0 passed both range checks, and realize then raised a TypeError
+    # from range(); "40" raised a bare TypeError from the comparison
+    with pytest.raises(ValueError, match=f"^max_degree must be an int, got {max_degree!r}$"):
+        RealizeOptions(max_degree=max_degree)
 
 
 # -- realize ----------------------------------------------------------------

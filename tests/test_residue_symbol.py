@@ -43,6 +43,14 @@ def test_context_validates_d(f5):
         SymbolContext(f5, 0)
 
 
+@pytest.mark.parametrize("d", [2.0, True, "2"])
+def test_context_refuses_a_non_int_d(f5, d):
+    # SymbolContext(f5, 2.0) passed the divisibility test, and then symbol
+    # returned RootIndex(k=1.0, d=2.0) and verify raised a TypeError
+    with pytest.raises(ValueError, match=f"^d must be an int, got {d!r}$"):
+        SymbolContext(f5, d)
+
+
 # Values below were computed with the defining power map
 # a^((|P|-1)/d) mod P followed by a generator-power scan (see naive.py),
 # then frozen.
