@@ -243,13 +243,12 @@ def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degrees, rng):
     turn, in enumeration order (rng=None) or an rng-shuffled order; P is
     None if none has one.
 
-    One gate decides which degrees are sieved, and the class's _ClassSieve
-    is set up at the first.  A candidate it rejects has a root or a
-    quadratic factor and counts as tested without being built.  Every
-    other candidate takes its verdict from is_irreducible; where the sieve
-    ran, Ben-Or (_ben_or) is started past the factor degrees it excluded
-    and its verdict cached on P first, so the result is what
-    is_irreducible alone would give.
+    One gate picks the sieved degrees; the class's _ClassSieve is set up
+    at the first.  A candidate it rejects has a root or a quadratic factor
+    and counts as tested without being built.  The others take their
+    verdict from is_irreducible; where the sieve ran, Ben-Or (_ben_or) is
+    started past the factor degrees it excluded and its verdict cached on
+    P first, so the result is what is_irreducible alone would give.
 
     Search only: Q must be monic, u0 reduced mod Q and coprime to it, and
     every degree >= deg Q.  realize meets all three through Garner's fold
@@ -271,7 +270,7 @@ def _find_irreducible(ctx: SymbolContext, u0: Poly, Q: Poly, degrees, rng):
         # has the one candidate Q + u0; below degree 4 Ben-Or is a root test
         past = record[0] if record and hdeg >= 1 and degree >= 4 else 0
         if past and sieve is None:
-            sieve = _ClassSieve(ctx, u0, Q)
+            sieve = _ClassSieve(record, u0, Q)
         low, masks = f.q ** max(hdeg - 1, 0), {}
         for code in codes:
             tested += 1
@@ -353,9 +352,8 @@ def _horner(T, R, steps, lbs, xs, digits):
 
 class _ClassSieve:
     """One class P = Q h + u0, set up at most once, at the first degree
-    _find_irreducible sieves, and only where _sieve_tables has a record:
-    which candidates have a monic irreducible factor l of degree <= 2 that
-    the record covers.
+    _find_irreducible sieves, from a nonempty _sieve_tables record: which
+    candidates have a monic irreducible factor l of degree <= 2 in it.
 
     Write h = t w + c0 with w monic.  At a root beta of l,
     P(beta) = Q(beta) h(beta) + u0(beta).  Where Q(beta) = 0 that is
@@ -372,9 +370,9 @@ class _ClassSieve:
     bitmask of the c0 to reject for every code that shares r.  t's root 0
     takes the same steps in the zero log."""
 
-    def __init__(self, ctx: SymbolContext, u0: Poly, Q: Poly):
+    def __init__(self, record: tuple, u0: Poly, Q: Poly):
         self.q = Q.field.q
-        _, M, T, R, steps, lbs, _ = self.record = _sieve_tables(ctx)
+        _, M, T, R, steps, lbs, _ = self.record = record
         zero = [-2 * M] * len(lbs)
         lq = _horner(T, R, steps, lbs, zero, reversed(Q.coeffs))
         lu = _horner(T, R, steps, lbs, zero, reversed(u0.coeffs))
@@ -428,7 +426,6 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
         )
     f = ctx.field
     n = M.n
-    # s and sigma are set on the odd-law branch only
     s, sigma = cls.s, cls.sigma or tuple(range(n))
     rng = None if opts.deterministic else random.Random(opts.seed)
 
@@ -442,7 +439,11 @@ def realize(ctx: SymbolContext, M: CycMatrix, opts: Optional[RealizeOptions] = N
         for j in range(k):
             target = M.entries[sigma[k]][sigma[j]]
             u, trials = _choose_residue(ctx, polys_p[j], target, rng)
-            choices.append(ResidueChoice(polys_p[j], target, u, trials))
+            choices.append(
+                ResidueChoice(
+                    modulus=polys_p[j], target=target, residue=u, trials=trials
+                )
+            )
         # each u_j is a nonzero residue, so u0 is coprime to Q and no
         # candidate P = u_j mod P_j can repeat an earlier P_j
         pairs = [(c.residue, c.modulus) for c in choices]

@@ -46,7 +46,7 @@ from residuemat.poly_ring import (
     _ypowers,
 )
 
-from residuemat.realize import _ClassSieve
+from residuemat.realize import _ClassSieve, _sieve_tables
 
 import ben_or_past
 from conftest import forced_route, get_context, get_field, sieve_at_degree, sympy_oracle
@@ -596,7 +596,7 @@ def test_ben_or_past_the_sieve_matches_sympy_on_its_survivors(q):
         u0 = from_code(f, rng.randrange(1, q**4))
         while gcd(u0, Q).degree:
             u0 = from_code(f, rng.randrange(1, q**4))
-        past, rejects = sieve_at_degree(_ClassSieve(ctx, u0, Q), Q, n - 4)
+        past, rejects = sieve_at_degree(_ClassSieve(_sieve_tables(ctx), u0, Q), Q, n - 4)
         assert past == 2
         survivors = []
         while len(survivors) < 3 or not _ben_or(f, survivors[-1]):

@@ -39,6 +39,7 @@ from residuemat.realize import (
     _ClassSieve,
     _find_irreducible,
     _random_codes,
+    _sieve_tables,
 )
 
 import realize_sweep
@@ -255,7 +256,7 @@ def test_find_irreducible_random_mode_above_two_to_the_sixteen_codes():
     assert _find_irreducible(ctx, u0, Q, [6], random.Random(5)) == (P, tested, (6,))
     # the sieve only skips: trial division alone picks the same candidate
     assert _trial_division_scan(u0, Q, [6], random.Random(5)) == (P, tested, (6,))
-    _, rejects = sieve_at_degree(_ClassSieve(ctx, u0, Q), Q, 5)
+    _, rejects = sieve_at_degree(_ClassSieve(_sieve_tables(ctx), u0, Q), Q, 5)
     for code in itertools.islice(_random_codes(13**5, random.Random(5)), 40):
         C = Q * monic_from_code(f13, 5, code) + u0
         assert rejects(code) == has_monic_factor(C, 2), format_poly(C)
@@ -343,7 +344,7 @@ def test_sieve_rejects_exactly_the_candidates_with_a_small_factor(monkeypatch, q
     classes = _scanned_classes(monkeypatch, ctx, seed)
     assert len(classes) >= 3
     for u0, Q, degrees, state in classes:
-        sieve = _ClassSieve(ctx, u0, Q)
+        sieve = _ClassSieve(_sieve_tables(ctx), u0, Q)
         # the scanned degrees and two above them, where h has more digits
         for hdeg in range(degrees[0] - Q.degree, degrees[-1] - Q.degree + 3):
             past, rejects = sieve_at_degree(sieve, Q, hdeg)
@@ -369,7 +370,7 @@ def test_sieve_does_not_run_below_degree_four(monkeypatch, q, d):
     ctx = get_context(q, d)
     f = ctx.field
     for Q, u0 in ((one(f), zero(f)), (variable(f), one(f))):
-        sieve = _ClassSieve(ctx, u0, Q)
+        sieve = _ClassSieve(_sieve_tables(ctx), u0, Q)
         for degree in (2, 3):
             hdeg = degree - Q.degree
             past, rejects = sieve_at_degree(sieve, Q, hdeg)
@@ -386,7 +387,7 @@ def test_sieve_does_not_run_below_degree_four(monkeypatch, q, d):
             got = _find_irreducible(ctx, u0, Q, (2, 3), None)
         assert got == _trial_division_scan(u0, Q, (2, 3), None)
         assert not built
-    assert _ClassSieve(ctx, one(f), variable(f)).record[0] == (2 if q <= 16 else 1)
+    assert _ClassSieve(_sieve_tables(ctx), one(f), variable(f)).record[0] == (2 if q <= 16 else 1)
 
 
 @pytest.mark.parametrize("q,d", [(3, 2), (4, 3), (5, 4)])
@@ -398,7 +399,7 @@ def test_sieve_on_classes_of_degree_above_q_squared(q, d):
     u0 = from_code(f, draw.randrange(q ** (q * q + 2)))
     while gcd(u0, Q).degree:
         u0 = from_code(f, draw.randrange(q ** (q * q + 2)))
-    sieve = _ClassSieve(ctx, u0, Q)
+    sieve = _ClassSieve(_sieve_tables(ctx), u0, Q)
     for hdeg in (1, 2, 3):
         _, rejects = sieve_at_degree(sieve, Q, hdeg)
         for code in draw.sample(range(q**hdeg), min(8, q**hdeg)):
@@ -419,7 +420,7 @@ def test_sieve_on_constructed_classes(q, d):
     quadratics = monic_irreducibles(f, 2)
     L, L2 = next(quadratics), next(quadratics)
     Q = (t - one(f)) * L
-    lbs = realize_mod._sieve_tables(ctx)[5]
+    lbs = _sieve_tables(ctx)[5]
     quad = 1 if q <= 16 else 0
     classes = (
         # tau = 0 at t's root 0 and at the constant 2
@@ -429,7 +430,7 @@ def test_sieve_on_constructed_classes(q, d):
     )
     for u0, scaled, zero_root in classes:
         assert gcd(u0, Q).degree == 0
-        sieve = _ClassSieve(ctx, u0, Q)
+        sieve = _ClassSieve(_sieve_tables(ctx), u0, Q)
         # one constant and one quadratic root dead, the others live
         assert len(sieve.adds) + len(sieve.scales) == len(lbs) - 1 - quad
         assert len(sieve.scales) == scaled
